@@ -9,19 +9,19 @@ Commands:
     classify  identify a quadric in signature (2,-1) against the ads family
     report    aggregate verify + spectrum + classification over families
 
+Each subcommand takes only the flags it reads (see `build_parser`): a flag
+given to another subcommand, such as `verify --format csv`, exits 2.
+
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error.  Output is
 deterministic for a fixed config and seed: floats are rendered with 17
-significant digits and collections are assembled in sorted order.  The
-ZMC_THREADS environment variable caps worker threads for report batches.
+significant digits and collections are assembled in sorted order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -326,19 +326,7 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    workers_txt = os.environ.get("ZMC_THREADS", "1")
-    try:
-        workers = max(1, int(workers_txt))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(
-                pool.map(lambda pair: _report_one(pair[1], pair[0], args), enumerate(labels))
-            )
-    else:
-        entries = [_report_one(label, i, args) for i, label in enumerate(labels)]
-    entries.sort(key=lambda e: e["family"])
+    entries = [_report_one(label, i, args) for i, label in enumerate(labels)]
     doc = {
         "seed": args.seed,
         "count": args.count,
@@ -349,15 +337,19 @@ def cmd_report(args) -> int:
     return EXIT_PASS if doc["passed"] else EXIT_FAIL
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
+# Output and tolerance flags; each subcommand registers the ones it reads.
+_FLAGS = {
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--tol-residual": {"type": float, "default": DEFAULT_TOL_RESIDUAL},
+    "--tol-spectrum": {"type": float, "default": DEFAULT_TOL_SPECTRUM},
+    "--tol-newton": {"type": float, "default": DEFAULT_TOL_NEWTON},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--tol-residual", dest="tol_residual", type=float,
-                   default=DEFAULT_TOL_RESIDUAL)
-    p.add_argument("--tol-spectrum", dest="tol_spectrum", type=float,
-                   default=DEFAULT_TOL_SPECTRUM)
-    p.add_argument("--tol-newton", dest="tol_newton", type=float,
-                   default=DEFAULT_TOL_NEWTON)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,21 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--poly")
     p_verify.add_argument("--nvars", type=int)
     p_verify.add_argument("--sig")
-    _add_io_flags(p_verify)
+    _add_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="sample points and gate spectra")
     p_spec.add_argument("--family")
     p_spec.add_argument("--count", type=int, default=50)
     p_spec.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p_spec)
+    _add_flags(p_spec, "--format", "--tol-residual", "--tol-spectrum", "--tol-newton")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_sample = sub.add_parser("sample", help="emit on-variety points")
     p_sample.add_argument("--family")
     p_sample.add_argument("--count", type=int, default=10)
     p_sample.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p_sample)
+    _add_flags(p_sample, "--format", "--tol-residual", "--tol-newton")
     p_sample.set_defaults(func=cmd_sample)
 
     p_cls = sub.add_parser("classify", help="identify an ads-family quadric")
@@ -394,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--poly")
     p_cls.add_argument("--nvars", type=int)
     p_cls.add_argument("--sig", default="2,-1")
-    _add_io_flags(p_cls)
+    _add_flags(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_rep = sub.add_parser("report", help="aggregate verify/spectrum/classify")
     p_rep.add_argument("--family", action="append")
     p_rep.add_argument("--count", type=int, default=20)
     p_rep.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p_rep)
+    _add_flags(p_rep, "--tol-residual", "--tol-spectrum", "--tol-newton")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

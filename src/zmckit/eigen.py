@@ -1,130 +1,16 @@
-"""Dense eigenvalue solver for small matrices: Hessenberg reduction + QR.
-
-Works in complex arithmetic throughout, so real matrices with complex
-conjugate eigenvalue pairs need no special 2x2 bookkeeping: upper-Hessenberg
-form is produced by Householder reflections and eigenvalues are peeled off
-by Wilkinson-shifted QR sweeps built from Givens rotations.  Intended for
-shape-operator sizes (up to a few dozen), not as a LAPACK replacement.
-"""
-
-from __future__ import annotations
+"""Float eigenvalues of small dense matrices, from LAPACK through numpy."""
 
 import numpy as np
 
-
-class QRConvergenceError(RuntimeError):
-    """QR iteration failed to deflate; carries the raw Hessenberg matrix."""
-
-    def __init__(self, message: str, hessenberg: np.ndarray):
-        super().__init__(message)
-        self.hessenberg = hessenberg
+# LAPACK's error when its QR iteration does not converge.  The name stays
+# because perfbench/workloads.py catches eigenvalue breakdowns by it.
+QRConvergenceError = np.linalg.LinAlgError
 
 
-def hessenberg(matrix: np.ndarray) -> np.ndarray:
-    """Upper-Hessenberg form of a square matrix via Householder similarity."""
-    h = np.array(matrix, dtype=complex)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {h.shape}")
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        norm = np.linalg.norm(x)
-        if norm < 1e-300:
-            continue
-        alpha = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-        v = x.copy()
-        v[0] += alpha * norm
-        vnorm = np.linalg.norm(v)
-        if vnorm < 1e-300:
-            continue
-        v /= vnorm
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v.conj(), v)
-        h[k + 2 :, k] = 0.0
-    return h
+def eigvals(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a square matrix, in no particular order.
 
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    a = h[hi - 1, hi - 1]
-    b = h[hi - 1, hi]
-    c = h[hi, hi - 1]
-    d = h[hi, hi]
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(tr * tr / 4 - det + 0j)
-    mu1 = tr / 2 + disc
-    mu2 = tr / 2 - disc
-    return mu1 if abs(mu1 - d) < abs(mu2 - d) else mu2
-
-
-def _quadratic_eigs(h: np.ndarray, lo: int) -> tuple[complex, complex]:
-    a, b = h[lo, lo], h[lo, lo + 1]
-    c, d = h[lo + 1, lo], h[lo + 1, lo + 1]
-    tr = a + d
-    disc = np.sqrt(tr * tr / 4 - (a * d - b * c) + 0j)
-    return tr / 2 + disc, tr / 2 - disc
-
-
-def eigvals(matrix: np.ndarray, max_sweeps_per_eig: int = 100) -> np.ndarray:
-    """All eigenvalues of a square matrix, in no particular order."""
-    h = hessenberg(matrix)
-    n = h.shape[0]
-    if n == 0:
-        return np.array([], dtype=complex)
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    budget = max_sweeps_per_eig * n
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(h[0, 0])
-            break
-        # Deflate any negligible subdiagonal inside the active block.
-        lo = hi
-        while lo > 0:
-            off = abs(h[lo, lo - 1])
-            scale = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if off <= 1e-14 * max(scale, 1e-300):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(h[hi, hi])
-            hi -= 1
-            continue
-        if lo == hi - 1:
-            e1, e2 = _quadratic_eigs(h, lo)
-            eigs.extend([e1, e2])
-            hi -= 2
-            continue
-        sweeps += 1
-        if sweeps > budget:
-            raise QRConvergenceError(
-                f"QR iteration did not converge after {sweeps} sweeps", h
-            )
-        mu = _wilkinson_shift(h, hi)
-        # One shifted QR sweep on the active window via Givens rotations.
-        for i in range(lo, hi + 1):
-            h[i, i] -= mu
-        rotations = []
-        for i in range(lo, hi):
-            a, b = h[i, i], h[i + 1, i]
-            r = np.hypot(abs(a), abs(b))
-            if r < 1e-300:
-                c, s = 1.0 + 0j, 0.0 + 0j
-            else:
-                c, s = a / r, b / r
-            rotations.append((c, s))
-            row_i = h[i, i:].copy()
-            row_j = h[i + 1, i:].copy()
-            h[i, i:] = np.conj(c) * row_i + np.conj(s) * row_j
-            h[i + 1, i:] = -s * row_i + c * row_j
-        for i, (c, s) in enumerate(rotations, start=lo):
-            rows = min(i + 2, hi) + 1
-            col_i = h[:rows, i].copy()
-            col_j = h[:rows, i + 1].copy()
-            h[:rows, i] = c * col_i + s * col_j
-            h[:rows, i + 1] = -np.conj(s) * col_i + np.conj(c) * col_j
-        for i in range(lo, hi + 1):
-            h[i, i] += mu
-    return np.asarray(eigs, dtype=complex)
+    Both float eigenvalue callers go through this function, so the
+    eigenvalue layer stays one call that perfbench/tracer.py can time.
+    """
+    return np.linalg.eigvals(matrix)

@@ -279,10 +279,6 @@ class SurfacePatch:
             ]
         )
 
-    @property
-    def constraint_level(self) -> int:
-        return -1 if self.kind == "phi" else 1
-
     def expected_fundamental_form(self, s: float) -> tuple[float, float, float]:
         """Closed-form first fundamental form (E, F, G) at parameter s."""
         k, n = self.k, self.n
@@ -299,10 +295,6 @@ def surface_patch(spec: FamilySpec) -> SurfacePatch:
     if k == n:
         raise ValueError("no patch available for k == n")
     return SurfacePatch("phi" if k < n else "rho", k, n)
-
-
-def eval_patch(patch: SurfacePatch, s: float, t: float) -> np.ndarray:
-    return patch(s, t)
 
 
 def _hyperbolic_decimal(x: Decimal) -> tuple[Decimal, Decimal]:

@@ -4,8 +4,8 @@ Points live on the intersection of the polynomial zero set with the quadric
 <B x, x> = epsilon.  All the classical objects are computed at such points:
 a tangent frame, the induced metric and its signature, the Gauss map
 nu = B grad f / sqrt(|w|), the shape operator, and its principal curvature
-spectrum.  Derivative data for a polynomial is cached, so batch runs over
-many points reuse the exact gradients and Hessians.
+spectrum.  Derivative data for a polynomial is cached (`zmc.derivatives`), so
+batch runs over many points reuse the exact gradients and Hessians.
 
 The shape operator follows the Gauss map orientation given by the formula
 above.  Oracles that state curvature signs for the opposite orientation are
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eigen
 from .poly import Poly
-from .zmc import AmbientSig, gradient, w_poly
+from .zmc import AmbientSig, derivatives, hessian_float
 
 # |w| below this scale-adjusted threshold marks a point as non-regular.
 REGULARITY_COEFF = 1e-8
@@ -83,41 +83,15 @@ class CurvatureSpectrum:
         return sorted((c.value, c.multiplicity) for c in self.clusters)
 
 
-# -- cached derivative data ---------------------------------------------------
-
-_DERIV_CACHE: dict[tuple[Poly, int], dict] = {}
-
-
-def _derivatives(f: Poly, sig: AmbientSig) -> dict:
-    key = (f, sig.s)
-    data = _DERIV_CACHE.get(key)
-    if data is None:
-        grad = gradient(f)
-        hess = [[grad[i].diff(j + 1) for j in range(f.nvars)] for i in range(f.nvars)]
-        data = {"grad": grad, "hess": hess, "w": w_poly(f, sig)}
-        _DERIV_CACHE[key] = data
-    return data
+# -- derivative data, cached in zmc.derivatives -------------------------------
 
 
 def _grad_at(f: Poly, sig: AmbientSig, x: np.ndarray) -> np.ndarray:
-    grad = _derivatives(f, sig)["grad"]
-    return np.array([g.eval_float(x) for g in grad])
-
-
-def _hess_at(f: Poly, sig: AmbientSig, x: np.ndarray) -> np.ndarray:
-    hess = _derivatives(f, sig)["hess"]
-    n = f.nvars
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = hess[i][j].eval_float(x)
-            out[i, j] = v
-            out[j, i] = v
-    return out
+    return np.array([g.eval_float(x) for g in derivatives(f, sig).grad])
 
 
 def _w_at(f: Poly, sig: AmbientSig, x: np.ndarray) -> float:
-    return _derivatives(f, sig)["w"].eval_float(x)
+    return derivatives(f, sig).w.eval_float(x)
 
 
 # -- point construction -------------------------------------------------------
@@ -269,7 +243,7 @@ def shape_operator(
     if frame is None:
         frame = tangent_frame(p, f, sig)
     gram, _ = induced_metric(frame, sig)
-    hess = _hess_at(f, sig, p.coords)
+    hess = hessian_float(f, sig, p.coords)
     h = frame @ hess @ frame.T / np.sqrt(abs(p.w_value))
     h = 0.5 * (h + h.T)
     return np.linalg.solve(gram, h)
@@ -360,9 +334,12 @@ def curvature_spectrum(
 ) -> CurvatureSpectrum:
     """Principal curvature spectrum of Sigma at p, with multiplicities.
 
-    Eigenvalues come from the in-house Hessenberg+QR solver; eigenvectors
-    (used for causal tags and the defectiveness check) from SVD null spaces
-    of S - lambda I per cluster.
+    Eigenvalues come from LAPACK (`eigen.eigvals`); eigenvectors (used for
+    causal tags and the defectiveness check) from SVD null spaces of
+    S - lambda I per cluster.  One `np.linalg.eig` call is not used for the
+    vectors: S = G^{-1} H is not symmetric, so a repeated eigenvalue can split
+    into a conjugate pair with ~1e-17 imaginary parts whose eigenvectors come
+    back genuinely complex, which would tag real clusters as "complex".
     """
     frame = tangent_frame(p, f, sig)
     gram, signature = induced_metric(frame, sig)

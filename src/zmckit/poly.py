@@ -351,30 +351,6 @@ def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
     return 1, f"{head} {vars_txt}".strip()
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def scale(p: Poly, value) -> Poly:
-    return p.scale(value)
-
-
-def diff(p: Poly, index: int) -> Poly:
-    return p.diff(index)
-
-
-def eval_exact(p: Poly, point: Sequence) -> QuadExtScalar:
-    return p.eval_exact(point)
-
-
-def eval_float(p: Poly, point: Sequence[float]) -> float:
-    return p.eval_float(point)
-
-
 def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Single-divisor division: g = q*f + r with no monomial of r divisible
     by the leading monomial of f (graded lex).  Because one polynomial is a

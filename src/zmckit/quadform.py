@@ -157,11 +157,17 @@ def pencil_invariants(qm: QuadMatrix) -> PencilInvariants:
     pencil = _pencil_matrix(qm)
     coeffs = char_poly_exact(pencil)
     floats = np.array([[float(x) for x in row] for row in pencil])
-    values = tuple(sorted(eigen.eigvals(floats), key=lambda z: (z.real, z.imag)))
-    return PencilInvariants(coeffs, values)
+    values = sorted(eigen.eigvals(floats).astype(complex), key=lambda z: (z.real, z.imag))
+    return PencilInvariants(coeffs, tuple(values))
 
 
-@lru_cache(maxsize=None)
+# `classify_candidate` scans all (m, n, k) with m + n + k = nvars - 2, about
+# (nvars - 2)^2 / 2 keys; an LRU cache smaller than one scan misses on every
+# lookup.  1024 covers every scan up to nvars = 47.
+FINGERPRINT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
 def _family_fingerprint(m: int, n: int, k: int) -> tuple[QuadExtScalar, ...]:
     spec = FamilySpec("ads", (m, n, k))
     qm = to_matrix(make_poly(spec), spec.sig)

@@ -15,6 +15,8 @@ certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +40,6 @@ class AmbientSig:
     @property
     def b_diag(self) -> tuple[int, ...]:
         return (-1,) * self.s + (1,) * (self.nvars - self.s)
-
-    def b_matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.b_diag, dtype=float))
 
     def space_name(self) -> str:
         if self.s == 2 and self.epsilon == -1:
@@ -85,6 +84,27 @@ def w_poly(f: Poly, sig: AmbientSig) -> Poly:
         square = f.diff(i) * f.diff(i)
         total = total + (square.scale(-1) if sign < 0 else square)
     return total
+
+
+# Most (polynomial, signature) pairs whose derivatives stay cached; a float
+# batch works on one pair per family.
+DERIVATIVE_CACHE_SIZE = 64
+
+
+class Derivatives(NamedTuple):
+    grad: tuple[Poly, ...]
+    hess: tuple[tuple[Poly, ...], ...]  # hess[i][j - i]: d2f/dx_{i+1}dx_{j+1}, j >= i
+    w: Poly
+
+
+@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
+def derivatives(f: Poly, sig: AmbientSig) -> Derivatives:
+    """Gradient, upper-triangular Hessian and w of f, cached per (f, sig)."""
+    grad = tuple(gradient(f))
+    hess = tuple(
+        tuple(grad[i].diff(j + 1) for j in range(i, f.nvars)) for i in range(f.nvars)
+    )
+    return Derivatives(grad, hess, w_poly(f, sig))
 
 
 def zmc_residual(f: Poly, sig: AmbientSig) -> Poly:
@@ -161,16 +181,16 @@ def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
     )
 
 
-def hessian_float(f: Poly, point: np.ndarray) -> np.ndarray:
+def hessian_float(f: Poly, sig: AmbientSig, point: np.ndarray) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
+    hess = derivatives(f, sig).hess
     n = f.nvars
     out = np.empty((n, n), dtype=float)
-    for i in range(1, n + 1):
-        fi = f.diff(i)
-        for j in range(i, n + 1):
-            value = fi.diff(j).eval_float(point)
-            out[i - 1, j - 1] = value
-            out[j - 1, i - 1] = value
+    for i in range(n):
+        for j in range(i, n):
+            value = hess[i][j - i].eval_float(point)
+            out[i, j] = value
+            out[j, i] = value
     return out
 
 
@@ -201,5 +221,5 @@ def laplacian_in_basis(
         raise ValueError(
             f"basis is not pseudo-orthonormal: max Gram deviation {deviation:.3e}"
         )
-    hess = hessian_float(f, point)
+    hess = hessian_float(f, sig, point)
     return float(sum(b[i] * basis[i] @ hess @ basis[i] for i in range(n)))
