@@ -99,11 +99,7 @@ def _resolve_input(args) -> tuple[Poly, AmbientSig, str | None, tuple[int, ...] 
 
 
 def cmd_verify(args) -> int:
-    try:
-        f, sig, family, params = _resolve_input(args)
-    except (ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    f, sig, family, params = _resolve_input(args)
     report = conjecture_check(f, sig)
     doc = report.to_dict(family=family, params=params, sig=sig, degree=f.degree())
     _write_output(_render_json(doc), args.out)
@@ -127,7 +123,8 @@ def _check_point_residuals(point, spec: FamilySpec, tol_residual: float) -> None
 def _spectrum_rows(
     spec: FamilySpec, count: int, seed: int, tol_newton: float, tol_residual: float
 ):
-    """Per-point geometry for one family member; returns row dicts."""
+    """Per-point geometry for one family member: the oracle (None where the
+    family has none) and one (point, spectrum, row dict) per sample."""
     f = make_poly(spec)
     sig = spec.sig
     try:
@@ -156,7 +153,7 @@ def _spectrum_rows(
             ]
             row["expected_w"] = oracle.expected_w(point.coords)
         rows.append((point, spectrum, row))
-    return f, sig, oracle, rows
+    return oracle, rows
 
 
 def _gate_spectrum_rows(oracle, rows, tol_spectrum: float) -> tuple[bool, str]:
@@ -199,16 +196,12 @@ def _spectrum_csv(rows) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        if not args.family:
-            raise ValueError("spectrum requires --family")
-        spec = parse_family(args.family)
-        if args.count < 1:
-            raise ValueError("--count must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _, _, oracle, rows = _spectrum_rows(
+    if not args.family:
+        raise ValueError("spectrum requires --family")
+    spec = parse_family(args.family)
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    oracle, rows = _spectrum_rows(
         spec, args.count, args.seed, args.tol_newton, args.tol_residual
     )
     passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
@@ -231,15 +224,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        if not args.family:
-            raise ValueError("sample requires --family")
-        spec = parse_family(args.family)
-        if args.count < 1:
-            raise ValueError("--count must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if not args.family:
+        raise ValueError("sample requires --family")
+    spec = parse_family(args.family)
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     f = make_poly(spec)
     sig = spec.sig
     points = []
@@ -267,12 +256,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        f, sig, family, params = _resolve_input(args)
-        result = classify_candidate(f, sig)
-    except (ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    f, sig, family, params = _resolve_input(args)
+    result = classify_candidate(f, sig)
     doc = {"classification": result.to_dict(), "family": family,
            "params": list(params) if params else None}
     _write_output(_render_json(doc), args.out)
@@ -290,7 +275,7 @@ def _report_one(label: str, index: int, args) -> dict:
     )
     entry["passed"] = report.divides
     try:
-        _, _, oracle, rows = _spectrum_rows(
+        oracle, rows = _spectrum_rows(
             spec, args.count, args.seed + index, args.tol_newton, args.tol_residual
         )
         passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
@@ -318,14 +303,9 @@ def _report_one(label: str, index: int, args) -> dict:
 def cmd_report(args) -> int:
     labels = sorted(set(args.family or []))
     if not labels:
-        print("error: report requires at least one --family", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        for label in labels:
-            parse_family(label)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("report requires at least one --family")
+    for label in labels:
+        parse_family(label)
     entries = [_report_one(label, i, args) for i, label in enumerate(labels)]
     doc = {
         "seed": args.seed,

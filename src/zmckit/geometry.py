@@ -4,8 +4,11 @@ Points live on the intersection of the polynomial zero set with the quadric
 <B x, x> = epsilon.  All the classical objects are computed at such points:
 a tangent frame, the induced metric and its signature, the Gauss map
 nu = B grad f / sqrt(|w|), the shape operator, and its principal curvature
-spectrum.  Derivative data for a polynomial is cached (`zmc.derivatives`), so
-batch runs over many points reuse the exact gradients and Hessians.
+spectrum.  Derivative polynomials are cached per polynomial
+(`zmc.derivatives`), so batch runs over many points reuse the exact gradients
+and Hessians.  The float w at a point comes from the float gradient there,
+w = <B g, g>, rather than from evaluating the expanded polynomial w, whose
+monomials cancel badly at high degree.
 
 The shape operator follows the Gauss map orientation given by the formula
 above.  Oracles that state curvature signs for the opposite orientation are
@@ -83,40 +86,39 @@ class CurvatureSpectrum:
         return sorted((c.value, c.multiplicity) for c in self.clusters)
 
 
-# -- derivative data, cached in zmc.derivatives -------------------------------
-
-
-def _grad_at(f: Poly, sig: AmbientSig, x: np.ndarray) -> np.ndarray:
-    return np.array([g.eval_float(x) for g in derivatives(f, sig).grad])
-
-
-def _w_at(f: Poly, sig: AmbientSig, x: np.ndarray) -> float:
-    return derivatives(f, sig).w.eval_float(x)
-
-
 # -- point construction -------------------------------------------------------
+
+
+def _grad_at(f: Poly, x: np.ndarray) -> np.ndarray:
+    return np.array([g.eval_float(x) for g in derivatives(f).grad])
+
+
+def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
+    """x with its residuals and w = <B grad f, grad f> from the float gradient."""
+    b = np.asarray(sig.b_diag, dtype=float)
+    grad = _grad_at(f, x)
+    cres = float(x @ (b * x)) - sig.epsilon
+    return VarietyPoint(x, float(f.eval_float(x)), cres, float(grad @ (b * grad)))
 
 
 def variety_point(f: Poly, sig: AmbientSig, coords, check: bool = True) -> VarietyPoint:
     """Wrap coordinates as a VarietyPoint, optionally enforcing residual bounds."""
-    x = np.asarray(coords, dtype=float)
-    norm = float(np.linalg.norm(x))
-    fres = f.eval_float(x)
-    b = np.asarray(sig.b_diag, dtype=float)
-    cres = float(x @ (b * x)) - sig.epsilon
+    p = _point(f, sig, np.asarray(coords, dtype=float))
     if check:
-        fscale = 1.0 + norm ** max(f.degree(), 0)
-        if abs(fres) > RESIDUAL_BOUND * fscale:
+        norm = float(np.linalg.norm(p.coords))
+        fres, cres = p.f_residual, p.constraint_residual
+        if abs(fres) > RESIDUAL_BOUND * (1.0 + norm ** max(f.degree(), 0)):
             raise ValueError(f"point is off the variety: |f| = {abs(fres):.3e}")
         if abs(cres) > RESIDUAL_BOUND * (1.0 + norm * norm):
             raise ValueError(
                 f"point is off the pseudo-sphere: |<Bx,x> - eps| = {abs(cres):.3e}"
             )
-    return VarietyPoint(x, float(fres), cres, float(_w_at(f, sig, x)))
+    return p
 
 
-def is_regular(p: VarietyPoint, f: Poly, sig: AmbientSig) -> bool:
-    """Regularity test: |w| above a small fraction of the gradient scale.
+def _regular_grad(p: VarietyPoint, f: Poly) -> np.ndarray:
+    """grad f at p, after checking that |w| clears a small fraction of the
+    gradient scale.
 
     w = <B grad f, grad f> is compared against ||grad f||^2, which measures
     how far the normal direction is from the light cone; a point is regular
@@ -124,9 +126,10 @@ def is_regular(p: VarietyPoint, f: Poly, sig: AmbientSig) -> bool:
     point norm misfires for the degree k+n surfaces, whose gradients become
     nearly null far out along the patches while w stays moderate.)
     """
-    grad = _grad_at(f, sig, p.coords)
-    scale = 1.0 + float(grad @ grad)
-    return abs(p.w_value) > REGULARITY_COEFF * scale
+    grad = _grad_at(f, p.coords)
+    if abs(p.w_value) <= REGULARITY_COEFF * (1.0 + float(grad @ grad)):
+        raise ValueError(f"point is not regular: |w| = {abs(p.w_value):.3e}")
+    return grad
 
 
 def newton_project(
@@ -159,9 +162,7 @@ def newton_project(
         converged = abs(fres) <= tol * (1.0 + norm**deg) and abs(cres) <= tol * (
             1.0 + norm * norm
         )
-        if converged and polish_left == 0:
-            return VarietyPoint(x, float(fres), float(cres), float(_w_at(f, sig, x)))
-        jac = np.vstack([_grad_at(f, sig, x), 2.0 * b * x])
+        jac = np.vstack([_grad_at(f, x), 2.0 * b * x])
         gram = jac @ jac.T
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):
@@ -173,12 +174,7 @@ def newton_project(
         if converged:
             polish_left -= 1
             if polish_left == 0 or float(np.linalg.norm(step)) <= 1e-15 * (1.0 + norm):
-                norm = float(np.linalg.norm(x))
-                fres = f.eval_float(x)
-                cres = float(x @ (b * x)) - sig.epsilon
-                return VarietyPoint(
-                    x, float(fres), float(cres), float(_w_at(f, sig, x))
-                )
+                return _point(f, sig, x)
     raise ProjectionError(f"no convergence within {max_iter} Newton iterations")
 
 
@@ -191,10 +187,8 @@ def tangent_frame(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
     The tangent space is the Euclidean null space of the two rows grad f(p)
     and B p; an SVD supplies a stable basis of it.
     """
-    if not is_regular(p, f, sig):
-        raise ValueError(f"point is not regular: |w| = {abs(p.w_value):.3e}")
     b = np.asarray(sig.b_diag, dtype=float)
-    rows = np.vstack([_grad_at(f, sig, p.coords), b * p.coords])
+    rows = np.vstack([_regular_grad(p, f), b * p.coords])
     u, sv, vt = np.linalg.svd(rows)
     if sv[1] <= 1e-10 * max(sv[0], 1.0):
         raise ValueError(
@@ -223,10 +217,8 @@ def induced_metric(
 
 def gauss_map(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
     """Unit normal nu = B grad f / sqrt(|w|) within the pseudo-sphere."""
-    if not is_regular(p, f, sig):
-        raise ValueError(f"point is not regular: |w| = {abs(p.w_value):.3e}")
     b = np.asarray(sig.b_diag, dtype=float)
-    return b * _grad_at(f, sig, p.coords) / np.sqrt(abs(p.w_value))
+    return b * _regular_grad(p, f) / np.sqrt(abs(p.w_value))
 
 
 def shape_operator(
@@ -243,8 +235,14 @@ def shape_operator(
     if frame is None:
         frame = tangent_frame(p, f, sig)
     gram, _ = induced_metric(frame, sig)
-    hess = hessian_float(f, sig, p.coords)
-    h = frame @ hess @ frame.T / np.sqrt(abs(p.w_value))
+    return _shape_matrix(p, f, frame, gram)
+
+
+def _shape_matrix(
+    p: VarietyPoint, f: Poly, frame: np.ndarray, gram: np.ndarray
+) -> np.ndarray:
+    """S = G^{-1} H for a frame whose induced metric `gram` is already known."""
+    h = frame @ hessian_float(f, p.coords) @ frame.T / np.sqrt(abs(p.w_value))
     h = 0.5 * (h + h.T)
     return np.linalg.solve(gram, h)
 
@@ -343,36 +341,29 @@ def curvature_spectrum(
     """
     frame = tangent_frame(p, f, sig)
     gram, signature = induced_metric(frame, sig)
-    shape = shape_operator(p, f, sig, frame)
+    shape = _shape_matrix(p, f, frame, gram)
     dim = shape.shape[0]
     values = eigen.eigvals(shape)
-    groups = cluster_eigenvalues(values)
     scale = max(float(np.max(np.abs(values))), 1.0)
     clusters = []
     vec_blocks = []
-    for rep, indices in groups:
+    defective = False
+    for rep, indices in cluster_eigenvalues(values):
         mult = len(indices)
         center = complex(np.mean(values[indices]))
-        _, sv, vt = np.linalg.svd(shape.astype(complex) - center * np.eye(dim))
+        shifted = shape.astype(complex) - center * np.eye(dim)
+        _, _, vt = np.linalg.svd(shifted)
         basis = vt[dim - mult :, :].conj().T
         vec_blocks.append(basis)
-        causal = _causal_type(basis, frame, sig)
-        clusters.append(Cluster(rep, mult, causal))
-    eigvec_matrix = np.hstack(vec_blocks) if vec_blocks else np.zeros((dim, 0))
-    defective = False
-    if eigvec_matrix.shape[1] == dim and dim > 0:
-        cond = np.linalg.cond(eigvec_matrix)
-        defective = bool(cond > DEFECTIVE_COND_LIMIT)
+        clusters.append(Cluster(rep, mult, _causal_type(basis, frame, sig)))
         # Basis vectors that fail to be near-null for S - lambda I signal a
         # defective (non-diagonalizable) operator as well.
-        for (rep, indices), basis in zip(groups, vec_blocks):
-            center = complex(np.mean(values[indices]))
-            residual = np.max(
-                np.abs((shape.astype(complex) - center * np.eye(dim)) @ basis)
-            )
-            if residual > 1e-6 * scale:
-                defective = True
-    mean = float(np.trace(shape)) / dim if dim else 0.0
+        if np.max(np.abs(shifted @ basis)) > 1e-6 * scale:
+            defective = True
+    # The blocks' multiplicities sum to dim, so the eigenvector matrix is square.
+    if np.linalg.cond(np.hstack(vec_blocks)) > DEFECTIVE_COND_LIMIT:
+        defective = True
+    mean = float(np.trace(shape)) / dim
     return CurvatureSpectrum(
         eigenvalues=tuple(complex(v) for v in values),
         clusters=tuple(clusters),

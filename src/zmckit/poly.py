@@ -13,7 +13,6 @@ so derived data (gradients, Hessians) can be cached keyed on the polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
@@ -320,10 +319,6 @@ class Poly:
         return divide(self, other)
 
 
-def _render_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
     """Render one term; returns (sign, body-without-sign)."""
     vars_txt = " ".join(
@@ -336,18 +331,17 @@ def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
         mag = abs(coeff.rat)
         if vars_txt and mag == 1:
             return sign, vars_txt
-        coeff_txt = _render_rational(mag)
-        return sign, f"{coeff_txt} {vars_txt}".strip()
+        return sign, f"{mag} {vars_txt}".strip()
     if coeff.rat == 0:
         sign = 1 if coeff.surd > 0 else -1
         mag = abs(coeff.surd)
-        head = f"sqrt({coeff.d})" if mag == 1 else f"{_render_rational(mag)} sqrt({coeff.d})"
+        head = f"sqrt({coeff.d})" if mag == 1 else f"{mag} sqrt({coeff.d})"
         return sign, f"{head} {vars_txt}".strip()
     # Mixed rational + surd: parenthesize so the term survives a round trip.
     inner_sign = "+" if coeff.surd > 0 else "-"
     mag = abs(coeff.surd)
-    surd_txt = f"sqrt({coeff.d})" if mag == 1 else f"{_render_rational(mag)} sqrt({coeff.d})"
-    head = f"({_render_rational(coeff.rat)} {inner_sign} {surd_txt})"
+    surd_txt = f"sqrt({coeff.d})" if mag == 1 else f"{mag} sqrt({coeff.d})"
+    head = f"({coeff.rat} {inner_sign} {surd_txt})"
     return 1, f"{head} {vars_txt}".strip()
 
 

@@ -42,8 +42,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return c, d
 
 
-RationalLike = "int | Fraction | QuadExtScalar"
-
 _ZERO_FRACTION = Fraction(0)
 
 

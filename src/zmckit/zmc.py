@@ -86,25 +86,24 @@ def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     return total
 
 
-# Most (polynomial, signature) pairs whose derivatives stay cached; a float
-# batch works on one pair per family.
+# Most polynomials whose derivatives stay cached; a float batch works on one
+# polynomial per family.
 DERIVATIVE_CACHE_SIZE = 64
 
 
 class Derivatives(NamedTuple):
     grad: tuple[Poly, ...]
     hess: tuple[tuple[Poly, ...], ...]  # hess[i][j - i]: d2f/dx_{i+1}dx_{j+1}, j >= i
-    w: Poly
 
 
 @lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
-def derivatives(f: Poly, sig: AmbientSig) -> Derivatives:
-    """Gradient, upper-triangular Hessian and w of f, cached per (f, sig)."""
+def derivatives(f: Poly) -> Derivatives:
+    """Gradient and upper-triangular Hessian of f, cached per polynomial."""
     grad = tuple(gradient(f))
     hess = tuple(
         tuple(grad[i].diff(j + 1) for j in range(i, f.nvars)) for i in range(f.nvars)
     )
-    return Derivatives(grad, hess, w_poly(f, sig))
+    return Derivatives(grad, hess)
 
 
 def zmc_residual(f: Poly, sig: AmbientSig) -> Poly:
@@ -181,9 +180,9 @@ def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
     )
 
 
-def hessian_float(f: Poly, sig: AmbientSig, point: np.ndarray) -> np.ndarray:
+def hessian_float(f: Poly, point: np.ndarray) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    hess = derivatives(f, sig).hess
+    hess = derivatives(f).hess
     n = f.nvars
     out = np.empty((n, n), dtype=float)
     for i in range(n):
@@ -221,5 +220,5 @@ def laplacian_in_basis(
         raise ValueError(
             f"basis is not pseudo-orthonormal: max Gram deviation {deviation:.3e}"
         )
-    hess = hessian_float(f, sig, point)
+    hess = hessian_float(f, point)
     return float(sum(b[i] * basis[i] @ hess @ basis[i] for i in range(n)))

@@ -1,6 +1,7 @@
 """Newton projection, frames, Gauss map, shape operator, and spectra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from zmckit.families import (
     spectrum_oracle,
 )
 from zmckit.parser import parse_poly
-from zmckit.zmc import AmbientSig
+from zmckit.zmc import AmbientSig, w_poly
 
 F_HAND = parse_poly("2 x1 x2 + x3^2 - x4^2", 4)
 SIG_HAND = AmbientSig(2, -1, 4)
@@ -283,6 +284,21 @@ def test_fd_shape_operator_agreement():
             fd = geometry.normal_derivatives_fd(p, f, spec.sig, frame)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) < 1e-4 * scale
+
+
+def test_w_value_accurate_at_high_degree():
+    """w = <B grad f, grad f> at a projected point of lawson:8,9 agrees with an
+    exact evaluation of w_poly at the same float coordinates.  Evaluating the
+    expanded degree-32 w polynomial in floats loses about three digits to
+    cancellation at these points."""
+    spec = lawson(8, 9)
+    f = make_poly(spec)
+    w = w_poly(f, spec.sig)
+    seeds = sample_points(spec, 200, 7)
+    for index in (10, 195, 198):
+        p = geometry.newton_project(f, spec.sig, seeds[index])
+        w_exact = float(w.eval_exact([Fraction(c) for c in p.coords]))
+        assert abs(p.w_value - w_exact) <= 1e-5 * abs(w_exact), index
 
 
 def test_variety_point_dict_round_trip():
