@@ -106,36 +106,35 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.divides else EXIT_FAIL
 
 
-def _check_point_residuals(point, spec: FamilySpec, tol_residual: float) -> None:
-    norm = float(np.linalg.norm(point.coords))
-    if abs(point.f_residual) > tol_residual * (1.0 + norm**spec.degree):
-        raise ValueError(
-            f"projected point violates |f| <= {tol_residual:g} (scaled): "
-            f"{point.f_residual:.3e}"
-        )
-    if abs(point.constraint_residual) > tol_residual * (1.0 + norm * norm):
-        raise ValueError(
-            f"projected point violates pseudo-sphere residual bound: "
-            f"{point.constraint_residual:.3e}"
-        )
+def _projected_points(f: Poly, spec: FamilySpec, seed: int, args):
+    """Sampled points Newton-projected onto f = 0, within the residual bounds."""
+    tol_residual = args.tol_residual
+    for coords in sample_points(spec, args.count, seed):
+        point = geometry.newton_project(f, spec.sig, coords, tol=args.tol_newton)
+        norm = float(np.linalg.norm(point.coords))
+        if abs(point.f_residual) > tol_residual * (1.0 + norm**spec.degree):
+            raise ValueError(
+                f"projected point violates |f| <= {tol_residual:g} (scaled): "
+                f"{point.f_residual:.3e}"
+            )
+        if abs(point.constraint_residual) > tol_residual * (1.0 + norm * norm):
+            raise ValueError(
+                f"projected point violates pseudo-sphere residual bound: "
+                f"{point.constraint_residual:.3e}"
+            )
+        yield point
 
 
-def _spectrum_rows(
-    spec: FamilySpec, count: int, seed: int, tol_newton: float, tol_residual: float
-):
+def _spectrum_rows(f: Poly, spec: FamilySpec, seed: int, args):
     """Per-point geometry for one family member: the oracle (None where the
     family has none) and one (point, spectrum, row dict) per sample."""
-    f = make_poly(spec)
-    sig = spec.sig
     try:
         oracle = spectrum_oracle(spec)
     except ValueError:
         oracle = None
     rows = []
-    for coords in sample_points(spec, count, seed):
-        point = geometry.newton_project(f, sig, coords, tol=tol_newton)
-        _check_point_residuals(point, spec, tol_residual)
-        spectrum = geometry.curvature_spectrum(point, f, sig)
+    for point in _projected_points(f, spec, seed, args):
+        spectrum = geometry.curvature_spectrum(point, f, spec.sig)
         row = {
             "point": point.to_dict(),
             "clusters": [
@@ -201,9 +200,7 @@ def cmd_spectrum(args) -> int:
     spec = parse_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    oracle, rows = _spectrum_rows(
-        spec, args.count, args.seed, args.tol_newton, args.tol_residual
-    )
+    oracle, rows = _spectrum_rows(make_poly(spec), spec, args.seed, args)
     passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
     doc = {
         "family": spec.kind,
@@ -229,13 +226,7 @@ def cmd_sample(args) -> int:
     spec = parse_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    f = make_poly(spec)
-    sig = spec.sig
-    points = []
-    for coords in sample_points(spec, args.count, args.seed):
-        point = geometry.newton_project(f, sig, coords, tol=args.tol_newton)
-        _check_point_residuals(point, spec, args.tol_residual)
-        points.append(point)
+    points = list(_projected_points(make_poly(spec), spec, args.seed, args))
     if args.format == "csv":
         n = spec.nvars
         header = [f"x{i}" for i in range(1, n + 1)]
@@ -275,9 +266,7 @@ def _report_one(label: str, index: int, args) -> dict:
     )
     entry["passed"] = report.divides
     try:
-        oracle, rows = _spectrum_rows(
-            spec, args.count, args.seed + index, args.tol_newton, args.tol_residual
-        )
+        oracle, rows = _spectrum_rows(f, spec, args.seed + index, args)
         passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
         entry["spectrum"] = {
             "count": args.count,
@@ -288,7 +277,9 @@ def _report_one(label: str, index: int, args) -> dict:
             ),
         }
         entry["passed"] = entry["passed"] and passed
-    except Exception as exc:  # record partial failures per family
+    except (ValueError, ArithmeticError, geometry.ProjectionError) as exc:
+        # A numerical breakdown (LinAlgError and InfeasibleSampleError are
+        # ValueErrors) fails this family only; other exceptions are bugs.
         entry["spectrum"] = {"error": str(exc)}
         entry["passed"] = False
     if spec.kind == "ads":

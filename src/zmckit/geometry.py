@@ -8,7 +8,8 @@ spectrum.  Derivative polynomials are cached per polynomial
 (`zmc.derivatives`), so batch runs over many points reuse the exact gradients
 and Hessians.  The float w at a point comes from the float gradient there,
 w = <B g, g>, rather than from evaluating the expanded polynomial w, whose
-monomials cancel badly at high degree.
+monomials cancel badly at high degree; the point carries g, so the frame and
+the Gauss map do not evaluate the gradient again.
 
 The shape operator follows the Gauss map orientation given by the formula
 above.  Oracles that state curvature signs for the opposite orientation are
@@ -38,12 +39,13 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class VarietyPoint:
-    """A float point on Sigma together with its residuals and w value."""
+    """A float point on Sigma with its residuals, w value and float gradient."""
 
     coords: np.ndarray
     f_residual: float
     constraint_residual: float
     w_value: float
+    grad: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -52,15 +54,6 @@ class VarietyPoint:
             "constraint_residual": self.constraint_residual,
             "w": self.w_value,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VarietyPoint":
-        return cls(
-            coords=np.asarray(doc["coords"], dtype=float),
-            f_residual=float(doc["f_residual"]),
-            constraint_residual=float(doc["constraint_residual"]),
-            w_value=float(doc["w"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
     b = np.asarray(sig.b_diag, dtype=float)
     grad = _grad_at(f, x)
     cres = float(x @ (b * x)) - sig.epsilon
-    return VarietyPoint(x, float(f.eval_float(x)), cres, float(grad @ (b * grad)))
+    return VarietyPoint(x, float(f.eval_float(x)), cres, float(grad @ (b * grad)), grad)
 
 
 def variety_point(f: Poly, sig: AmbientSig, coords, check: bool = True) -> VarietyPoint:
@@ -116,7 +109,7 @@ def variety_point(f: Poly, sig: AmbientSig, coords, check: bool = True) -> Varie
     return p
 
 
-def _regular_grad(p: VarietyPoint, f: Poly) -> np.ndarray:
+def _regular_grad(p: VarietyPoint) -> np.ndarray:
     """grad f at p, after checking that |w| clears a small fraction of the
     gradient scale.
 
@@ -126,10 +119,9 @@ def _regular_grad(p: VarietyPoint, f: Poly) -> np.ndarray:
     point norm misfires for the degree k+n surfaces, whose gradients become
     nearly null far out along the patches while w stays moderate.)
     """
-    grad = _grad_at(f, p.coords)
-    if abs(p.w_value) <= REGULARITY_COEFF * (1.0 + float(grad @ grad)):
+    if abs(p.w_value) <= REGULARITY_COEFF * (1.0 + float(p.grad @ p.grad)):
         raise ValueError(f"point is not regular: |w| = {abs(p.w_value):.3e}")
-    return grad
+    return p.grad
 
 
 def newton_project(
@@ -188,7 +180,7 @@ def tangent_frame(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
     and B p; an SVD supplies a stable basis of it.
     """
     b = np.asarray(sig.b_diag, dtype=float)
-    rows = np.vstack([_regular_grad(p, f), b * p.coords])
+    rows = np.vstack([_regular_grad(p), b * p.coords])
     u, sv, vt = np.linalg.svd(rows)
     if sv[1] <= 1e-10 * max(sv[0], 1.0):
         raise ValueError(
@@ -218,7 +210,7 @@ def induced_metric(
 def gauss_map(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
     """Unit normal nu = B grad f / sqrt(|w|) within the pseudo-sphere."""
     b = np.asarray(sig.b_diag, dtype=float)
-    return b * _regular_grad(p, f) / np.sqrt(abs(p.w_value))
+    return b * _regular_grad(p) / np.sqrt(abs(p.w_value))
 
 
 def shape_operator(

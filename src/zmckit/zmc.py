@@ -66,24 +66,32 @@ def gradient(f: Poly) -> list[Poly]:
     return [f.diff(i) for i in range(1, f.nvars + 1)]
 
 
+def _signed_sum(sig: AmbientSig, terms) -> Poly:
+    """sum_i b_i * terms[i], b_i = +-1 the metric signs of `sig`."""
+    total = Poly(sig.nvars)
+    for sign, term in zip(sig.b_diag, terms):
+        total = total - term if sign < 0 else total + term
+    return total
+
+
+def _w(grad: list[Poly], sig: AmbientSig) -> Poly:
+    return _signed_sum(sig, (g * g for g in grad))
+
+
+def _laplacian(grad: list[Poly], sig: AmbientSig) -> Poly:
+    return _signed_sum(sig, (g.diff(i) for i, g in enumerate(grad, start=1)))
+
+
 def laplacian_sig(f: Poly, sig: AmbientSig) -> Poly:
     """Signature Laplacian: second partials weighted by the metric signs."""
     _check_dims(f, sig)
-    total = Poly(f.nvars)
-    for i, sign in enumerate(sig.b_diag, start=1):
-        second = f.diff(i).diff(i)
-        total = total + (second.scale(-1) if sign < 0 else second)
-    return total
+    return _laplacian(gradient(f), sig)
 
 
 def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     """Gradient norm-square in the signature metric: <B grad f, grad f>."""
     _check_dims(f, sig)
-    total = Poly(f.nvars)
-    for i, sign in enumerate(sig.b_diag, start=1):
-        square = f.diff(i) * f.diff(i)
-        total = total + (square.scale(-1) if sign < 0 else square)
-    return total
+    return _w(gradient(f), sig)
 
 
 # Most polynomials whose derivatives stay cached; a float batch works on one
@@ -106,21 +114,24 @@ def derivatives(f: Poly) -> Derivatives:
     return Derivatives(grad, hess)
 
 
+def _residual_parts(f: Poly, sig: AmbientSig) -> tuple[Poly, Poly, Poly]:
+    """w, lap(f) and the residual of homogeneous f, all from one gradient."""
+    _check_dims(f, sig)
+    if not f.is_homogeneous():
+        raise ValueError("zmc residual requires a homogeneous polynomial")
+    grad = gradient(f)
+    w = _w(grad, sig)
+    lap = _laplacian(grad, sig)
+    cross = _signed_sum(sig, (w.diff(i) * g for i, g in enumerate(grad, start=1)))
+    return w, lap, (w * lap).scale(2) - cross
+
+
 def zmc_residual(f: Poly, sig: AmbientSig) -> Poly:
     """Residual 2*w*lap(f) - <grad w, B grad f> for homogeneous f.
 
     Zero or homogeneous of degree 3k-4 when f is homogeneous of degree k.
     """
-    _check_dims(f, sig)
-    if not f.is_homogeneous():
-        raise ValueError("zmc residual requires a homogeneous polynomial")
-    w = w_poly(f, sig)
-    lap = laplacian_sig(f, sig)
-    residual = (w * lap).scale(2)
-    for i, sign in enumerate(sig.b_diag, start=1):
-        cross = w.diff(i) * f.diff(i)
-        residual = residual - (cross.scale(-1) if sign < 0 else cross)
-    return residual
+    return _residual_parts(f, sig)[2]
 
 
 @dataclass(frozen=True)
@@ -168,15 +179,15 @@ def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
     """
     if f.is_zero():
         raise ValueError("conjecture check requires a nonzero polynomial")
-    residual = zmc_residual(f, sig)
+    w, lap, residual = _residual_parts(f, sig)
     quotient, remainder = divide(residual, f)
     return ZmcReport(
         residual_g=residual,
         quotient=quotient,
         remainder=remainder,
         divides=remainder.is_zero(),
-        w=w_poly(f, sig),
-        laplacian=laplacian_sig(f, sig),
+        w=w,
+        laplacian=lap,
     )
 
 

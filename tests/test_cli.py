@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from zmckit import geometry
 from zmckit.cli import main
 
 
@@ -222,3 +224,54 @@ def test_sample_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x1,x2,x3,x4,x5,x6,f_residual,constraint_residual,w"
     assert len(lines) == 3
+
+
+# sha256 of the stdout of exact commands, which pins every h, w, Laplacian,
+# remainder term count and classification they print.
+EXACT_OUTPUT_SHA256 = [
+    ("verify --family ads:2,3,1", 0,
+     "983a7c74f5daf8dde3e9436dac5e48f43886f620615bde7c153479907f2d1eed"),
+    ("verify --family ds1:1,2", 0,
+     "16b5cbf008df98aefaf15a61bbffc399a7080ba0e96eafc733a180510d037944"),
+    ("verify --family ds2:3", 0,
+     "a7968ccf73be15c26fe52e16e0e5015a31a94d5c2139f0dead9aaab83df631c7"),
+    ("verify --family clifford:2,3", 0,
+     "58a36b3f00a993dff8844c51e3dda84030f1e032b088a56c622ec65e0d48b3d1"),
+    ("verify --family lawson:2,3", 0,
+     "b0147a26f8197b5a61cb103d063591bdec387dd64f5f1d604304577275fea122"),
+    ("verify --family lawson:4,3", 0,
+     "bf4aafa47dfe9c0fdab58992820f07ca5327a2480545a5e221b34a7dc96fee58"),
+    ("verify --poly x1^2*x2+x3^3-2*x4^3 --nvars 4 --sig 1,1", 1,
+     "b76a97ead81a0509c5bbf7bc5d99942487ccd4d8a0f547f9da3e6f1da2b54bdf"),
+    ("classify --family ads:2,1,1", 0,
+     "54ec1ebf9199d9fad27fd3e758188baecdd3566491152c06be4b0bc29f73427e"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", EXACT_OUTPUT_SHA256)
+def test_exact_output_is_pinned(capsys, command, code, digest):
+    got, out, _ = run(capsys, *command.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _raise_in_spectrum(monkeypatch, exc):
+    def curvature_spectrum(p, f, sig):
+        raise exc
+
+    monkeypatch.setattr(geometry, "curvature_spectrum", curvature_spectrum)
+
+
+def test_report_records_numerical_breakdown(capsys, monkeypatch):
+    _raise_in_spectrum(monkeypatch, geometry.ProjectionError("no convergence"))
+    code, out, _ = run(capsys, "report", "--family", "ds2:1", "--count", "2")
+    assert code == 1
+    entry = json.loads(out)["families"][0]
+    assert entry["spectrum"] == {"error": "no convergence"}
+    assert entry["passed"] is False
+
+
+def test_report_does_not_hide_program_errors(capsys, monkeypatch):
+    _raise_in_spectrum(monkeypatch, KeyError("bug"))
+    with pytest.raises(KeyError):
+        main(["report", "--family", "ds2:1", "--count", "2"])

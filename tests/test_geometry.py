@@ -301,15 +301,21 @@ def test_w_value_accurate_at_high_degree():
         assert abs(p.w_value - w_exact) <= 1e-5 * abs(w_exact), index
 
 
-def test_variety_point_dict_round_trip():
-    p = geometry.variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
-    q = geometry.VarietyPoint.from_dict(p.to_dict())
-    assert np.array_equal(p.coords, q.coords)
-    assert (p.f_residual, p.constraint_residual, p.w_value) == (
-        q.f_residual,
-        q.constraint_residual,
-        q.w_value,
-    )
+def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
+    """The frame, the Gauss map and the spectrum read the float gradient that
+    the projected point carries instead of evaluating grad f again."""
+    spec = lawson(2, 3)
+    f = make_poly(spec)
+    p = geometry.newton_project(f, spec.sig, sample_points(spec, 1, seed=7)[0])
+    assert np.array_equal(p.grad, geometry._grad_at(f, p.coords))
+
+    def no_gradient(f, x):
+        raise AssertionError("grad f evaluated again")
+
+    monkeypatch.setattr(geometry, "_grad_at", no_gradient)
+    geometry.tangent_frame(p, f, spec.sig)
+    geometry.gauss_map(p, f, spec.sig)
+    geometry.curvature_spectrum(p, f, spec.sig)
 
 
 def test_eigenvalues_cross_checked_against_numpy():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly
+from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly, parse_family
 from zmckit.isometry import apply_to_poly, random_exact_isometry, random_orthonormal_basis
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
@@ -318,3 +318,15 @@ def test_laplacian_lemma_random_bases(f, s, seed):
     lhs = laplacian_in_basis(f, basis, sig, x)
     rhs = laplacian_sig(f, sig).eval_float(x)
     assert abs(lhs - rhs) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "label", ["ads:2,3,1", "ds1:1,2", "ds2:3", "clifford:2,3", "lawson:2,3", "lawson:4,3"]
+)
+def test_conjecture_check_reports_its_w_laplacian_and_residual(label):
+    spec = parse_family(label)
+    f = make_poly(spec)
+    report = conjecture_check(f, spec.sig)
+    assert report.w == w_poly(f, spec.sig)
+    assert report.laplacian == laplacian_sig(f, spec.sig)
+    assert report.residual_g == zmc_residual(f, spec.sig)
