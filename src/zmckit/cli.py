@@ -12,7 +12,8 @@ Commands:
 Each subcommand takes only the flags it reads (see `build_parser`): a flag
 given to another subcommand, such as `verify --format csv`, exits 2.
 
-Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error.  Output is
+Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error, 3 numerical
+breakdown of the sample -> project -> spectrum pipeline.  Output is
 deterministic for a fixed config and seed: floats are rendered with 17
 significant digits and collections are assembled in sorted order.
 """
@@ -35,6 +36,12 @@ from .zmc import AmbientSig, conjecture_check
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_NUMERIC = 3
+
+# Numerical breakdowns of sampling, projection and spectra (LinAlgError and
+# InfeasibleSampleError are ValueErrors, patch overflow an ArithmeticError).
+# Raised after the input is validated, they fail the run, not the mathematics.
+NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, geometry.ProjectionError)
 
 DEFAULT_TOL_SPECTRUM = 1e-6
 DEFAULT_TOL_NEWTON = 1e-12
@@ -194,13 +201,22 @@ def _spectrum_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _breakdown(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
 def cmd_spectrum(args) -> int:
     if not args.family:
         raise ValueError("spectrum requires --family")
     spec = parse_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    oracle, rows = _spectrum_rows(make_poly(spec), spec, args.seed, args)
+    f = make_poly(spec)
+    try:
+        oracle, rows = _spectrum_rows(f, spec, args.seed, args)
+    except NUMERICAL_BREAKDOWN as exc:
+        return _breakdown(exc)
     passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
     doc = {
         "family": spec.kind,
@@ -226,7 +242,11 @@ def cmd_sample(args) -> int:
     spec = parse_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    points = list(_projected_points(make_poly(spec), spec, args.seed, args))
+    f = make_poly(spec)
+    try:
+        points = list(_projected_points(f, spec, args.seed, args))
+    except NUMERICAL_BREAKDOWN as exc:
+        return _breakdown(exc)
     if args.format == "csv":
         n = spec.nvars
         header = [f"x{i}" for i in range(1, n + 1)]
@@ -277,9 +297,8 @@ def _report_one(label: str, index: int, args) -> dict:
             ),
         }
         entry["passed"] = entry["passed"] and passed
-    except (ValueError, ArithmeticError, geometry.ProjectionError) as exc:
-        # A numerical breakdown (LinAlgError and InfeasibleSampleError are
-        # ValueErrors) fails this family only; other exceptions are bugs.
+    except NUMERICAL_BREAKDOWN as exc:
+        # Fails this family only; other exceptions are bugs.
         entry["spectrum"] = {"error": str(exc)}
         entry["passed"] = False
     if spec.kind == "ads":

@@ -9,10 +9,17 @@ x1 > x2 > ..., which makes single-divisor division deterministic.
 
 Everything is exact.  Instances are immutable by convention and hashable,
 so derived data (gradients, Hessians) can be cached keyed on the polynomial.
+Multiplication and division run on integer numerators over one common
+denominator per polynomial (`Poly._int_view`) and build each output
+coefficient once, so the hot loops do no `Fraction` arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
@@ -33,7 +40,7 @@ def monomial_divides(divisor: Monomial, multiple: Monomial) -> bool:
 class Poly:
     """Immutable sparse polynomial in `nvars` variables over Q(sqrt(d))."""
 
-    __slots__ = ("nvars", "d", "terms", "_hash", "_float_terms")
+    __slots__ = ("nvars", "d", "terms", "_hash", "_float_terms", "_int_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -65,6 +72,7 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_float_terms", None)
+        object.__setattr__(self, "_int_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly instances are immutable")
@@ -155,18 +163,24 @@ class Poly:
                 return NotImplemented
             return self.scale(scalar)
         self._check_compatible(other)
-        out: dict[Monomial, QuadExtScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
+        den1, left = self._int_view()
+        den2, right = other._int_view()
+        d = self.d if self.d != 1 else other.d
+        out: dict[Monomial, list[int]] = {}
+        for m1, (a1, b1) in left.items():
+            for m2, (a2, b2) in right.items():
+                mono = tuple(map(add, m1, m2))
                 acc = out.get(mono)
-                total = prod if acc is None else acc + prod
-                if total.is_zero():
-                    out.pop(mono, None)
+                if acc is None:
+                    out[mono] = [a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1]
                 else:
-                    out[mono] = total
-        return Poly(self.nvars, out)
+                    acc[0] += a1 * a2 + b1 * b2 * d
+                    acc[1] += a1 * b2 + a2 * b1
+        den = den1 * den2
+        return Poly(
+            self.nvars,
+            {m: _scalar(a, b, den, d) for m, (a, b) in out.items() if a or b},
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -222,6 +236,22 @@ class Poly:
                     term = term * value**e
             total = total + term
         return total
+
+    def _int_view(self) -> tuple[int, dict[Monomial, tuple[int, int]]]:
+        """(den, {mono: (a, b)}): each coefficient is (a + b sqrt(d)) / den
+        with integers a, b and one common denominator den > 0."""
+        cached = self._int_terms
+        if cached is None:
+            den = lcm(*(
+                q.denominator for c in self.terms.values() for q in (c.rat, c.surd)
+            ))
+            cached = (den, {
+                m: (c.rat.numerator * (den // c.rat.denominator),
+                    c.surd.numerator * (den // c.surd.denominator))
+                for m, c in self.terms.items()
+            })
+            object.__setattr__(self, "_int_terms", cached)
+        return cached
 
     def _float_view(self) -> list[tuple[float, Monomial]]:
         cached = self._float_terms
@@ -345,34 +375,81 @@ def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
     return 1, f"{head} {vars_txt}".strip()
 
 
+def _scalar(a: int, b: int, den: int, d: int) -> QuadExtScalar:
+    """The scalar (a + b sqrt(d)) / den."""
+    return QuadExtScalar(Fraction(a, den), Fraction(b, den), d)
+
+
+def _reduced(a: int, b: int, den: int) -> tuple[int, int, int]:
+    """(a, b, den) divided by gcd(a, b, den); den > 0 on input and output."""
+    g = gcd(a, b, den)
+    return (a // g, b // g, den // g) if g != 1 else (a, b, den)
+
+
+def _heap_item(mono: Monomial) -> tuple[int, Monomial, Monomial]:
+    """Min-heap entry that pops the grlex-largest monomial first."""
+    return (-sum(mono), tuple(map(neg, mono)), mono)
+
+
 def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Single-divisor division: g = q*f + r with no monomial of r divisible
     by the leading monomial of f (graded lex).  Because one polynomial is a
     Groebner basis of the ideal it generates, r == 0 iff f divides g.
+
+    The leading term of the work polynomial comes from a heap keyed on grlex
+    (after Johnson 1974 and Monagan & Pearce 2007); a key whose term has
+    cancelled is skipped when popped.  Work coefficients are reduced integer
+    triples (a, b, den) meaning (a + b sqrt(d)) / den.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     g._check_compatible(f)
+    d = g.d if g.d != 1 else f.d
     lm_f = f.leading_monomial()
-    lc_f = f.terms[lm_f]
-    rest = [(m, c) for m, c in f.terms.items() if m != lm_f]
-    work = dict(g.terms)
+    den_f, f_ints = f._int_view()
+    lc_a, lc_b = f_ints[lm_f]
+    # 1/lc_f = conj(lc_f) / norm(lc_f); the norm is nonzero since lc_f is.
+    norm = lc_a * lc_a - lc_b * lc_b * d
+    if norm < 0:
+        lc_a, lc_b, norm = -lc_a, -lc_b, -norm
+    inv_a, inv_b, inv_den = _reduced(lc_a * den_f, -lc_b * den_f, norm)
+    rest = [(m, a, b) for m, (a, b) in f_ints.items() if m != lm_f]
+    den_g, g_ints = g._int_view()
+    work = {m: _reduced(a, b, den_g) for m, (a, b) in g_ints.items()}
+    heap = [_heap_item(m) for m in work]
+    heapify(heap)
     quotient: dict[Monomial, QuadExtScalar] = {}
     remainder: dict[Monomial, QuadExtScalar] = {}
-    while work:
-        lm = max(work, key=grlex_key)
-        lc = work.pop(lm)
-        if monomial_divides(lm_f, lm):
-            qm = tuple(a - b for a, b in zip(lm, lm_f))
-            qc = lc / lc_f
-            quotient[qm] = qc
-            for mono, coeff in rest:
-                target = tuple(a + b for a, b in zip(qm, mono))
-                acc = work.get(target, ZERO) - qc * coeff
-                if acc.is_zero():
-                    work.pop(target, None)
-                else:
-                    work[target] = acc
-        else:
-            remainder[lm] = lc
+    while heap:
+        lm = heappop(heap)[2]
+        coeff = work.pop(lm, None)
+        if coeff is None:
+            continue
+        a, b, den = coeff
+        if not monomial_divides(lm_f, lm):
+            remainder[lm] = _scalar(a, b, den, d)
+            continue
+        qm = tuple(map(sub, lm, lm_f))
+        qa, qb, qden = _reduced(
+            a * inv_a + b * inv_b * d, a * inv_b + b * inv_a, den * inv_den
+        )
+        quotient[qm] = _scalar(qa, qb, qden, d)
+        # Subtract qc * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
+        step_den = qden * den_f
+        for mono, ra, rb in rest:
+            target = tuple(map(add, qm, mono))
+            pa = qa * ra + qb * rb * d
+            pb = qa * rb + qb * ra
+            old = work.get(target)
+            if old is None:
+                work[target] = _reduced(-pa, -pb, step_den)
+                heappush(heap, _heap_item(target))
+                continue
+            wa, wb, wden = old
+            na = wa * step_den - pa * wden
+            nb = wb * step_den - pb * wden
+            if na or nb:
+                work[target] = _reduced(na, nb, wden * step_den)
+            else:
+                del work[target]
     return Poly(g.nvars, quotient), Poly(g.nvars, remainder)

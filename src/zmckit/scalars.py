@@ -16,15 +16,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+# Trial division takes time growing like sqrt(n): about 0.1 s for a prime
+# near 1e12, about 1 s near 1e14.
+MAX_RADICAND = 10**12
+
+
 @lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as c*c*d with d square-free; return (c, d).
 
     Trial division; intended for the moderate radicands that show up as
-    products of family parameters, not for cryptographic sizes.
+    products of family parameters.  Radicands above MAX_RADICAND raise
+    ValueError.
     """
     if n <= 0:
         raise ValueError(f"radicand must be a positive integer, got {n}")
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand {n} exceeds the bound 10^12")
     c, d = 1, 1
     rest = n
     p = 2

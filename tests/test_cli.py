@@ -198,6 +198,45 @@ def test_spectrum_ads_seed_7_regression(capsys, family):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sample"])
+def test_numerical_breakdown_exits_3(capsys, command):
+    # Newton does not converge at these samples: a numerical breakdown, not
+    # a mathematical failure (1) and not a usage error (2).
+    code, out, err = run(
+        capsys, command, "--family", "lawson:14,15", "--count", "5", "--seed", "0"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: no convergence within 50 Newton iterations"]
+
+
+def test_residual_bound_violation_exits_3(capsys):
+    code, out, err = run(
+        capsys, "sample", "--family", "ds2:4", "--count", "3", "--tol-residual", "1e-300"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: projected point violates")
+
+
+def test_mean_curvature_gate_miss_still_exits_1(capsys):
+    code, _, err = run(
+        capsys, "spectrum", "--family", "lawson:8,9", "--count", "50", "--seed", "7"
+    )
+    assert code == 1
+    assert err.startswith("error: mean curvature")
+
+
+def test_radicand_above_bound_is_usage_error(capsys):
+    # Trial division of a 13-digit prime; a 20-digit one would take minutes.
+    code, _, err = run(
+        capsys, "verify", "--poly", "sqrt(1000000000039) x1^2 - x2^2 + x3^2",
+        "--nvars", "3", "--sig", "1,1",
+    )
+    assert code == 2
+    assert "exceeds the bound" in err
+
+
 def test_nonpositive_tolerance_rejected(capsys):
     code = main(["spectrum", "--family", "ds2:1", "--tol-spectrum", "0"])
     assert code == 2

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zmckit.parser import parse_poly
-from zmckit.poly import Poly, divide, grlex_key
-from zmckit.scalars import QuadExtScalar
+from zmckit.poly import Poly, divide, grlex_key, monomial_divides
+from zmckit.scalars import ZERO, QuadExtScalar
 
 
 def P(text, nvars=4):
@@ -108,21 +108,28 @@ def test_immutability():
         f.nvars = 3
 
 
-_coeffs = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+_rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
 
 
 @st.composite
-def _polys(draw, nvars=3, max_terms=5, max_exp=3):
+def _coeffs(draw, d):
+    """An element a + b sqrt(d) of Q(sqrt(d)); d == 1 gives a rational."""
+    surd = draw(_rationals) if d > 1 else 0
+    return QuadExtScalar(draw(_rationals), surd, d)
+
+
+@st.composite
+def _polys(draw, d=1, nvars=3, max_terms=5, max_exp=3):
     n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
         mono = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
-        terms[mono] = QuadExtScalar(draw(_coeffs))
+        terms[mono] = draw(_coeffs(d))
     return Poly(nvars, terms)
 
 
 @st.composite
-def _homogeneous_polys(draw, nvars=3, degree=None):
+def _homogeneous_polys(draw, d=1, nvars=3, degree=None):
     if degree is None:
         degree = draw(st.integers(1, 4))
     n_terms = draw(st.integers(1, 5))
@@ -133,20 +140,82 @@ def _homogeneous_polys(draw, nvars=3, degree=None):
         mono = tuple(
             b - a for a, b in zip([0] + cuts, cuts + [degree])
         )
-        terms[mono] = QuadExtScalar(draw(_coeffs))
+        terms[mono] = draw(_coeffs(d))
     return Poly(nvars, terms)
 
 
-@given(_polys(), _polys(), _polys())
+@st.composite
+def _field_polys(draw, count, kind=_polys):
+    """`count` polynomials over one field Q(sqrt(d)), d in {1, 2, 5}; each
+    operand is drawn over Q or over Q(sqrt(d)), so rational and surd
+    operands mix."""
+    d = draw(st.sampled_from((1, 2, 5)))
+    return [draw(kind(d=draw(st.sampled_from((1, d))))) for _ in range(count)]
+
+
+def _reference_mul(p: Poly, q: Poly) -> Poly:
+    """Term-by-term product on QuadExtScalar, the loop Poly.__mul__ replaced."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            prod = c1 * c2
+            acc = out.get(mono)
+            total = prod if acc is None else acc + prod
+            if total.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = total
+    return Poly(p.nvars, out)
+
+
+def _reference_divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
+    """Division with a max() scan on QuadExtScalar, the loop divide replaced."""
+    lm_f = f.leading_monomial()
+    lc_f = f.terms[lm_f]
+    rest = [(m, c) for m, c in f.terms.items() if m != lm_f]
+    work = dict(g.terms)
+    quotient = {}
+    remainder = {}
+    while work:
+        lm = max(work, key=grlex_key)
+        lc = work.pop(lm)
+        if monomial_divides(lm_f, lm):
+            qm = tuple(a - b for a, b in zip(lm, lm_f))
+            qc = lc / lc_f
+            quotient[qm] = qc
+            for mono, coeff in rest:
+                target = tuple(a + b for a, b in zip(qm, mono))
+                acc = work.get(target, ZERO) - qc * coeff
+                if acc.is_zero():
+                    work.pop(target, None)
+                else:
+                    work[target] = acc
+        else:
+            remainder[lm] = lc
+    return Poly(g.nvars, quotient), Poly(g.nvars, remainder)
+
+
+def _flip_alternate_signs(p: Poly) -> Poly:
+    """p with every other term negated: p * flip(p) cancels, like
+    (x1 + x2)(x1 - x2)."""
+    return Poly(p.nvars, {
+        m: -c if i % 2 else c for i, (m, c) in enumerate(p.terms.items())
+    })
+
+
+@given(_field_polys(3))
 @settings(max_examples=60)
-def test_ring_distributivity(p, q, r):
+def test_ring_distributivity(polys):
+    p, q, r = polys
     assert (p + q) * r == p * r + q * r
 
 
-@given(_homogeneous_polys())
+@given(_field_polys(1, _homogeneous_polys))
 @settings(max_examples=60)
-def test_euler_identity(p):
+def test_euler_identity(polys):
     """sum_i x_i dp/dx_i == deg(p) * p for homogeneous p."""
+    (p,) = polys
     if p.is_zero():
         return
     n = p.nvars
@@ -156,9 +225,10 @@ def test_euler_identity(p):
     assert total == p.scale(p.degree())
 
 
-@given(_polys(), _polys(), _polys())
+@given(_field_polys(3))
 @settings(max_examples=60)
-def test_divide_recovers_quotient_and_remainder(q0, f, r0):
+def test_divide_recovers_quotient_and_remainder(polys):
+    q0, f, r0 = polys
     if f.is_zero():
         return
     lm = f.leading_monomial()
@@ -174,3 +244,66 @@ def test_divide_recovers_quotient_and_remainder(q0, f, r0):
     q, r = divide(q0 * f + r0, f)
     assert q == q0
     assert r == r0
+
+
+@given(_field_polys(3))
+@settings(max_examples=80)
+def test_mul_and_divide_match_scalar_reference(polys):
+    p, q, g = polys
+    products = [
+        (p, q),
+        (p, _flip_alternate_signs(p)),
+        (Poly.zero(3), q),
+        (P("x1 - x2", 3), P("x1 + x2", 3)),
+    ]
+    for a, b in products:
+        assert a * b == _reference_mul(a, b)
+    for f in (p, q, _flip_alternate_signs(p)):
+        if f.is_zero():
+            continue
+        # g is not homogeneous in general; p * q divides exactly by p.
+        for dividend in (g, p * q, Poly.zero(3)):
+            got = divide(dividend, f)
+            want = _reference_divide(dividend, f)
+            assert got == want
+            # Same terms in the same (descending grlex) order.
+            assert [list(x.terms.items()) for x in got] == [
+                list(x.terms.items()) for x in want
+            ]
+
+
+def _to_sympy(p: Poly, gens):
+    import sympy
+
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        coeff = sympy.Rational(c.rat) + sympy.Rational(c.surd) * sympy.sqrt(c.d)
+        total += coeff * sympy.Mul(*(x**e for x, e in zip(gens, mono)))
+    return total
+
+
+@given(_field_polys(3))
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_divide_matches_sympy(polys):
+    """An independent oracle: sympy's multivariate division over
+    Q(sqrt(d)) in grlex order.  `sympy.reduced` is used because `sympy.div`
+    ignores `order` on multivariate input (it divides recursively in lex)."""
+    sympy = pytest.importorskip("sympy")
+    g, f, h = polys
+    if f.is_zero():
+        return
+    d = max(p.d for p in polys)
+    gens = sympy.symbols("x1:4")
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d)) if d > 1 else sympy.QQ
+    sym_f = _to_sympy(f, gens)
+    for dividend in (g, h * f + g):
+        quotients, r_sym = sympy.reduced(
+            _to_sympy(dividend, gens), [sym_f], *gens, order="grlex", domain=field
+        )
+        q_sym = quotients[0] if quotients else 0  # [] for a zero dividend
+        for ours, theirs in zip(divide(dividend, f), (q_sym, r_sym)):
+            assert sympy.Poly(_to_sympy(ours, gens), *gens, domain=field) == (
+                sympy.Poly(theirs, *gens, domain=field)
+            )

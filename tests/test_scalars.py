@@ -17,6 +17,9 @@ def test_squarefree_decompose_basics():
     assert squarefree_decompose(30) == (1, 30)
     with pytest.raises(ValueError):
         squarefree_decompose(0)
+    assert squarefree_decompose(10**12) == (10**6, 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        squarefree_decompose(10**12 + 39)
 
 
 def test_sqrt_normalizes_radicand():
