@@ -9,20 +9,21 @@ x1 > x2 > ..., which makes single-divisor division deterministic.
 
 Everything is exact.  Instances are immutable by convention and hashable,
 so derived data (gradients, Hessians) can be cached keyed on the polynomial.
-Multiplication and division run on integer numerators over one common
-denominator per polynomial (`Poly._int_view`) and build each output
-coefficient once, so the hot loops do no `Fraction` arithmetic.
+Each QuadExtScalar coefficient is already integers (a + b sqrt(d)) / den in
+lowest terms.  Multiplication and division read those integers directly,
+multiply on numerators over one common denominator per polynomial
+(`Poly._int_view`), and build each output coefficient once through the
+scalar's own normaliser.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
+from .scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -179,7 +180,7 @@ class Poly:
         den = den1 * den2
         return Poly(
             self.nvars,
-            {m: _scalar(a, b, den, d) for m, (a, b) in out.items() if a or b},
+            {m: _normal(a, b, den, d) for m, (a, b) in out.items() if a or b},
         )
 
     def __rmul__(self, other):
@@ -242,12 +243,9 @@ class Poly:
         with integers a, b and one common denominator den > 0."""
         cached = self._int_terms
         if cached is None:
-            den = lcm(*(
-                q.denominator for c in self.terms.values() for q in (c.rat, c.surd)
-            ))
+            den = lcm(*(c.den for c in self.terms.values()))
             cached = (den, {
-                m: (c.rat.numerator * (den // c.rat.denominator),
-                    c.surd.numerator * (den // c.surd.denominator))
+                m: (c.a * (den // c.den), c.b * (den // c.den))
                 for m, c in self.terms.items()
             })
             object.__setattr__(self, "_int_terms", cached)
@@ -356,34 +354,14 @@ def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
         for i, e in enumerate(mono)
         if e
     )
-    if coeff.surd == 0:
-        sign = 1 if coeff.rat > 0 else -1
-        mag = abs(coeff.rat)
-        if vars_txt and mag == 1:
-            return sign, vars_txt
-        return sign, f"{mag} {vars_txt}".strip()
-    if coeff.rat == 0:
-        sign = 1 if coeff.surd > 0 else -1
-        mag = abs(coeff.surd)
-        head = f"sqrt({coeff.d})" if mag == 1 else f"{mag} sqrt({coeff.d})"
-        return sign, f"{head} {vars_txt}".strip()
-    # Mixed rational + surd: parenthesize so the term survives a round trip.
-    inner_sign = "+" if coeff.surd > 0 else "-"
-    mag = abs(coeff.surd)
-    surd_txt = f"sqrt({coeff.d})" if mag == 1 else f"{mag} sqrt({coeff.d})"
-    head = f"({coeff.rat} {inner_sign} {surd_txt})"
-    return 1, f"{head} {vars_txt}".strip()
-
-
-def _scalar(a: int, b: int, den: int, d: int) -> QuadExtScalar:
-    """The scalar (a + b sqrt(d)) / den."""
-    return QuadExtScalar(Fraction(a, den), Fraction(b, den), d)
-
-
-def _reduced(a: int, b: int, den: int) -> tuple[int, int, int]:
-    """(a, b, den) divided by gcd(a, b, den); den > 0 on input and output."""
-    g = gcd(a, b, den)
-    return (a // g, b // g, den // g) if g != 1 else (a, b, den)
+    if coeff.a and coeff.b:
+        # Mixed rational + surd: parenthesize so the term survives a round trip.
+        return 1, f"({coeff}) {vars_txt}".strip()
+    sign = 1 if coeff.a + coeff.b > 0 else -1  # one of a, b is zero
+    body = str(coeff if sign > 0 else -coeff)
+    if vars_txt and body == "1":
+        return sign, vars_txt
+    return sign, f"{body} {vars_txt}".strip()
 
 
 def _heap_item(mono: Monomial) -> tuple[int, Monomial, Monomial]:
@@ -398,24 +376,18 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
 
     The leading term of the work polynomial comes from a heap keyed on grlex
     (after Johnson 1974 and Monagan & Pearce 2007); a key whose term has
-    cancelled is skipped when popped.  Work coefficients are reduced integer
-    triples (a, b, den) meaning (a + b sqrt(d)) / den.
+    cancelled is skipped when popped.  Each step updates a work coefficient
+    (a + b sqrt(d)) / den on its integers and normalises it once.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     g._check_compatible(f)
     d = g.d if g.d != 1 else f.d
     lm_f = f.leading_monomial()
+    inv = f.terms[lm_f].inverse()
     den_f, f_ints = f._int_view()
-    lc_a, lc_b = f_ints[lm_f]
-    # 1/lc_f = conj(lc_f) / norm(lc_f); the norm is nonzero since lc_f is.
-    norm = lc_a * lc_a - lc_b * lc_b * d
-    if norm < 0:
-        lc_a, lc_b, norm = -lc_a, -lc_b, -norm
-    inv_a, inv_b, inv_den = _reduced(lc_a * den_f, -lc_b * den_f, norm)
     rest = [(m, a, b) for m, (a, b) in f_ints.items() if m != lm_f]
-    den_g, g_ints = g._int_view()
-    work = {m: _reduced(a, b, den_g) for m, (a, b) in g_ints.items()}
+    work = dict(g.terms)
     heap = [_heap_item(m) for m in work]
     heapify(heap)
     quotient: dict[Monomial, QuadExtScalar] = {}
@@ -425,15 +397,12 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         coeff = work.pop(lm, None)
         if coeff is None:
             continue
-        a, b, den = coeff
         if not monomial_divides(lm_f, lm):
-            remainder[lm] = _scalar(a, b, den, d)
+            remainder[lm] = coeff
             continue
         qm = tuple(map(sub, lm, lm_f))
-        qa, qb, qden = _reduced(
-            a * inv_a + b * inv_b * d, a * inv_b + b * inv_a, den * inv_den
-        )
-        quotient[qm] = _scalar(qa, qb, qden, d)
+        qc = quotient[qm] = coeff * inv
+        qa, qb, qden = qc.a, qc.b, qc.den
         # Subtract qc * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
         step_den = qden * den_f
         for mono, ra, rb in rest:
@@ -442,14 +411,14 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
             pb = qa * rb + qb * ra
             old = work.get(target)
             if old is None:
-                work[target] = _reduced(-pa, -pb, step_den)
+                work[target] = _normal(-pa, -pb, step_den, d)
                 heappush(heap, _heap_item(target))
                 continue
-            wa, wb, wden = old
-            na = wa * step_den - pa * wden
-            nb = wb * step_den - pb * wden
+            wden = old.den
+            na = old.a * step_den - pa * wden
+            nb = old.b * step_den - pb * wden
             if na or nb:
-                work[target] = _reduced(na, nb, wden * step_den)
+                work[target] = _normal(na, nb, wden * step_den, d)
             else:
                 del work[target]
     return Poly(g.nvars, quotient), Poly(g.nvars, remainder)

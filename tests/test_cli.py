@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -284,12 +285,16 @@ EXACT_OUTPUT_SHA256 = [
      "b76a97ead81a0509c5bbf7bc5d99942487ccd4d8a0f547f9da3e6f1da2b54bdf"),
     ("classify --family ads:2,1,1", 0,
      "54ec1ebf9199d9fad27fd3e758188baecdd3566491152c06be4b0bc29f73427e"),
+    # Its w has a mixed (a + b sqrt(d)) coefficient, its Laplacian is one.
+    ('verify --poly "(1/2 + 3 sqrt(2)) x1^2 - x2^2 + 2/3 x3^2 - sqrt(2) x4^2"'
+     " --nvars 4 --sig 1,1", 1,
+     "0fa85b2b2dd1d05f78f1c47470ab76536f8aa4cab4287a99df8427d126f1179a"),
 ]
 
 
 @pytest.mark.parametrize("command,code,digest", EXACT_OUTPUT_SHA256)
 def test_exact_output_is_pinned(capsys, command, code, digest):
-    got, out, _ = run(capsys, *command.split())
+    got, out, _ = run(capsys, *shlex.split(command))
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

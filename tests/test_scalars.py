@@ -115,3 +115,16 @@ def test_field_axioms(triple):
 def test_conjugate_norm_is_rational(a):
     norm = a * a.conjugate()
     assert norm.is_rational()
+
+
+def test_equal_rationals_share_hash_and_dict_slot():
+    for value in (2, Fraction(2), Fraction(-3, 4)):
+        scalar = QuadExtScalar(value)
+        assert scalar == value and hash(scalar) == hash(value)
+        assert {scalar: "scalar"}.get(value) == "scalar"
+        assert {value: "value"}.get(scalar) == "value"
+    assert len({2: 0, Fraction(2): 1, QuadExtScalar(2): 2}) == 1
+
+
+def test_squarefree_cache_is_bounded():
+    assert squarefree_decompose.cache_info().maxsize is not None

@@ -1,0 +1,106 @@
+"""QuadExtScalar against the reference Fraction-pair implementation.
+
+`reference_scalars.py` is the earlier QuadExtScalar, which stored a + b*sqrt(d)
+as a pair of Fractions, kept unchanged.  Every operation of the integer
+scalar must give the same value, text and float, bit for bit: `float()` feeds
+`Poly._float_view` and so every spectrum result.
+"""
+
+import math
+import operator
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from reference_scalars import QuadExtScalar as RefScalar
+from zmckit.scalars import QuadExtScalar
+
+# 8 and 9 are not square-free: the constructor folds them to 2 sqrt(2) and 3.
+_TAGS = [1, 2, 3, 5, 6, 8, 9]
+
+# Denominators of both signs; Fraction(n, -m) is how a negative one arrives.
+_rationals = st.builds(
+    Fraction,
+    st.integers(-12, 12),
+    st.integers(1, 7).flatmap(lambda m: st.sampled_from([m, -m])),
+)
+
+_parts = st.tuples(_rationals, _rationals)
+
+
+@st.composite
+def _pairs(draw):
+    """Two (rat, surd, d) inputs, usually over one field, sometimes not."""
+    d1 = draw(st.sampled_from(_TAGS))
+    d2 = draw(st.sampled_from([d1, d1, d1, 1, *_TAGS]))
+    return (*draw(_parts), d1), (*draw(_parts), d2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_same(new, ref):
+    """`new` (integer scalar or exception type) matches `ref`."""
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert isinstance(new, QuadExtScalar)
+    assert (new.rat, new.surd, new.d) == (ref.rat, ref.surd, ref.d)
+    assert str(new) == str(ref)
+    assert repr(new) == repr(ref)
+    assert float(new).hex() == float(ref).hex()
+    assert new.den > 0 and math.gcd(new.a, new.b, new.den) == 1
+    assert (new.d == 1) == (new.b == 0)
+    if new.is_rational():
+        assert new == new.rat and hash(new) == hash(new.rat)
+
+
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@settings(max_examples=300)
+@given(_pairs())
+def test_binary_ops_match_reference(pair):
+    (r1, s1, d1), (r2, s2, d2) = pair
+    x, y = QuadExtScalar(r1, s1, d1), QuadExtScalar(r2, s2, d2)
+    rx, ry = RefScalar(r1, s1, d1), RefScalar(r2, s2, d2)
+    assert_same(x, rx)
+    for op in _BINARY:
+        assert_same(_outcome(op, x, y), _outcome(op, rx, ry))
+        # Plain rationals on either side of the operator.
+        assert_same(_outcome(op, x, r2), _outcome(op, rx, r2))
+        assert_same(_outcome(op, r1, y), _outcome(op, r1, ry))
+        assert_same(_outcome(op, x, r2.numerator), _outcome(op, rx, r2.numerator))
+    assert (x == y) == (rx == ry)
+    assert (x == r2) == (rx == r2)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=200)
+@given(_parts, st.sampled_from(_TAGS), st.integers(-3, 4))
+def test_unary_ops_match_reference(parts, d, exponent):
+    x, rx = QuadExtScalar(*parts, d), RefScalar(*parts, d)
+    assert_same(-x, -rx)
+    assert_same(x.conjugate(), rx.conjugate())
+    assert_same(_outcome(x.inverse), _outcome(rx.inverse))
+    assert_same(_outcome(pow, x, exponent), _outcome(pow, rx, exponent))
+    assert x.is_zero() == rx.is_zero() and bool(x) == bool(rx)
+    assert x.is_rational() == rx.is_rational()
+
+
+@given(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20).flatmap(
+    lambda m: st.sampled_from([m, -m])
+)))
+def test_sqrt_matches_reference(value):
+    assert_same(_outcome(QuadExtScalar.sqrt, value), _outcome(RefScalar.sqrt, value))
+
+
+def test_incompatible_surds_raise_like_reference():
+    for op in _BINARY:
+        assert _outcome(op, QuadExtScalar.sqrt(2), QuadExtScalar.sqrt(3)) is ValueError
+        assert _outcome(op, RefScalar.sqrt(2), RefScalar.sqrt(3)) is ValueError
