@@ -27,7 +27,9 @@ import sys
 import numpy as np
 
 from . import geometry
-from .families import FamilySpec, make_poly, parse_family, sample_points, spectrum_oracle
+from .families import (
+    FamilySpec, make_poly, parse_family, sample_points, spectrum_oracle, surface_patch
+)
 from .parser import ParseError, parse_poly
 from .poly import Poly
 from .quadform import classify_candidate
@@ -111,6 +113,15 @@ def cmd_verify(args) -> int:
     doc = report.to_dict(family=family, params=params, sig=sig, degree=f.degree())
     _write_output(_render_json(doc), args.out)
     return EXIT_PASS if report.divides else EXIT_FAIL
+
+
+def _sampled_family(label: str) -> FamilySpec:
+    """Parse a family for the sampling commands; lawson:k,k has no sampler,
+    a config error (exit 2) raised before sampling, not a breakdown (3)."""
+    spec = parse_family(label)
+    if spec.kind == "lawson":
+        surface_patch(spec)
+    return spec
 
 
 def _projected_points(f: Poly, spec: FamilySpec, seed: int, args):
@@ -209,7 +220,7 @@ def _breakdown(exc: Exception) -> int:
 def cmd_spectrum(args) -> int:
     if not args.family:
         raise ValueError("spectrum requires --family")
-    spec = parse_family(args.family)
+    spec = _sampled_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     f = make_poly(spec)
@@ -239,7 +250,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sample(args) -> int:
     if not args.family:
         raise ValueError("sample requires --family")
-    spec = parse_family(args.family)
+    spec = _sampled_family(args.family)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     f = make_poly(spec)
@@ -315,7 +326,7 @@ def cmd_report(args) -> int:
     if not labels:
         raise ValueError("report requires at least one --family")
     for label in labels:
-        parse_family(label)
+        _sampled_family(label)
     entries = [_report_one(label, i, args) for i, label in enumerate(labels)]
     doc = {
         "seed": args.seed,

@@ -10,7 +10,7 @@ QRConvergenceError = np.linalg.LinAlgError
 def eigvals(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a square matrix, in no particular order.
 
-    Both float eigenvalue callers go through this function, so the
-    eigenvalue layer stays one call that perfbench/tracer.py can time.
+    Its one caller, `geometry.curvature_spectrum`, keeps the float eigenvalue
+    layer to this one call, which perfbench/tracer.py can time.
     """
     return np.linalg.eigvals(matrix)

@@ -4,19 +4,16 @@ A homogeneous quadratic f is written as <A x, x> with A symmetric over
 Q(sqrt(d)).  Isometries M of the metric (M^T B M = B) act by A -> M^T A M,
 which conjugates B A; the exact characteristic polynomial of B A is thus an
 isometry invariant ("pencil fingerprint") and is used to re-identify members
-of the ads quadric family after a coordinate change.  Everything here is
-exact; floats appear only in the convenience eigenvalue display.
+of the ads quadric family after a coordinate change.  A family member's
+pencil is block diagonal, so its fingerprint is known in closed form.
+Everything here is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
-import numpy as np
-
-from . import eigen
-from .families import FamilySpec, make_poly
 from .poly import Poly
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from .zmc import AmbientSig, conjecture_check
@@ -28,10 +25,6 @@ class QuadMatrix:
 
     entries: tuple[tuple[QuadExtScalar, ...], ...]
     sig: AmbientSig
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 def to_matrix(f: Poly, sig: AmbientSig) -> QuadMatrix:
@@ -57,7 +50,7 @@ def to_matrix(f: Poly, sig: AmbientSig) -> QuadMatrix:
 
 def from_matrix(qm: QuadMatrix) -> Poly:
     """Reassemble the quadratic polynomial <A x, x> from its matrix."""
-    n = qm.size
+    n = len(qm.entries)
     terms: dict[tuple[int, ...], QuadExtScalar] = {}
     for i in range(n):
         for j in range(i, n):
@@ -106,10 +99,8 @@ def reducibility_rank(qm: QuadMatrix) -> str:
 
 
 def _pencil_matrix(qm: QuadMatrix) -> list[list[QuadExtScalar]]:
-    b = qm.sig.b_diag
-    return [
-        [qm.entries[i][j] * b[i] for j in range(qm.size)] for i in range(qm.size)
-    ]
+    """B A, the pencil whose char poly is the fingerprint."""
+    return [[a * b for a in row] for row, b in zip(qm.entries, qm.sig.b_diag)]
 
 
 def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
@@ -145,33 +136,20 @@ def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, .
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class PencilInvariants:
-    """Exact fingerprint of B A plus float eigenvalues for display."""
-
-    char_poly: tuple[QuadExtScalar, ...]
-    eigenvalues: tuple[complex, ...]
+def _ads_mu(m: int, n: int) -> QuadExtScalar:
+    """(m - n)/sqrt(mn), the x2^2 coefficient of ads(m, n, k)."""
+    return QuadExtScalar(m - n) * QuadExtScalar.sqrt(Fraction(1, m * n))
 
 
-def pencil_invariants(qm: QuadMatrix) -> PencilInvariants:
-    pencil = _pencil_matrix(qm)
-    coeffs = char_poly_exact(pencil)
-    floats = np.array([[float(x) for x in row] for row in pencil])
-    values = sorted(eigen.eigvals(floats).astype(complex), key=lambda z: (z.real, z.imag))
-    return PencilInvariants(coeffs, tuple(values))
-
-
-# `classify_candidate` scans all (m, n, k) with m + n + k = nvars - 2, about
-# (nvars - 2)^2 / 2 keys; an LRU cache smaller than one scan misses on every
-# lookup.  1024 covers every scan up to nvars = 47.
-FINGERPRINT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
 def _family_fingerprint(m: int, n: int, k: int) -> tuple[QuadExtScalar, ...]:
-    spec = FamilySpec("ads", (m, n, k))
-    qm = to_matrix(make_poly(spec), spec.sig)
-    return char_poly_exact(_pencil_matrix(qm))
+    """The ads(m, n, k) fingerprint in closed form, as its pencil is block
+    diagonal: (l^2 + mu l - 1) (l - sqrt(n/m))^m (l + sqrt(m/n))^n l^k."""
+    coeffs = [ONE, _ads_mu(m, n), -ONE]
+    roots = [QuadExtScalar.sqrt(Fraction(n, m))] * m
+    roots += [-QuadExtScalar.sqrt(Fraction(m, n))] * n
+    for root in roots:
+        coeffs = [c - root * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+    return tuple(coeffs) + (ZERO,) * k
 
 
 @dataclass(frozen=True)
@@ -192,11 +170,12 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     """Try to identify a quadric in sig (2,-1) as an ads family member.
 
     Requires the ZMC residual to divide exactly and the form to be
-    irreducible, then searches all (m, n, k) with m+n+k = nvars-2 for an
-    exact pencil-fingerprint match.  The fingerprint is a necessary
-    invariant, so "matches" pins the parameters of any true family member
-    (up to isometry); "inconclusive" means the structural checks passed but
-    no fingerprint agreed.
+    irreducible, then seeks an exact pencil-fingerprint match among the
+    members with m+n+k = nvars-2.  A member's fingerprint ends in exactly k
+    zeros and has c_1 = mu, so k is read off the candidate and m alone is
+    scanned, comparing c_1 first.  The fingerprint is a necessary invariant,
+    so "matches" pins the parameters of any true family member (up to
+    isometry); "inconclusive" means no fingerprint agreed.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")
@@ -214,14 +193,15 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
             "not in family", None, f"quadratic form is {verdict} (rank <= 2)"
         )
     fingerprint = char_poly_exact(_pencil_matrix(qm))
-    total = sig.nvars - 2
-    for m in range(1, total):
-        for n in range(1, total - m + 1):
-            k = total - m - n
-            if fingerprint == _family_fingerprint(m, n, k):
-                return ClassifyResult(
-                    "matches", (m, n, k), "exact pencil fingerprint equality"
-                )
+    k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
+    for m in range(1, sig.nvars - 2 - k):
+        n = sig.nvars - 2 - k - m
+        if fingerprint[1] == _ads_mu(m, n) and fingerprint == _family_fingerprint(
+            m, n, k
+        ):
+            return ClassifyResult(
+                "matches", (m, n, k), "exact pencil fingerprint equality"
+            )
     return ClassifyResult(
         "inconclusive",
         None,

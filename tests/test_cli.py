@@ -211,6 +211,17 @@ def test_numerical_breakdown_exits_3(capsys, command):
     assert err.splitlines() == ["error: no convergence within 50 Newton iterations"]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sample", "report"])
+def test_family_without_sampler_is_usage_error(capsys, command):
+    # lawson:1,1 has no coordinate patch (k == n), so nothing can be sampled:
+    # a config error (2), not a numerical breakdown (3); verify still runs.
+    code, out, err = run(capsys, command, "--family", "lawson:1,1", "--count", "2")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: no patch available for k == n"]
+    assert run(capsys, "verify", "--family", "lawson:1,1")[0] == 0
+
+
 def test_residual_bound_violation_exits_3(capsys):
     code, out, err = run(
         capsys, "sample", "--family", "ds2:4", "--count", "3", "--tol-residual", "1e-300"
@@ -285,6 +296,11 @@ EXACT_OUTPUT_SHA256 = [
      "b76a97ead81a0509c5bbf7bc5d99942487ccd4d8a0f547f9da3e6f1da2b54bdf"),
     ("classify --family ads:2,1,1", 0,
      "54ec1ebf9199d9fad27fd3e758188baecdd3566491152c06be4b0bc29f73427e"),
+    ("classify --family ads:6,6,4", 0,
+     "500a64495da5ae4451b6dacf688b29d436bbc105b553f913bef671b8458504d4"),
+    # The cone's residual divides and its form is irreducible: inconclusive.
+    ('classify --poly "x1^2 + x2^2 - x3^2" --nvars 3', 1,
+     "aead9f69defcd170dfbcabea34ef786e716261204c0ce70bfa0a638b548b4090"),
     # Its w has a mixed (a + b sqrt(d)) coefficient, its Laplacian is one.
     ('verify --poly "(1/2 + 3 sqrt(2)) x1^2 - x2^2 + 2/3 x3^2 - sqrt(2) x4^2"'
      " --nvars 4 --sig 1,1", 1,

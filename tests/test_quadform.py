@@ -1,4 +1,4 @@
-"""Quadratic form matrices, exact rank, pencil invariants, classification."""
+"""Quadratic form matrices, exact rank, pencil fingerprints, classification."""
 
 from fractions import Fraction
 
@@ -10,12 +10,12 @@ from zmckit.isometry import apply_to_poly, boost_exact, random_exact_isometry, r
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.quadform import (
-    QuadMatrix,
+    _family_fingerprint,
+    _pencil_matrix,
     char_poly_exact,
     classify_candidate,
     exact_rank,
     from_matrix,
-    pencil_invariants,
     reducibility_rank,
     to_matrix,
 )
@@ -87,26 +87,23 @@ def test_char_poly_of_known_matrix():
         ZERO,
         ONE,
     )
-    inv = pencil_invariants(qm)
-    values = sorted(v.real for v in inv.eigenvalues)
-    assert np.allclose(values, [-1, -1, 1, 1])
 
 
 def test_pencil_invariants_isometry_invariance():
     spec = ads(2, 1, 1)
     f = make_poly(spec)
     sig = spec.sig
-    base = pencil_invariants(to_matrix(f, sig)).char_poly
+    base = char_poly_exact(_pencil_matrix(to_matrix(f, sig)))
     m = rotation_exact(sig, 3, 4, Fraction(2, 5))
     m2 = boost_exact(sig, 1, 3, Fraction(1, 3))
     for iso in (m, m2):
         moved = apply_to_poly(f, iso)
-        assert pencil_invariants(to_matrix(moved, sig)).char_poly == base
+        assert char_poly_exact(_pencil_matrix(to_matrix(moved, sig))) == base
 
 
 def test_ds2_pencil_regression():
-    # Frozen exact fingerprints; the float roots were cross-checked against
-    # numpy eigenvalues of B A and equal {-sqrt(m) x2, (1/sqrt(m)) x(m+1)}.
+    # Frozen exact fingerprints of B A, whose roots are
+    # {-sqrt(m) x2, (1/sqrt(m)) x(m+1)}.
     frozen = {
         2: "x^5 + 1/2 sqrt(2) x^4 - 5/2 x^3 - 1/4 sqrt(2) x^2 + 2 x - 1/2 sqrt(2)",
         3: "x^6 + 2/3 sqrt(3) x^5 - 3 x^4 - 4/9 sqrt(3) x^3 + 31/9 x^2 "
@@ -116,17 +113,13 @@ def test_ds2_pencil_regression():
     }
     for m, want in frozen.items():
         spec = ds2(m)
-        inv = pencil_invariants(to_matrix(make_poly(spec), spec.sig))
+        coeffs = char_poly_exact(_pencil_matrix(to_matrix(make_poly(spec), spec.sig)))
         # Render the char poly as a univariate for comparison.
-        coeffs = inv.char_poly
         n = len(coeffs) - 1
         rendered = Poly(
             1, {(n - i,): c for i, c in enumerate(coeffs) if not c.is_zero()}
         ).render().replace("x1", "x")
         assert rendered == want, rendered
-        values = sorted(v.real for v in inv.eigenvalues)
-        expected = [-(m**0.5)] * 2 + [m**-0.5] * (m + 1)
-        assert np.allclose(values, expected, atol=1e-8)
 
 
 def test_classify_family_members_self_match():
@@ -169,12 +162,11 @@ def test_classify_rejects_non_dividing_quadric():
 
 
 def test_classify_rejects_reducible():
-    f = parse_poly("x1 x2", 4)
-    # This happens to satisfy divisibility in (2,-1)?  Rank 2 regardless.
-    result = classify_candidate(f, SIG4)
-    assert result.verdict in ("not in family", "inconclusive")
-    if result.verdict == "not in family":
-        assert result.params is None
+    # x1 x2 has a dividing residual in (2,-1) but rank 2.
+    result = classify_candidate(parse_poly("x1 x2", 4), SIG4)
+    assert result.verdict == "not in family"
+    assert result.params is None
+    assert result.detail == "quadratic form is reducible (rank <= 2)"
 
 
 def test_classify_scalar_multiple_is_inconclusive():
@@ -190,24 +182,60 @@ def test_classify_wrong_inputs():
         classify_candidate(parse_poly("x1^2", 4), AmbientSig(1, 1, 4))
 
 
-def test_fingerprint_injectivity_report():
-    """Empirical check that pencil fingerprints separate parameter triples."""
+def test_closed_form_fingerprint_matches_char_poly():
+    """The closed form equals char_poly_exact of each built member's pencil
+    for m+n+k <= 8, and no two members share a fingerprint."""
     seen = {}
-    collisions = []
     for total in range(2, 9):
         for m in range(1, total):
             for n in range(1, total - m + 1):
                 k = total - m - n
                 spec = ads(m, n, k)
-                qm = to_matrix(make_poly(spec), spec.sig)
-                key = char_poly_exact(
-                    [
-                        [qm.entries[i][j] * spec.sig.b_diag[i] for j in range(spec.nvars)]
-                        for i in range(spec.nvars)
-                    ]
-                )
-                if (spec.nvars, key) in seen:
-                    collisions.append((seen[(spec.nvars, key)], (m, n, k)))
-                seen[(spec.nvars, key)] = (m, n, k)
-    print(f"fingerprint collisions across m+n+k <= 8: {collisions or 'none'}")
-    assert collisions == []
+                pencil = _pencil_matrix(to_matrix(make_poly(spec), spec.sig))
+                key = _family_fingerprint(m, n, k)
+                assert key == char_poly_exact(pencil), (m, n, k)
+                assert seen.setdefault(key, (m, n, k)) == (m, n, k)
+    assert len(seen) == 84
+
+
+def _random_symmetric(rng, size: int, d: int, rank: int):
+    """A random symmetric size x size matrix over Q(sqrt(d)): a sum of `rank`
+    nonzero multiples of outer products v v^T, so generically of that rank."""
+    def entry(zero_chance):
+        if rng.random() < zero_chance:
+            return ZERO
+        rat = Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 4)))
+        return QuadExtScalar(rat, int(rng.integers(-2, 3)), d)
+
+    rows = [[ZERO] * size for _ in range(size)]
+    for _ in range(rank):
+        v, c = [entry(0.2) for _ in range(size)], entry(0)
+        for i in range(size):
+            for j in range(size):
+                rows[i][j] = rows[i][j] + c * v[i] * v[j]
+    return rows
+
+
+def test_exact_linear_algebra_matches_sympy():
+    """char_poly_exact and exact_rank against sympy's charpoly and rank over
+    QQ.algebraic_field(sqrt(d)), on random symmetric matrices of full and
+    deficient rank."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+        root = field.from_sympy(sympy.sqrt(d))
+
+        def to_field(x):
+            rat, surd = sympy.Rational(x.a, x.den), sympy.Rational(x.b, x.den)
+            return field.convert(rat) + field.convert(surd) * root
+
+        for size in range(1, 6):
+            for rank in sorted({1, size - 1, size} - {0}):
+                rows = _random_symmetric(rng, size, d, rank)
+                elements = [[to_field(x) for x in row] for row in rows]
+                dm = DomainMatrix(elements, (size, size), field)
+                assert [to_field(c) for c in char_poly_exact(rows)] == dm.charpoly()
+                assert exact_rank(rows) == dm.rank()
