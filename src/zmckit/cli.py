@@ -47,7 +47,7 @@ NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, geometry.ProjectionError)
 
 DEFAULT_TOL_SPECTRUM = 1e-6
 DEFAULT_TOL_NEWTON = 1e-12
-DEFAULT_TOL_RESIDUAL = 1e-10
+DEFAULT_TOL_RESIDUAL = geometry.RESIDUAL_BOUND
 DEFAULT_MEAN_CURV_TOL = 1e-8
 
 
@@ -115,31 +115,29 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.divides else EXIT_FAIL
 
 
-def _sampled_family(label: str) -> FamilySpec:
-    """Parse a family for the sampling commands; lawson:k,k has no sampler,
-    a config error (exit 2) raised before sampling, not a breakdown (3)."""
-    spec = parse_family(label)
-    if spec.kind == "lawson":
-        surface_patch(spec)
-    return spec
+def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
+    """Parse and check the families and --count of a sampling command.
+
+    A missing --family, a family without a sampler (lawson:k,k) and a count
+    below one are config errors (exit 2), raised before anything is sampled,
+    not numerical breakdowns (3).
+    """
+    if not labels:
+        raise ValueError(f"{args.command} requires --family")
+    specs = [parse_family(label) for label in labels]
+    for spec in specs:
+        if spec.kind == "lawson":
+            surface_patch(spec)
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    return specs
 
 
 def _projected_points(f: Poly, spec: FamilySpec, seed: int, args):
     """Sampled points Newton-projected onto f = 0, within the residual bounds."""
-    tol_residual = args.tol_residual
     for coords in sample_points(spec, args.count, seed):
         point = geometry.newton_project(f, spec.sig, coords, tol=args.tol_newton)
-        norm = float(np.linalg.norm(point.coords))
-        if abs(point.f_residual) > tol_residual * (1.0 + norm**spec.degree):
-            raise ValueError(
-                f"projected point violates |f| <= {tol_residual:g} (scaled): "
-                f"{point.f_residual:.3e}"
-            )
-        if abs(point.constraint_residual) > tol_residual * (1.0 + norm * norm):
-            raise ValueError(
-                f"projected point violates pseudo-sphere residual bound: "
-                f"{point.constraint_residual:.3e}"
-            )
+        geometry.check_residuals(point, spec.degree, args.tol_residual)
         yield point
 
 
@@ -191,25 +189,29 @@ def _gate_spectrum_rows(oracle, rows, tol_spectrum: float) -> tuple[bool, str]:
     return True, ""
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text: floats with 17 significant digits, short rows padded with
+    empty cells."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
+        lines.append(",".join(cells + [""] * (len(header) - len(cells))))
+    return "\n".join(lines) + "\n"
+
+
 def _spectrum_csv(rows) -> str:
     max_clusters = max((len(row["clusters"]) for _, _, row in rows), default=0)
-    header = ["f_residual", "constraint_residual", "w", "mean_curvature"]
+    header = ["point", "f_residual", "constraint_residual", "w", "mean_curvature"]
     for i in range(1, max_clusters + 1):
         header += [f"cluster{i}_value", f"cluster{i}_mult"]
-    lines = ["point," + ",".join(header)]
+    table = []
     for idx, (point, spectrum, row) in enumerate(rows):
-        cells = [str(idx)]
-        cells += [
-            format(point.f_residual, ".17g"),
-            format(point.constraint_residual, ".17g"),
-            format(point.w_value, ".17g"),
-            format(spectrum.mean_curvature, ".17g"),
-        ]
+        cells = [idx, point.f_residual, point.constraint_residual, point.w_value,
+                 spectrum.mean_curvature]
         for cluster in row["clusters"]:
-            cells += [format(cluster["value"], ".17g"), str(cluster["multiplicity"])]
-        cells += [""] * (len(header) + 1 - len(cells))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells += [cluster["value"], cluster["multiplicity"]]
+        table.append(cells)
+    return _csv(header, table)
 
 
 def _breakdown(exc: Exception) -> int:
@@ -218,11 +220,7 @@ def _breakdown(exc: Exception) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not args.family:
-        raise ValueError("spectrum requires --family")
-    spec = _sampled_family(args.family)
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    (spec,) = _sampled_families(args, [args.family] if args.family else [])
     f = make_poly(spec)
     try:
         oracle, rows = _spectrum_rows(f, spec, args.seed, args)
@@ -248,30 +246,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if not args.family:
-        raise ValueError("sample requires --family")
-    spec = _sampled_family(args.family)
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    (spec,) = _sampled_families(args, [args.family] if args.family else [])
     f = make_poly(spec)
     try:
         points = list(_projected_points(f, spec, args.seed, args))
     except NUMERICAL_BREAKDOWN as exc:
         return _breakdown(exc)
     if args.format == "csv":
-        n = spec.nvars
-        header = [f"x{i}" for i in range(1, n + 1)]
+        header = [f"x{i}" for i in range(1, spec.nvars + 1)]
         header += ["f_residual", "constraint_residual", "w"]
-        lines = [",".join(header)]
-        for p in points:
-            cells = [format(c, ".17g") for c in p.coords]
-            cells += [
-                format(p.f_residual, ".17g"),
-                format(p.constraint_residual, ".17g"),
-                format(p.w_value, ".17g"),
-            ]
-            lines.append(",".join(cells))
-        _write_output("\n".join(lines) + "\n", args.out)
+        table = [
+            [*p.coords, p.f_residual, p.constraint_residual, p.w_value] for p in points
+        ]
+        _write_output(_csv(header, table), args.out)
     else:
         _write_output(_render_json([p.to_dict() for p in points]), args.out)
     return EXIT_PASS
@@ -286,8 +273,7 @@ def cmd_classify(args) -> int:
     return EXIT_PASS if result.verdict == "matches" else EXIT_FAIL
 
 
-def _report_one(label: str, index: int, args) -> dict:
-    spec = parse_family(label)
+def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
     f = make_poly(spec)
     sig = spec.sig
     entry: dict = {"family": label, "params": list(spec.params)}
@@ -323,11 +309,11 @@ def _report_one(label: str, index: int, args) -> dict:
 
 def cmd_report(args) -> int:
     labels = sorted(set(args.family or []))
-    if not labels:
-        raise ValueError("report requires at least one --family")
-    for label in labels:
-        _sampled_family(label)
-    entries = [_report_one(label, i, args) for i, label in enumerate(labels)]
+    specs = _sampled_families(args, labels)
+    entries = [
+        _report_one(label, spec, i, args)
+        for i, (label, spec) in enumerate(zip(labels, specs))
+    ]
     doc = {
         "seed": args.seed,
         "count": args.count,

@@ -1,4 +1,4 @@
-"""Constructors and oracles for the built-in ZMC hypersurface families.
+"""Constructors, samplers and spectrum oracles for the built-in ZMC families.
 
 Five families are supported, selected by strings of the form shown:
 
@@ -20,14 +20,15 @@ Five families are supported, selected by strings of the form shown:
 Each quadric family comes with a closed-form on-variety sampler (solving the
 two constraints for the block norms) and a spectrum oracle that returns the
 expected principal curvature multiset at a sampled point.  The degree k+n
-surfaces instead carry explicit doubly-periodic-in-t coordinate patches.
+surfaces are sampled through explicit coordinate patches (`SurfacePatch`)
+and have no spectrum oracle.  The patches' first fundamental forms, in closed
+form and by finite differences, are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -241,27 +242,22 @@ def _check_hyperbolic_args(*values: float) -> None:
 class SurfacePatch:
     """Explicit immersion of a lawson-family surface.
 
-    kind 'phi' (valid for k < n) lands in <B2 x, x> = -1; kind 'rho'
-    (valid for k > n) lands in <B2 x, x> = +1.
+    For k < n (the 'phi' patch) it lands in <B2 x, x> = -1; for k > n (the
+    'rho' patch) in <B2 x, x> = +1.
     """
 
-    kind: str
     k: int
     n: int
 
     def __post_init__(self):
-        if self.kind not in ("phi", "rho"):
-            raise ValueError(f"patch kind must be 'phi' or 'rho', got {self.kind!r}")
         FamilySpec("lawson", (self.k, self.n))
-        if self.kind == "phi" and not self.k < self.n:
-            raise ValueError("phi patch requires k < n")
-        if self.kind == "rho" and not self.k > self.n:
-            raise ValueError("rho patch requires k > n")
+        if self.k == self.n:
+            raise ValueError("no patch available for k == n")
 
     def __call__(self, s: float, t: float) -> np.ndarray:
         k, n = self.k, self.n
         _check_hyperbolic_args(s, n * t, k * t)
-        if self.kind == "phi":
+        if k < n:
             return np.array(
                 [
                     math.cosh(s) * math.cosh(n * t),
@@ -279,75 +275,11 @@ class SurfacePatch:
             ]
         )
 
-    def expected_fundamental_form(self, s: float) -> tuple[float, float, float]:
-        """Closed-form first fundamental form (E, F, G) at parameter s."""
-        k, n = self.k, self.n
-        if self.kind == "phi":
-            return 1.0, 0.0, 0.5 * (k * k + n * n + (n * n - k * k) * math.cosh(2 * s))
-        return -1.0, 0.0, -0.5 * (k * k + n * n + (k * k - n * n) * math.cosh(2 * s))
-
 
 def surface_patch(spec: FamilySpec) -> SurfacePatch:
-    """The natural patch for a lawson-family member (phi if k < n, else rho)."""
-    if spec.kind != "lawson":
-        raise ValueError(f"coordinate patches exist only for lawson, not {spec.kind}")
+    """The natural patch of a lawson-family member (phi if k < n, else rho)."""
     k, n = spec.params
-    if k == n:
-        raise ValueError("no patch available for k == n")
-    return SurfacePatch("phi" if k < n else "rho", k, n)
-
-
-def _hyperbolic_decimal(x: Decimal) -> tuple[Decimal, Decimal]:
-    e = x.exp()
-    inv = 1 / e
-    return (e + inv) / 2, (e - inv) / 2
-
-
-def _patch_coords_decimal(patch: SurfacePatch, s: Decimal, t: Decimal) -> list[Decimal]:
-    k, n = patch.k, patch.n
-    ch_s, sh_s = _hyperbolic_decimal(s)
-    ch_nt, sh_nt = _hyperbolic_decimal(n * t)
-    ch_kt, sh_kt = _hyperbolic_decimal(k * t)
-    if patch.kind == "phi":
-        return [ch_s * ch_nt, sh_s * sh_kt, ch_s * sh_nt, -ch_kt * sh_s]
-    return [ch_nt * sh_s, ch_s * sh_kt, sh_s * sh_nt, -ch_s * ch_kt]
-
-
-def patch_fundamental_form_fd(
-    patch: SurfacePatch, s: float, t: float, step: str = "1e-12", digits: int = 60
-) -> tuple[float, float, float]:
-    """First fundamental form from central finite differences of the patch.
-
-    The patch components grow like cosh(k t) cosh(s) while the fundamental
-    form stays of moderate size, so the B-inner products cancel far below
-    double precision; the differencing therefore runs in `decimal` arithmetic
-    with `digits` digits and only the final (E, F, G) are rounded to floats.
-    """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        h = Decimal(step)
-        sd = Decimal(repr(float(s)))
-        td = Decimal(repr(float(t)))
-        two_h = 2 * h
-        ds = [
-            (a - b) / two_h
-            for a, b in zip(
-                _patch_coords_decimal(patch, sd + h, td),
-                _patch_coords_decimal(patch, sd - h, td),
-            )
-        ]
-        dt = [
-            (a - b) / two_h
-            for a, b in zip(
-                _patch_coords_decimal(patch, sd, td + h),
-                _patch_coords_decimal(patch, sd, td - h),
-            )
-        ]
-        signs = (-1, -1, 1, 1)
-        e_val = sum(sign * a * a for sign, a in zip(signs, ds))
-        f_val = sum(sign * a * b for sign, a, b in zip(signs, ds, dt))
-        g_val = sum(sign * b * b for sign, b in zip(signs, dt))
-    return float(e_val), float(f_val), float(g_val)
+    return SurfacePatch(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +291,7 @@ class InfeasibleSampleError(ValueError):
     """The requested free coordinates force a negative squared block norm."""
 
 
-def _unit_vector(dim: int, direction: Sequence[float] | None, rng: np.random.Generator | None) -> np.ndarray:
-    if direction is not None:
-        v = np.asarray(direction, dtype=float)
-        if v.shape != (dim,):
-            raise ValueError(f"direction must have dimension {dim}, got {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("direction vectors must have unit length")
-        return v
+def _unit_vector(dim: int, rng: np.random.Generator | None) -> np.ndarray:
     if rng is None:
         v = np.zeros(dim)
         v[0] = 1.0
@@ -382,19 +307,17 @@ def _unit_vector(dim: int, direction: Sequence[float] | None, rng: np.random.Gen
 def closed_form_sample(
     spec: FamilySpec,
     free: Sequence[float],
-    directions: Sequence[Sequence[float]] | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Build a point of {f = 0} on the pseudo-sphere from free coordinates.
 
     free coordinates per family: ads -> (x1, x2, u_1..u_k); ds1 ->
     (x1, x2, x3); ds2 -> (x2, x3); clifford -> ().  Block directions are
-    drawn from `rng` when not supplied (canonical first-axis directions when
-    neither is given).  Raises InfeasibleSampleError when a solved squared
-    norm comes out negative, reporting the violated bound.
+    drawn from `rng` (canonical first-axis directions without one).  Raises
+    InfeasibleSampleError when a solved squared norm comes out negative,
+    reporting the violated bound.
     """
     free = [float(v) for v in free]
-    dirs = list(directions) if directions is not None else [None] * 4
     if spec.kind == "ads":
         m, n, k = spec.params
         if len(free) != 2 + k:
@@ -414,8 +337,8 @@ def closed_form_sample(
                 f"|z|^2 = {z2:.6g} < 0; need (sqrt(m) x2 + sqrt(n) x1)^2 >= "
                 f"n(1+|u|^2) = {n * (1 + u2):.6g}"
             )
-        y = math.sqrt(y2) * _unit_vector(m, dirs[0], rng)
-        z = math.sqrt(z2) * _unit_vector(n, dirs[1], rng)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
+        z = math.sqrt(z2) * _unit_vector(n, rng)
         return np.concatenate(([x1, x2], y, z, u))
     if spec.kind == "ds1":
         m, n = spec.params
@@ -434,8 +357,8 @@ def closed_form_sample(
                 f"|z|^2 = {z2:.6g} < 0; need (sqrt(m) x2 - sqrt(n) x3)^2 <= "
                 f"n(1+x1^2) = {n * (1 + x1 * x1):.6g}"
             )
-        y = math.sqrt(y2) * _unit_vector(m, dirs[0], rng)
-        z = math.sqrt(z2) * _unit_vector(n, dirs[1], rng)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
+        z = math.sqrt(z2) * _unit_vector(n, rng)
         return np.concatenate(([x1, x2, x3], y, z))
     if spec.kind == "ds2":
         (m,) = spec.params
@@ -453,14 +376,14 @@ def closed_form_sample(
                 f"|y|^2 = {y2:.6g} < 0; need (sqrt(m) x2 + x3)^2 <= m = {m}"
             )
         sign = 1.0 if rng is None else (1.0 if rng.random() < 0.5 else -1.0)
-        y = math.sqrt(y2) * _unit_vector(m, dirs[0], rng)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
         return np.concatenate(([sign * math.sqrt(x1sq), x2, x3], y))
     if spec.kind == "clifford":
         p, q = spec.params
         if free:
             raise ValueError("clifford sampler has no free coordinates")
-        y = math.sqrt(p / (p + q)) * _unit_vector(p + 1, dirs[0], rng)
-        z = math.sqrt(q / (p + q)) * _unit_vector(q + 1, dirs[1], rng)
+        y = math.sqrt(p / (p + q)) * _unit_vector(p + 1, rng)
+        z = math.sqrt(q / (p + q)) * _unit_vector(q + 1, rng)
         return np.concatenate((y, z))
     raise ValueError(f"no closed-form sampler for family {spec.kind!r}")
 

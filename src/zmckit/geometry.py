@@ -29,6 +29,9 @@ from .zmc import AmbientSig, derivatives, hessian_float
 # |w| below this scale-adjusted threshold marks a point as non-regular.
 REGULARITY_COEFF = 1e-8
 RESIDUAL_BOUND = 1e-10
+NEWTON_MAX_ITER = 50
+CLUSTER_REL = 1e-6
+CLUSTER_FLOOR = 1e-9
 DEGENERATE_METRIC_TOL = 1e-12
 DEFECTIVE_COND_LIMIT = 1e8
 
@@ -94,18 +97,26 @@ def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
     return VarietyPoint(x, float(f.eval_float(x)), cres, float(grad @ (b * grad)), grad)
 
 
-def variety_point(f: Poly, sig: AmbientSig, coords, check: bool = True) -> VarietyPoint:
-    """Wrap coordinates as a VarietyPoint, optionally enforcing residual bounds."""
+def check_residuals(p: VarietyPoint, degree: int, bound: float) -> None:
+    """Raise ValueError unless |f| <= bound (1 + |x|^degree) and
+    |<Bx,x> - eps| <= bound (1 + |x|^2) at p."""
+    norm = float(np.linalg.norm(p.coords))
+    if abs(p.f_residual) > bound * (1.0 + norm**degree):
+        raise ValueError(
+            f"projected point violates |f| <= {bound:g} (scaled): "
+            f"{p.f_residual:.3e}"
+        )
+    if abs(p.constraint_residual) > bound * (1.0 + norm * norm):
+        raise ValueError(
+            f"projected point violates pseudo-sphere residual bound: "
+            f"{p.constraint_residual:.3e}"
+        )
+
+
+def variety_point(f: Poly, sig: AmbientSig, coords) -> VarietyPoint:
+    """Wrap coordinates as a VarietyPoint within the RESIDUAL_BOUND bounds."""
     p = _point(f, sig, np.asarray(coords, dtype=float))
-    if check:
-        norm = float(np.linalg.norm(p.coords))
-        fres, cres = p.f_residual, p.constraint_residual
-        if abs(fres) > RESIDUAL_BOUND * (1.0 + norm ** max(f.degree(), 0)):
-            raise ValueError(f"point is off the variety: |f| = {abs(fres):.3e}")
-        if abs(cres) > RESIDUAL_BOUND * (1.0 + norm * norm):
-            raise ValueError(
-                f"point is off the pseudo-sphere: |<Bx,x> - eps| = {abs(cres):.3e}"
-            )
+    check_residuals(p, max(f.degree(), 0), RESIDUAL_BOUND)
     return p
 
 
@@ -129,7 +140,6 @@ def newton_project(
     sig: AmbientSig,
     seed,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> VarietyPoint:
     """Gauss-Newton projection onto {f = 0, <Bx,x> = eps} from a seed point.
 
@@ -147,7 +157,7 @@ def newton_project(
     # shave the positional error down to the evaluation noise floor, which
     # matters for finite-difference work at high degree.
     polish_left = 2
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norm = float(np.linalg.norm(x))
         fres = f.eval_float(x)
         cres = float(x @ (b * x)) - sig.epsilon
@@ -167,7 +177,7 @@ def newton_project(
             polish_left -= 1
             if polish_left == 0 or float(np.linalg.norm(step)) <= 1e-15 * (1.0 + norm):
                 return _point(f, sig, x)
-    raise ProjectionError(f"no convergence within {max_iter} Newton iterations")
+    raise ProjectionError(f"no convergence within {NEWTON_MAX_ITER} Newton iterations")
 
 
 # -- frames, metric, Gauss map --------------------------------------------------
@@ -217,15 +227,13 @@ def shape_operator(
     p: VarietyPoint,
     f: Poly,
     sig: AmbientSig,
-    frame: np.ndarray | None = None,
+    frame: np.ndarray,
 ) -> np.ndarray:
     """Matrix of the Gauss map differential in the given tangent frame.
 
     S = G^{-1} H with H_ij = <Hess f(p) v_i, v_j> / sqrt(|w|); S is
     self-adjoint with respect to G, i.e. G S = S^T G up to roundoff.
     """
-    if frame is None:
-        frame = tangent_frame(p, f, sig)
     gram, _ = induced_metric(frame, sig)
     return _shape_matrix(p, f, frame, gram)
 
@@ -239,53 +247,15 @@ def _shape_matrix(
     return np.linalg.solve(gram, h)
 
 
-def normal_derivatives_fd(
-    p: VarietyPoint,
-    f: Poly,
-    sig: AmbientSig,
-    frame: np.ndarray,
-    step: float = 1e-5,
-) -> np.ndarray:
-    """Finite-difference Gauss-map derivatives along each frame vector.
-
-    Row i approximates d(nu)(v_i) by central differences, re-projecting the
-    displaced points onto Sigma with Newton.  Independent check of
-    `shape_operator`.
-    """
-    rows = []
-    for v in frame:
-        plus = newton_project(f, sig, p.coords + step * v)
-        minus = newton_project(f, sig, p.coords - step * v)
-        nu_plus = gauss_map(plus, f, sig)
-        nu_minus = gauss_map(minus, f, sig)
-        rows.append((nu_plus - nu_minus) / (2.0 * step))
-    return np.vstack(rows)
-
-
-def normal_derivatives_analytic(
-    p: VarietyPoint,
-    f: Poly,
-    sig: AmbientSig,
-    frame: np.ndarray,
-    shape: np.ndarray | None = None,
-) -> np.ndarray:
-    """Shape-operator action as ambient vectors: row i = d(nu)(v_i)."""
-    if shape is None:
-        shape = shape_operator(p, f, sig, frame)
-    return (frame.T @ shape).T
-
-
 # -- spectra ---------------------------------------------------------------------
 
 
-def cluster_eigenvalues(
-    values: np.ndarray, rel: float = 1e-6, floor: float = 1e-9
-) -> list[tuple[float, list[int]]]:
+def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, list[int]]]:
     """Group eigenvalues by real part; neighbors within the merge tolerance
-    (max of rel*spread and floor) fall into one cluster."""
+    (max of CLUSTER_REL * spread and CLUSTER_FLOOR) fall into one cluster."""
     order = np.argsort(values.real)
     spread = float(values.real.max() - values.real.min()) if len(values) else 0.0
-    tol = max(rel * spread, floor)
+    tol = max(CLUSTER_REL * spread, CLUSTER_FLOOR)
     groups: list[tuple[float, list[int]]] = []
     current: list[int] = []
     for idx in order:

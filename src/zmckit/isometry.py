@@ -1,4 +1,4 @@
-"""Exact isometries of the flat signature metric, plus exact matrix helpers.
+"""Exact isometries of the flat signature metric and their action on polynomials.
 
 Isometries of <B x, y> are matrices M with M^T B M = B.  Rational points on
 the rotation and boost one-parameter groups come from the parametrizations
@@ -7,7 +7,9 @@ the rotation and boost one-parameter groups come from the parametrizations
     cosh = (1 + t^2) / (1 - t^2), sinh = 2t / (1 - t^2)        (|t| < 1)
 
 so random words in these generators stay inside Q and compositions with
-polynomials remain exact.
+polynomials remain exact.  `apply_to_poly` performs the coordinate change
+f(M x) that `classify` must see through; the exact isometry check
+M^T B M == B is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -41,28 +43,6 @@ def matmul_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             row.append(acc)
         out.append(row)
     return out
-
-
-def transpose_exact(a: ExactMatrix) -> ExactMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def as_float(a: ExactMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def is_exact_isometry(m: ExactMatrix, sig: AmbientSig) -> bool:
-    """Check M^T B M == B with exact arithmetic."""
-    n = sig.nvars
-    b = sig.b_diag
-    bm = [[m[i][j] * b[i] for j in range(n)] for i in range(n)]
-    product = matmul_exact(transpose_exact(m), bm)
-    for i in range(n):
-        for j in range(n):
-            expected = as_scalar(b[i]) if i == j else ZERO
-            if product[i][j] != expected:
-                return False
-    return True
 
 
 def rotation_exact(sig: AmbientSig, i: int, j: int, t: Fraction) -> ExactMatrix:
@@ -138,10 +118,3 @@ def apply_to_poly(f: Poly, m: ExactMatrix) -> Poly:
                 terms[tuple(mono)] = m[i][j]
         rows.append(Poly(n, terms))
     return f.substitute(rows)
-
-
-def random_orthonormal_basis(
-    sig: AmbientSig, rng: np.random.Generator, steps: int = 4
-) -> np.ndarray:
-    """Float rows v_i with <B v_i, v_j> = B_ij, from a random exact isometry."""
-    return as_float(random_exact_isometry(sig, rng, steps))

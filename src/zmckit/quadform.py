@@ -19,18 +19,9 @@ from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from .zmc import AmbientSig, conjecture_check
 
 
-@dataclass(frozen=True)
-class QuadMatrix:
-    """Symmetric coefficient matrix of a quadratic form, with its signature."""
-
-    entries: tuple[tuple[QuadExtScalar, ...], ...]
-    sig: AmbientSig
-
-
-def to_matrix(f: Poly, sig: AmbientSig) -> QuadMatrix:
-    """Extract A with f = <A x, x>: diagonal from squares, halved cross terms."""
-    if f.nvars != sig.nvars:
-        raise ValueError("polynomial and signature disagree on dimension")
+def to_matrix(f: Poly) -> list[list[QuadExtScalar]]:
+    """The symmetric A with f = <A x, x>: diagonal from squares, halved cross
+    terms."""
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("quadratic-form extraction needs homogeneous degree 2")
     n = f.nvars
@@ -45,23 +36,7 @@ def to_matrix(f: Poly, sig: AmbientSig) -> QuadMatrix:
             i, j = support
             rows[i][j] = coeff * half
             rows[j][i] = coeff * half
-    return QuadMatrix(tuple(tuple(row) for row in rows), sig)
-
-
-def from_matrix(qm: QuadMatrix) -> Poly:
-    """Reassemble the quadratic polynomial <A x, x> from its matrix."""
-    n = len(qm.entries)
-    terms: dict[tuple[int, ...], QuadExtScalar] = {}
-    for i in range(n):
-        for j in range(i, n):
-            coeff = qm.entries[i][j] if i == j else qm.entries[i][j] + qm.entries[j][i]
-            if coeff.is_zero():
-                continue
-            mono = [0] * n
-            mono[i] += 1
-            mono[j] += 1
-            terms[tuple(mono)] = coeff
-    return Poly(n, terms)
+    return rows
 
 
 def exact_rank(matrix: list[list[QuadExtScalar]]) -> int:
@@ -88,19 +63,21 @@ def exact_rank(matrix: list[list[QuadExtScalar]]) -> int:
     return rank
 
 
-def reducibility_rank(qm: QuadMatrix) -> str:
+def reducibility_rank(entries: list[list[QuadExtScalar]]) -> str:
     """Rank-based criterion: rank >= 3 -> 'irreducible' (the form has no
     linear factors even over C), rank 1 or 2 -> 'reducible', rank 0 ->
     'degenerate' (zero form)."""
-    rank = exact_rank([list(row) for row in qm.entries])
+    rank = exact_rank(entries)
     if rank == 0:
         return "degenerate"
     return "irreducible" if rank >= 3 else "reducible"
 
 
-def _pencil_matrix(qm: QuadMatrix) -> list[list[QuadExtScalar]]:
+def _pencil_matrix(
+    entries: list[list[QuadExtScalar]], sig: AmbientSig
+) -> list[list[QuadExtScalar]]:
     """B A, the pencil whose char poly is the fingerprint."""
-    return [[a * b for a in row] for row, b in zip(qm.entries, qm.sig.b_diag)]
+    return [[a * b for a in row] for row, b in zip(entries, sig.b_diag)]
 
 
 def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
@@ -186,13 +163,13 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
         return ClassifyResult(
             "not in family", None, "ZMC residual is not a multiple of f"
         )
-    qm = to_matrix(f, sig)
-    verdict = reducibility_rank(qm)
+    entries = to_matrix(f)
+    verdict = reducibility_rank(entries)
     if verdict != "irreducible":
         return ClassifyResult(
             "not in family", None, f"quadratic form is {verdict} (rank <= 2)"
         )
-    fingerprint = char_poly_exact(_pencil_matrix(qm))
+    fingerprint = char_poly_exact(_pencil_matrix(entries, sig))
     k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
     for m in range(1, sig.nvars - 2 - k):
         n = sig.nvars - 2 - k - m

@@ -41,17 +41,6 @@ class AmbientSig:
     def b_diag(self) -> tuple[int, ...]:
         return (-1,) * self.s + (1,) * (self.nvars - self.s)
 
-    def space_name(self) -> str:
-        if self.s == 2 and self.epsilon == -1:
-            return "anti de Sitter"
-        if self.s == 1 and self.epsilon == 1:
-            return "de Sitter"
-        if self.s == 1 and self.epsilon == -1:
-            return "hyperbolic"
-        if self.s == 0 and self.epsilon == 1:
-            return "sphere"
-        return f"pseudo-sphere(s={self.s}, eps={self.epsilon})"
-
 
 def _check_dims(f: Poly, sig: AmbientSig) -> None:
     if f.nvars != sig.nvars:
@@ -154,13 +143,14 @@ class ZmcReport:
     def quotient_h(self) -> Poly | None:
         return self.quotient if self.divides else None
 
-    def to_dict(self, family: str | None = None, params=None, sig: AmbientSig | None = None, degree: int | None = None) -> dict:
-        """JSON-ready report document."""
+    def to_dict(self, family: str | None, params, sig: AmbientSig, degree: int) -> dict:
+        """JSON-ready report document; family and params are None for a
+        polynomial given as text."""
         doc = {
             "family": family,
             "params": list(params) if params is not None else None,
-            "s": sig.s if sig else None,
-            "epsilon": sig.epsilon if sig else None,
+            "s": sig.s,
+            "epsilon": sig.epsilon,
             "degree": degree,
             "divides": self.divides,
             "h": self.quotient.render() if self.divides else None,
@@ -202,34 +192,3 @@ def hessian_float(f: Poly, point: np.ndarray) -> np.ndarray:
             out[i, j] = value
             out[j, i] = value
     return out
-
-
-def laplacian_in_basis(
-    f: Poly,
-    basis: np.ndarray,
-    sig: AmbientSig,
-    point: np.ndarray,
-    ortho_tol: float = 1e-10,
-) -> float:
-    """Signature Laplacian written in an arbitrary pseudo-orthonormal basis.
-
-    `basis` holds N+1 row vectors v_i with <B v_i, v_j> equal to the metric
-    matrix entries (checked to `ortho_tol`).  The returned value is
-    sum_i B_ii * <Hess f(point) v_i, v_i>, which must agree with the
-    coordinate formula `laplacian_sig` evaluated at the same point.
-    """
-    _check_dims(f, sig)
-    basis = np.asarray(basis, dtype=float)
-    point = np.asarray(point, dtype=float)
-    n = sig.nvars
-    if basis.shape != (n, n):
-        raise ValueError(f"basis must be {n}x{n}, got {basis.shape}")
-    b = np.asarray(sig.b_diag, dtype=float)
-    gram = basis @ np.diag(b) @ basis.T
-    deviation = np.max(np.abs(gram - np.diag(b)))
-    if deviation > ortho_tol:
-        raise ValueError(
-            f"basis is not pseudo-orthonormal: max Gram deviation {deviation:.3e}"
-        )
-    hess = hessian_float(f, point)
-    return float(sum(b[i] * basis[i] @ hess @ basis[i] for i in range(n)))

@@ -1,0 +1,194 @@
+"""Reference oracles the tests compare zmckit against.
+
+None of these run in the `zmckit` commands; each is an independent way to
+compute something the package computes, kept here so that the package holds
+only what the commands run:
+
+- `expected_fundamental_form` and `patch_fundamental_form_fd`: the closed-form
+  first fundamental form of a lawson coordinate patch, and the same form from
+  central differences of the patch in 60-digit `decimal` arithmetic;
+- `normal_derivatives_fd`: Gauss-map derivatives by finite differences, a
+  check of `geometry.shape_operator`;
+- `laplacian_in_basis`: the signature Laplacian in a pseudo-orthonormal basis,
+  with `random_orthonormal_basis` to draw one;
+- `is_exact_isometry`: M^T B M == B in exact arithmetic;
+- `from_matrix`: the quadratic polynomial <A x, x> of a form matrix.
+"""
+
+from __future__ import annotations
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+
+from zmckit.families import SurfacePatch
+from zmckit.geometry import VarietyPoint, gauss_map, newton_project
+from zmckit.isometry import ExactMatrix, matmul_exact, random_exact_isometry
+from zmckit.poly import Poly
+from zmckit.scalars import ZERO, QuadExtScalar, as_scalar
+from zmckit.zmc import AmbientSig, _check_dims, hessian_float
+
+
+# -- lawson coordinate patches ------------------------------------------------
+
+
+def expected_fundamental_form(patch: SurfacePatch, s: float) -> tuple[float, float, float]:
+    """Closed-form first fundamental form (E, F, G) at parameter s."""
+    k, n = patch.k, patch.n
+    if k < n:
+        return 1.0, 0.0, 0.5 * (k * k + n * n + (n * n - k * k) * math.cosh(2 * s))
+    return -1.0, 0.0, -0.5 * (k * k + n * n + (k * k - n * n) * math.cosh(2 * s))
+
+
+def _hyperbolic_decimal(x: Decimal) -> tuple[Decimal, Decimal]:
+    e = x.exp()
+    inv = 1 / e
+    return (e + inv) / 2, (e - inv) / 2
+
+
+def _patch_coords_decimal(patch: SurfacePatch, s: Decimal, t: Decimal) -> list[Decimal]:
+    k, n = patch.k, patch.n
+    ch_s, sh_s = _hyperbolic_decimal(s)
+    ch_nt, sh_nt = _hyperbolic_decimal(n * t)
+    ch_kt, sh_kt = _hyperbolic_decimal(k * t)
+    if k < n:
+        return [ch_s * ch_nt, sh_s * sh_kt, ch_s * sh_nt, -ch_kt * sh_s]
+    return [ch_nt * sh_s, ch_s * sh_kt, sh_s * sh_nt, -ch_s * ch_kt]
+
+
+def patch_fundamental_form_fd(
+    patch: SurfacePatch, s: float, t: float, step: str = "1e-12", digits: int = 60
+) -> tuple[float, float, float]:
+    """First fundamental form from central finite differences of the patch.
+
+    The patch components grow like cosh(k t) cosh(s) while the fundamental
+    form stays of moderate size, so the B-inner products cancel far below
+    double precision; the differencing therefore runs in `decimal` arithmetic
+    with `digits` digits and only the final (E, F, G) are rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        h = Decimal(step)
+        sd = Decimal(repr(float(s)))
+        td = Decimal(repr(float(t)))
+        two_h = 2 * h
+        ds = [
+            (a - b) / two_h
+            for a, b in zip(
+                _patch_coords_decimal(patch, sd + h, td),
+                _patch_coords_decimal(patch, sd - h, td),
+            )
+        ]
+        dt = [
+            (a - b) / two_h
+            for a, b in zip(
+                _patch_coords_decimal(patch, sd, td + h),
+                _patch_coords_decimal(patch, sd, td - h),
+            )
+        ]
+        signs = (-1, -1, 1, 1)
+        e_val = sum(sign * a * a for sign, a in zip(signs, ds))
+        f_val = sum(sign * a * b for sign, a, b in zip(signs, ds, dt))
+        g_val = sum(sign * b * b for sign, b in zip(signs, dt))
+    return float(e_val), float(f_val), float(g_val)
+
+
+# -- shape operator -------------------------------------------------------------
+
+
+def normal_derivatives_fd(
+    p: VarietyPoint,
+    f: Poly,
+    sig: AmbientSig,
+    frame: np.ndarray,
+    step: float = 1e-5,
+) -> np.ndarray:
+    """Finite-difference Gauss-map derivatives along each frame vector.
+
+    Row i approximates d(nu)(v_i) by central differences, re-projecting the
+    displaced points onto Sigma with Newton.  Independent check of
+    `shape_operator`.
+    """
+    rows = []
+    for v in frame:
+        plus = newton_project(f, sig, p.coords + step * v)
+        minus = newton_project(f, sig, p.coords - step * v)
+        nu_plus = gauss_map(plus, f, sig)
+        nu_minus = gauss_map(minus, f, sig)
+        rows.append((nu_plus - nu_minus) / (2.0 * step))
+    return np.vstack(rows)
+
+
+# -- Laplacian and isometries ---------------------------------------------------
+
+
+def laplacian_in_basis(
+    f: Poly,
+    basis: np.ndarray,
+    sig: AmbientSig,
+    point: np.ndarray,
+    ortho_tol: float = 1e-10,
+) -> float:
+    """Signature Laplacian written in an arbitrary pseudo-orthonormal basis.
+
+    `basis` holds N+1 row vectors v_i with <B v_i, v_j> equal to the metric
+    matrix entries (checked to `ortho_tol`).  The returned value is
+    sum_i B_ii * <Hess f(point) v_i, v_i>, which must agree with the
+    coordinate formula `laplacian_sig` evaluated at the same point.
+    """
+    _check_dims(f, sig)
+    basis = np.asarray(basis, dtype=float)
+    point = np.asarray(point, dtype=float)
+    n = sig.nvars
+    if basis.shape != (n, n):
+        raise ValueError(f"basis must be {n}x{n}, got {basis.shape}")
+    b = np.asarray(sig.b_diag, dtype=float)
+    gram = basis @ np.diag(b) @ basis.T
+    deviation = np.max(np.abs(gram - np.diag(b)))
+    if deviation > ortho_tol:
+        raise ValueError(
+            f"basis is not pseudo-orthonormal: max Gram deviation {deviation:.3e}"
+        )
+    hess = hessian_float(f, point)
+    return float(sum(b[i] * basis[i] @ hess @ basis[i] for i in range(n)))
+
+
+def random_orthonormal_basis(
+    sig: AmbientSig, rng: np.random.Generator, steps: int = 4
+) -> np.ndarray:
+    """Float rows v_i with <B v_i, v_j> = B_ij, from a random exact isometry."""
+    return np.array(random_exact_isometry(sig, rng, steps), dtype=float)
+
+
+def is_exact_isometry(m: ExactMatrix, sig: AmbientSig) -> bool:
+    """Check M^T B M == B with exact arithmetic."""
+    n = sig.nvars
+    b = sig.b_diag
+    bm = [[m[i][j] * b[i] for j in range(n)] for i in range(n)]
+    product = matmul_exact([list(col) for col in zip(*m)], bm)
+    for i in range(n):
+        for j in range(n):
+            expected = as_scalar(b[i]) if i == j else ZERO
+            if product[i][j] != expected:
+                return False
+    return True
+
+
+# -- quadratic forms ------------------------------------------------------------
+
+
+def from_matrix(entries: list[list[QuadExtScalar]]) -> Poly:
+    """Reassemble the quadratic polynomial <A x, x> from its matrix."""
+    n = len(entries)
+    terms: dict[tuple[int, ...], QuadExtScalar] = {}
+    for i in range(n):
+        for j in range(i, n):
+            coeff = entries[i][j] if i == j else entries[i][j] + entries[j][i]
+            if coeff.is_zero():
+                continue
+            mono = [0] * n
+            mono[i] += 1
+            mono[j] += 1
+            terms[tuple(mono)] = coeff
+    return Poly(n, terms)

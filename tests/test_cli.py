@@ -222,6 +222,16 @@ def test_family_without_sampler_is_usage_error(capsys, command):
     assert run(capsys, "verify", "--family", "lawson:1,1")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sample", "report"])
+def test_count_below_one_is_usage_error(capsys, command):
+    # report used to sample nothing and record the count as a numerical
+    # breakdown of the family (exit 1).
+    code, out, err = run(capsys, command, "--family", "ds2:1", "--count", "0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --count must be >= 1"]
+
+
 def test_residual_bound_violation_exits_3(capsys):
     code, out, err = run(
         capsys, "sample", "--family", "ds2:4", "--count", "3", "--tol-residual", "1e-300"
