@@ -77,9 +77,14 @@ def _render_json(value, indent: int = 0) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write `text` to `path`, or to stdout when no path is given; a path
+    that cannot be written is a usage error (ValueError, exit 2)."""
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -118,9 +123,9 @@ def cmd_verify(args) -> int:
 def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
     """Parse and check the families and --count of a sampling command.
 
-    A missing --family, a family without a sampler (lawson:k,k) and a count
-    below one are config errors (exit 2), raised before anything is sampled,
-    not numerical breakdowns (3).
+    A missing --family, a family without a sampler (lawson:k,k), a count
+    below one and a negative seed are config errors (exit 2), raised before
+    anything is sampled, not numerical breakdowns (3).
     """
     if not labels:
         raise ValueError(f"{args.command} requires --family")
@@ -130,6 +135,8 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
             surface_patch(spec)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     return specs
 
 

@@ -1,29 +1,30 @@
 """Sparse multivariate polynomials over Q(sqrt(d)).
 
-A polynomial keeps a dict mapping exponent tuples (one entry per variable,
-variables are 1-based in the public API) to nonzero QuadExtScalar
-coefficients.  All coefficients must live in a single quadratic field; the
-shared square-free tag is exposed as `Poly.d` (1 for purely rational
-polynomials).  The monomial order everywhere is graded lexicographic with
-x1 > x2 > ..., which makes single-divisor division deterministic.
+A polynomial is stored once, as integers over one denominator: `den > 0` and
+a dict `ints` mapping exponent tuples (one entry per variable; variables are
+1-based in the public API) to integer pairs (a, b), each meaning the
+coefficient (a + b sqrt(d)) / den.  The form is canonical: no (0, 0)
+entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
+(1 for purely rational polynomials), so equality and hashing compare
+(nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
+works on these integers and returns through one normaliser, `_canonical`;
+`terms` rebuilds the coefficients as reduced QuadExtScalars on demand.  The
+monomial order everywhere is graded lexicographic with x1 > x2 > ..., which
+makes single-divisor division deterministic.
 
-Everything is exact.  Instances are immutable by convention and hashable,
-so derived data (gradients, Hessians) can be cached keyed on the polynomial.
-Each QuadExtScalar coefficient is already integers (a + b sqrt(d)) / den in
-lowest terms.  Multiplication and division read those integers directly,
-multiply on numerators over one common denominator per polynomial
-(`Poly._int_view`), and build each output coefficient once through the
-scalar's own normaliser.
+Everything is exact.  Instances are immutable and hashable, so derived data
+(gradients, Hessians) can be cached keyed on the polynomial.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
+from .scalars import ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -41,39 +42,31 @@ def monomial_divides(divisor: Monomial, multiple: Monomial) -> bool:
 class Poly:
     """Immutable sparse polynomial in `nvars` variables over Q(sqrt(d))."""
 
-    __slots__ = ("nvars", "d", "terms", "_hash", "_float_terms", "_int_terms")
+    __slots__ = ("nvars", "d", "den", "ints", "_hash", "_float_terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
+    def __new__(cls, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
             raise ValueError(f"nvars must be positive, got {nvars}")
-        clean: dict[Monomial, QuadExtScalar] = {}
+        clean: dict[Monomial, tuple[int, int, int]] = {}
         d = 1
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != nvars:
+                raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in monomial {mono}")
+            coeff = as_scalar(coeff)
+            if coeff.is_zero():
+                continue
+            if coeff.d != 1:
+                if d == 1:
+                    d = coeff.d
+                elif d != coeff.d:
                     raise ValueError(
-                        f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
+                        f"mixed surds in one polynomial: sqrt({d}) and sqrt({coeff.d})"
                     )
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in monomial {mono}")
-                coeff = as_scalar(coeff)
-                if coeff.is_zero():
-                    continue
-                if coeff.d != 1:
-                    if d == 1:
-                        d = coeff.d
-                    elif d != coeff.d:
-                        raise ValueError(
-                            f"mixed surds in one polynomial: sqrt({d}) and sqrt({coeff.d})"
-                        )
-                clean[mono] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_float_terms", None)
-        object.__setattr__(self, "_int_terms", None)
+            clean[mono] = (coeff.a, coeff.b, coeff.den)
+        return _over_lcm(nvars, d, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly instances are immutable")
@@ -95,61 +88,66 @@ class Poly:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         mono = [0] * nvars
         mono[index - 1] = 1
-        return cls(nvars, {tuple(mono): ONE})
+        return cls(nvars, {tuple(mono): 1})
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Monomial, QuadExtScalar]:
+        """Each coefficient as a reduced QuadExtScalar, in storage order.  A
+        new dict on every access: changing it leaves the polynomial alone."""
+        den, d = self.den, self.d
+        return {m: _normal(a, b, den, d) for m, (a, b) in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial by convention."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.ints)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(m) for m in self.terms}) <= 1
+        return len({sum(m) for m in self.ints}) <= 1
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return max(self.ints, key=grlex_key)
 
     def coefficient(self, monomial: Monomial) -> QuadExtScalar:
-        return self.terms.get(tuple(monomial), ZERO)
+        ab = self.ints.get(tuple(monomial))
+        return ZERO if ab is None else _normal(*ab, self.den, self.d)
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.ints)
 
-    def _check_compatible(self, other: "Poly") -> None:
+    def _join(self, other: "Poly") -> int:
+        """The field tag the two polynomials share; raises ValueError when
+        their variable counts or surds differ."""
         if self.nvars != other.nvars:
-            raise ValueError(
-                f"dimension mismatch: {self.nvars} vs {other.nvars} variables"
-            )
+            raise ValueError(f"dimension mismatch: {self.nvars} vs {other.nvars} variables")
         if self.d != 1 and other.d != 1 and self.d != other.d:
-            raise ValueError(
-                f"incompatible surds: sqrt({self.d}) vs sqrt({other.d})"
-            )
+            raise ValueError(f"incompatible surds: sqrt({self.d}) vs sqrt({other.d})")
+        return self.d if self.d != 1 else other.d
 
     # -- ring arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = total
-        return Poly(self.nvars, out)
+        d = self._join(other)
+        den = lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        out = {m: (a * k1, b * k1) for m, (a, b) in self.ints.items()}
+        for mono, (a, b) in other.ints.items():
+            a0, b0 = out.get(mono, (0, 0))
+            out[mono] = (a0 + a * k2, b0 + b * k2)
+        return _canonical(self.nvars, d, den, out)
 
     def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -159,17 +157,13 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             try:
-                scalar = as_scalar(other)
+                other = Poly.constant(self.nvars, other)
             except TypeError:
                 return NotImplemented
-            return self.scale(scalar)
-        self._check_compatible(other)
-        den1, left = self._int_view()
-        den2, right = other._int_view()
-        d = self.d if self.d != 1 else other.d
+        d = self._join(other)
         out: dict[Monomial, list[int]] = {}
-        for m1, (a1, b1) in left.items():
-            for m2, (a2, b2) in right.items():
+        for m1, (a1, b1) in self.ints.items():
+            for m2, (a2, b2) in other.ints.items():
                 mono = tuple(map(add, m1, m2))
                 acc = out.get(mono)
                 if acc is None:
@@ -177,20 +171,13 @@ class Poly:
                 else:
                     acc[0] += a1 * a2 + b1 * b2 * d
                     acc[1] += a1 * b2 + a2 * b1
-        den = den1 * den2
-        return Poly(
-            self.nvars,
-            {m: _normal(a, b, den, d) for m, (a, b) in out.items() if a or b},
-        )
+        return _canonical(self.nvars, d, self.den * other.den, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, value) -> "Poly":
-        c = as_scalar(value)
-        if c.is_zero():
-            return Poly(self.nvars)
-        return Poly(self.nvars, {m: coeff * c for m, coeff in self.terms.items()})
+        return self * Poly.constant(self.nvars, value)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -212,44 +199,14 @@ class Poly:
         if not 1 <= index <= self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         i = index - 1
-        out: dict[Monomial, QuadExtScalar] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, tuple[int, int]] = {}
+        for mono, (a, b) in self.ints.items():
             e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            out[lowered] = coeff * e
-        return Poly(self.nvars, out)
+            if e:
+                out[mono[:i] + (e - 1,) + mono[i + 1 :]] = (a * e, b * e)
+        return _canonical(self.nvars, self.d, self.den, out)
 
     # -- evaluation ----------------------------------------------------------------
-
-    def eval_exact(self, point: Sequence) -> QuadExtScalar:
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
-        values = [as_scalar(v) for v in point]
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, mono):
-                if e:
-                    term = term * value**e
-            total = total + term
-        return total
-
-    def _int_view(self) -> tuple[int, dict[Monomial, tuple[int, int]]]:
-        """(den, {mono: (a, b)}): each coefficient is (a + b sqrt(d)) / den
-        with integers a, b and one common denominator den > 0."""
-        cached = self._int_terms
-        if cached is None:
-            den = lcm(*(c.den for c in self.terms.values()))
-            cached = (den, {
-                m: (c.a * (den // c.den), c.b * (den // c.den))
-                for m, c in self.terms.items()
-            })
-            object.__setattr__(self, "_int_terms", cached)
-        return cached
 
     def _float_view(self) -> list[tuple[float, Monomial]]:
         cached = self._float_terms
@@ -288,19 +245,17 @@ class Poly:
         if any(r.nvars != out_nvars for r in replacements):
             raise ValueError("replacement polynomials disagree on nvars")
         # Power tables avoid recomputing r_i^e across monomials.
-        max_exp = [0] * self.nvars
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                max_exp[i] = max(max_exp[i], e)
+        max_exp = [max(column) for column in zip(*self.ints)]
+        origin = (0,) * out_nvars
         powers: list[list[Poly]] = []
         for r, top in zip(replacements, max_exp):
-            row = [Poly.constant(out_nvars, 1)]
+            row = [_canonical(out_nvars, 1, 1, {origin: (1, 0)})]
             for _ in range(top):
                 row.append(row[-1] * r)
             powers.append(row)
         total = Poly(out_nvars)
-        for mono, coeff in self.terms.items():
-            term = Poly.constant(out_nvars, coeff)
+        for mono, coeff in self.ints.items():
+            term = _canonical(out_nvars, self.d, self.den, {origin: coeff})
             for i, e in enumerate(mono):
                 if e:
                     term = term * powers[i][e]
@@ -311,11 +266,12 @@ class Poly:
 
     def render(self) -> str:
         """Text form in the input grammar; parse(render(p), p.nvars) == p."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces: list[str] = []
-        for mono in sorted(self.terms, key=grlex_key, reverse=True):
-            sign, body = _render_term(self.terms[mono], mono)
+        for mono in sorted(terms, key=grlex_key, reverse=True):
+            sign, body = _render_term(terms[mono], mono)
             if not pieces:
                 pieces.append(body if sign >= 0 else f"-{body}")
             else:
@@ -332,12 +288,14 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.d, self.den, self.ints) == (
+            other.nvars, other.d, other.den, other.ints
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
+            h = hash((self.nvars, self.d, self.den, frozenset(self.ints.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -345,6 +303,30 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return divide(self, other)
+
+
+def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:
+    """The one normaliser: the Poly whose coefficient at each monomial is
+    (a + b sqrt(d)) / den for `ints[mono] = (a, b)`, integers with den > 0.
+    It drops (0, 0) entries, divides out gcd(den, every a, every b) and sets
+    d = 1 when no b is left; the order of `ints` is kept."""
+    g = gcd(den, *chain.from_iterable(ints.values()))
+    ints = {m: (a // g, b // g) for m, (a, b) in ints.items() if a or b}
+    if not any(b for _, b in ints.values()):
+        d = 1
+    out = object.__new__(Poly)
+    for name, value in zip(Poly.__slots__, (nvars, d, den // g, ints, None, None)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+def _over_lcm(nvars: int, d: int, triples: Mapping) -> Poly:
+    """The Poly with coefficient (a + b sqrt(d)) / den at each monomial, for
+    `triples[mono] = (a, b, den)`: all over the lcm of the denominators."""
+    den = lcm(*(t for _, _, t in triples.values()))
+    return _canonical(nvars, d, den, {
+        m: (a * (den // t), b * (den // t)) for m, (a, b, t) in triples.items()
+    })
 
 
 def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
@@ -376,22 +358,24 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
 
     The leading term of the work polynomial comes from a heap keyed on grlex
     (after Johnson 1974 and Monagan & Pearce 2007); a key whose term has
-    cancelled is skipped when popped.  Each step updates a work coefficient
-    (a + b sqrt(d)) / den on its integers and normalises it once.
+    cancelled is skipped when popped.  Work, quotient and remainder
+    coefficients are integer triples (a, b, den), each update reduced once by
+    `lowest_terms`; dividing by lc(f) = (fa + fb sqrt(d)) / den_f multiplies
+    by den_f (fa - fb sqrt(d)) over its norm fa^2 - fb^2 d.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    g._check_compatible(f)
-    d = g.d if g.d != 1 else f.d
+    d = g._join(f)
     lm_f = f.leading_monomial()
-    inv = f.terms[lm_f].inverse()
-    den_f, f_ints = f._int_view()
-    rest = [(m, a, b) for m, (a, b) in f_ints.items() if m != lm_f]
-    work = dict(g.terms)
+    den_f = f.den
+    fa, fb = f.ints[lm_f]
+    norm = fa * fa - fb * fb * d
+    rest = [(m, a, b) for m, (a, b) in f.ints.items() if m != lm_f]
+    work = {m: (a, b, g.den) for m, (a, b) in g.ints.items()}
     heap = [_heap_item(m) for m in work]
     heapify(heap)
-    quotient: dict[Monomial, QuadExtScalar] = {}
-    remainder: dict[Monomial, QuadExtScalar] = {}
+    quotient: dict[Monomial, tuple[int, int, int]] = {}
+    remainder: dict[Monomial, tuple[int, int, int]] = {}
     while heap:
         lm = heappop(heap)[2]
         coeff = work.pop(lm, None)
@@ -401,9 +385,11 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
             remainder[lm] = coeff
             continue
         qm = tuple(map(sub, lm, lm_f))
-        qc = quotient[qm] = coeff * inv
-        qa, qb, qden = qc.a, qc.b, qc.den
-        # Subtract qc * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
+        wa, wb, wden = coeff
+        qa, qb, qden = quotient[qm] = lowest_terms(
+            den_f * (wa * fa - wb * fb * d), den_f * (wb * fa - wa * fb), wden * norm
+        )
+        # Subtract q * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
         step_den = qden * den_f
         for mono, ra, rb in rest:
             target = tuple(map(add, qm, mono))
@@ -411,14 +397,14 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
             pb = qa * rb + qb * ra
             old = work.get(target)
             if old is None:
-                work[target] = _normal(-pa, -pb, step_den, d)
+                work[target] = lowest_terms(-pa, -pb, step_den)
                 heappush(heap, _heap_item(target))
                 continue
-            wden = old.den
-            na = old.a * step_den - pa * wden
-            nb = old.b * step_den - pb * wden
+            oa, ob, oden = old
+            na = oa * step_den - pa * oden
+            nb = ob * step_den - pb * oden
             if na or nb:
-                work[target] = _normal(na, nb, wden * step_den, d)
+                work[target] = lowest_terms(na, nb, oden * step_den)
             else:
                 del work[target]
-    return Poly(g.nvars, quotient), Poly(g.nvars, remainder)
+    return _over_lcm(g.nvars, d, quotient), _over_lcm(g.nvars, d, remainder)

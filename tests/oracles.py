@@ -12,7 +12,9 @@ only what the commands run:
 - `laplacian_in_basis`: the signature Laplacian in a pseudo-orthonormal basis,
   with `random_orthonormal_basis` to draw one;
 - `is_exact_isometry`: M^T B M == B in exact arithmetic;
-- `from_matrix`: the quadratic polynomial <A x, x> of a form matrix.
+- `from_matrix`: the quadratic polynomial <A x, x> of a form matrix;
+- `eval_exact`: a polynomial's value at a point, term by term in
+  QuadExtScalar arithmetic.
 """
 
 from __future__ import annotations
@@ -192,3 +194,18 @@ def from_matrix(entries: list[list[QuadExtScalar]]) -> Poly:
             mono[j] += 1
             terms[tuple(mono)] = coeff
     return Poly(n, terms)
+
+
+def eval_exact(f: Poly, point) -> QuadExtScalar:
+    """f at `point` (ints, Fractions or QuadExtScalars), exactly."""
+    if len(point) != f.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
+    values = [as_scalar(v) for v in point]
+    total = ZERO
+    for mono, coeff in f.terms.items():
+        term = coeff
+        for value, e in zip(values, mono):
+            if e:
+                term = term * value**e
+        total = total + term
+    return total

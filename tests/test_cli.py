@@ -232,6 +232,29 @@ def test_count_below_one_is_usage_error(capsys, command):
     assert err.splitlines() == ["error: --count must be >= 1"]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sample", "report"])
+def test_negative_seed_is_usage_error(capsys, command):
+    # numpy would reject a negative seed only once sampling starts: a config
+    # error, not a numerical breakdown (3) or a failed family in report (1).
+    code, out, err = run(capsys, command, "--family", "ds2:1", "--count", "2", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --seed must be >= 0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "ads:1,1,0"),
+    ("spectrum", "--family", "ds2:1", "--count", "2"),
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write --out {path}: No such file or directory"]
+    assert not path.parent.exists()
+
+
 def test_residual_bound_violation_exits_3(capsys):
     code, out, err = run(
         capsys, "sample", "--family", "ds2:4", "--count", "3", "--tol-residual", "1e-300"

@@ -114,7 +114,7 @@ def test_field_axioms(triple):
 @given(st.sampled_from([2, 3, 5, 6]).flatmap(lambda d: _scalars(d)))
 def test_conjugate_norm_is_rational(a):
     norm = a * a.conjugate()
-    assert norm.is_rational()
+    assert norm.b == 0
 
 
 def test_equal_rationals_share_hash_and_dict_slot():
