@@ -10,18 +10,27 @@ Commands:
     report    aggregate verify + spectrum + classification over families
 
 Each subcommand takes only the flags it reads (see `build_parser`): a flag
-given to another subcommand, such as `verify --format csv`, exits 2.
+given to another subcommand, such as `verify --format csv`, exits 2.  Each
+command takes one input, `--family` or (`verify`, `classify`) `--poly`; only
+`report` takes `--family` more than once.
 
-Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error, 3 numerical
-breakdown of the sample -> project -> spectrum pipeline.  Output is
-deterministic for a fixed config and seed: floats are rendered with 17
-significant digits and collections are assembled in sorted order.
+The numeric gates are fixed: the residual bounds `geometry.RESIDUAL_BOUND`
+on projected points, Newton's stopping tolerance `geometry.NEWTON_TOL`, the
+mean-curvature gate `DEFAULT_MEAN_CURV_TOL` and the cluster match
+`geometry.SPECTRUM_RTOL` against the closed-form oracle.
+
+Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error (a stdout
+that cannot be written included), 3 numerical breakdown of the sample ->
+project -> spectrum pipeline.  Output is deterministic for a fixed config and
+seed: floats are rendered with 17 significant digits and collections are
+assembled in sorted order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -45,8 +54,9 @@ EXIT_NUMERIC = 3
 # Raised after the input is validated, they fail the run, not the mathematics.
 NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, geometry.ProjectionError)
 
-DEFAULT_TOL_SPECTRUM = 1e-6
-DEFAULT_TOL_NEWTON = 1e-12
+# The benchmark in perfbench/ reads the gates under these names.
+DEFAULT_TOL_SPECTRUM = geometry.SPECTRUM_RTOL
+DEFAULT_TOL_NEWTON = geometry.NEWTON_TOL
 DEFAULT_TOL_RESIDUAL = geometry.RESIDUAL_BOUND
 DEFAULT_MEAN_CURV_TOL = 1e-8
 
@@ -78,17 +88,22 @@ def _render_json(value, indent: int = 0) -> str:
 
 def _write_output(text: str, path: str | None) -> None:
     """Write `text` to `path`, or to stdout when no path is given; a path
-    that cannot be written is a usage error (ValueError, exit 2)."""
+    or a stdout that cannot be written is a usage error (ValueError, exit 2)."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # Send the unwritten buffer to devnull, or the interpreter's flush at
+        # exit fails again and prints "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _parse_sig(text: str, nvars: int) -> AmbientSig:
@@ -99,10 +114,21 @@ def _parse_sig(text: str, nvars: int) -> AmbientSig:
         raise ValueError(f"bad --sig value {text!r}; expected s,eps") from exc
 
 
+def _one_family(args) -> list[str]:
+    """The --family value of a one-input command, as a list of at most one."""
+    labels = args.family or []
+    if len(labels) > 1:
+        raise ValueError(f"{args.command} takes one --family, got {len(labels)}")
+    return labels
+
+
 def _resolve_input(args) -> tuple[Poly, AmbientSig, str | None, tuple[int, ...] | None]:
     """Turn CLI flags into (poly, sig, family_label, params)."""
-    if args.family:
-        spec = parse_family(args.family)
+    labels = _one_family(args)
+    if labels:
+        if args.poly is not None:
+            raise ValueError("give either --family or --poly, not both")
+        spec = parse_family(labels[0])
         return make_poly(spec), spec.sig, spec.kind, spec.params
     if args.poly is None or args.nvars is None:
         raise ValueError("either --family or both --poly and --nvars are required")
@@ -140,23 +166,24 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
     return specs
 
 
-def _projected_points(f: Poly, spec: FamilySpec, seed: int, args):
+def _projected_points(f: Poly, spec: FamilySpec, seed: int, count: int):
     """Sampled points Newton-projected onto f = 0, within the residual bounds."""
-    for coords in sample_points(spec, args.count, seed):
-        point = geometry.newton_project(f, spec.sig, coords, tol=args.tol_newton)
-        geometry.check_residuals(point, spec.degree, args.tol_residual)
+    for coords in sample_points(spec, count, seed):
+        point = geometry.newton_project(f, spec.sig, coords)
+        geometry.check_residuals(point, spec.degree, DEFAULT_TOL_RESIDUAL)
         yield point
 
 
-def _spectrum_rows(f: Poly, spec: FamilySpec, seed: int, args):
-    """Per-point geometry for one family member: the oracle (None where the
-    family has none) and one (point, spectrum, row dict) per sample."""
+def _spectrum_rows(f: Poly, spec: FamilySpec, seed: int, count: int):
+    """Per-point geometry of one family member, gated as it is built: one row
+    dict per sample and the first gate miss in point order (None when every
+    point passes).  Families without an oracle gate mean curvature only."""
     try:
         oracle = spectrum_oracle(spec)
     except ValueError:
         oracle = None
-    rows = []
-    for point in _projected_points(f, spec, seed, args):
+    rows, failure = [], None
+    for point in _projected_points(f, spec, seed, count):
         spectrum = geometry.curvature_spectrum(point, f, spec.sig)
         row = {
             "point": point.to_dict(),
@@ -168,32 +195,24 @@ def _spectrum_rows(f: Poly, spec: FamilySpec, seed: int, args):
             "mean_curvature": spectrum.mean_curvature,
             "defective": spectrum.defective_flag,
         }
-        if oracle is not None:
-            row["expected_clusters"] = [
-                {"value": v, "multiplicity": m}
-                for v, m in oracle.spectrum(point.coords)
-            ]
-            row["expected_w"] = oracle.expected_w(point.coords)
-        rows.append((point, spectrum, row))
-    return oracle, rows
-
-
-def _gate_spectrum_rows(oracle, rows, tol_spectrum: float) -> tuple[bool, str]:
-    for point, spectrum, row in rows:
-        if abs(spectrum.mean_curvature) > DEFAULT_MEAN_CURV_TOL:
-            return False, (
+        if failure is None and abs(spectrum.mean_curvature) > DEFAULT_MEAN_CURV_TOL:
+            failure = (
                 f"mean curvature {spectrum.mean_curvature:.3e} exceeds "
                 f"{DEFAULT_MEAN_CURV_TOL} at {point.coords.tolist()}"
             )
-        if oracle is None:
-            continue
-        expected = oracle.spectrum(point.coords)
-        if not geometry.match_spectrum(spectrum, expected, rtol=tol_spectrum):
-            return False, (
-                f"spectrum {spectrum.cluster_pairs()} does not match oracle "
-                f"{sorted(expected)} at {point.coords.tolist()}"
-            )
-    return True, ""
+        if oracle is not None:
+            expected = oracle.spectrum(point.coords)
+            row["expected_clusters"] = [
+                {"value": v, "multiplicity": m} for v, m in expected
+            ]
+            row["expected_w"] = oracle.expected_w(point.coords)
+            if failure is None and not geometry.match_spectrum(spectrum, expected):
+                failure = (
+                    f"spectrum {spectrum.cluster_pairs()} does not match oracle "
+                    f"{sorted(expected)} at {point.coords.tolist()}"
+                )
+        rows.append(row)
+    return rows, failure
 
 
 def _csv(header: list[str], rows) -> str:
@@ -207,14 +226,15 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _spectrum_csv(rows) -> str:
-    max_clusters = max((len(row["clusters"]) for _, _, row in rows), default=0)
+    max_clusters = max((len(row["clusters"]) for row in rows), default=0)
     header = ["point", "f_residual", "constraint_residual", "w", "mean_curvature"]
     for i in range(1, max_clusters + 1):
         header += [f"cluster{i}_value", f"cluster{i}_mult"]
     table = []
-    for idx, (point, spectrum, row) in enumerate(rows):
-        cells = [idx, point.f_residual, point.constraint_residual, point.w_value,
-                 spectrum.mean_curvature]
+    for idx, row in enumerate(rows):
+        point = row["point"]
+        cells = [idx, point["f_residual"], point["constraint_residual"], point["w"],
+                 row["mean_curvature"]]
         for cluster in row["clusters"]:
             cells += [cluster["value"], cluster["multiplicity"]]
         table.append(cells)
@@ -227,36 +247,36 @@ def _breakdown(exc: Exception) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    (spec,) = _sampled_families(args, [args.family] if args.family else [])
+    (spec,) = _sampled_families(args, _one_family(args))
     f = make_poly(spec)
     try:
-        oracle, rows = _spectrum_rows(f, spec, args.seed, args)
+        rows, failure = _spectrum_rows(f, spec, args.seed, args.count)
     except NUMERICAL_BREAKDOWN as exc:
         return _breakdown(exc)
-    passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
     doc = {
         "family": spec.kind,
         "params": list(spec.params),
         "count": args.count,
         "seed": args.seed,
-        "passed": passed,
-        "failure": reason or None,
-        "points": [row for _, _, row in rows],
+        "passed": failure is None,
+        "failure": failure,
+        "points": rows,
     }
     if args.format == "csv":
         _write_output(_spectrum_csv(rows), args.out)
     else:
         _write_output(_render_json(doc), args.out)
-    if not passed:
-        print(f"error: {reason}", file=sys.stderr)
-    return EXIT_PASS if passed else EXIT_FAIL
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_FAIL
+    return EXIT_PASS
 
 
 def cmd_sample(args) -> int:
-    (spec,) = _sampled_families(args, [args.family] if args.family else [])
+    (spec,) = _sampled_families(args, _one_family(args))
     f = make_poly(spec)
     try:
-        points = list(_projected_points(f, spec, args.seed, args))
+        points = list(_projected_points(f, spec, args.seed, args.count))
     except NUMERICAL_BREAKDOWN as exc:
         return _breakdown(exc)
     if args.format == "csv":
@@ -290,17 +310,14 @@ def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
     )
     entry["passed"] = report.divides
     try:
-        oracle, rows = _spectrum_rows(f, spec, args.seed + index, args)
-        passed, reason = _gate_spectrum_rows(oracle, rows, args.tol_spectrum)
+        rows, failure = _spectrum_rows(f, spec, args.seed + index, args.count)
         entry["spectrum"] = {
             "count": args.count,
-            "passed": passed,
-            "failure": reason or None,
-            "mean_curvature_max": max(
-                abs(s.mean_curvature) for _, s, _ in rows
-            ),
+            "passed": failure is None,
+            "failure": failure,
+            "mean_curvature_max": max(abs(row["mean_curvature"]) for row in rows),
         }
-        entry["passed"] = entry["passed"] and passed
+        entry["passed"] = entry["passed"] and failure is None
     except NUMERICAL_BREAKDOWN as exc:
         # Fails this family only; other exceptions are bugs.
         entry["spectrum"] = {"error": str(exc)}
@@ -331,21 +348,6 @@ def cmd_report(args) -> int:
     return EXIT_PASS if doc["passed"] else EXIT_FAIL
 
 
-# Output and tolerance flags; each subcommand registers the ones it reads.
-_FLAGS = {
-    "--format": {"choices": ("json", "csv"), "default": "json"},
-    "--tol-residual": {"type": float, "default": DEFAULT_TOL_RESIDUAL},
-    "--tol-spectrum": {"type": float, "default": DEFAULT_TOL_SPECTRUM},
-    "--tol-newton": {"type": float, "default": DEFAULT_TOL_NEWTON},
-}
-
-
-def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmckit",
@@ -353,42 +355,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="check residual divisibility")
-    p_verify.add_argument("--family")
-    p_verify.add_argument("--poly")
-    p_verify.add_argument("--nvars", type=int)
-    p_verify.add_argument("--sig")
-    _add_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--family", action="append")
+        p.add_argument("--out", help="output path (stdout when omitted)")
+        p.set_defaults(func=func)
+        return p
 
-    p_spec = sub.add_parser("spectrum", help="sample points and gate spectra")
-    p_spec.add_argument("--family")
-    p_spec.add_argument("--count", type=int, default=50)
-    p_spec.add_argument("--seed", type=int, default=0)
-    _add_flags(p_spec, "--format", "--tol-residual", "--tol-spectrum", "--tol-newton")
-    p_spec.set_defaults(func=cmd_spectrum)
+    for name, func, help_text, sig in (
+        ("verify", cmd_verify, "check residual divisibility", None),
+        ("classify", cmd_classify, "identify an ads-family quadric", "2,-1"),
+    ):
+        p = command(name, func, help_text)
+        p.add_argument("--poly")
+        p.add_argument("--nvars", type=int)
+        p.add_argument("--sig", default=sig)
 
-    p_sample = sub.add_parser("sample", help="emit on-variety points")
-    p_sample.add_argument("--family")
-    p_sample.add_argument("--count", type=int, default=10)
-    p_sample.add_argument("--seed", type=int, default=0)
-    _add_flags(p_sample, "--format", "--tol-residual", "--tol-newton")
-    p_sample.set_defaults(func=cmd_sample)
-
-    p_cls = sub.add_parser("classify", help="identify an ads-family quadric")
-    p_cls.add_argument("--family")
-    p_cls.add_argument("--poly")
-    p_cls.add_argument("--nvars", type=int)
-    p_cls.add_argument("--sig", default="2,-1")
-    _add_flags(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_rep = sub.add_parser("report", help="aggregate verify/spectrum/classify")
-    p_rep.add_argument("--family", action="append")
-    p_rep.add_argument("--count", type=int, default=20)
-    p_rep.add_argument("--seed", type=int, default=0)
-    _add_flags(p_rep, "--tol-residual", "--tol-spectrum", "--tol-newton")
-    p_rep.set_defaults(func=cmd_report)
+    for name, func, help_text, count in (
+        ("spectrum", cmd_spectrum, "sample points and gate spectra", 50),
+        ("sample", cmd_sample, "emit on-variety points", 10),
+        ("report", cmd_report, "aggregate verify/spectrum/classify", 20),
+    ):
+        p = command(name, func, help_text)
+        p.add_argument("--count", type=int, default=count)
+        p.add_argument("--seed", type=int, default=0)
+        if name != "report":
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -398,10 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    for name in ("tol_residual", "tol_spectrum", "tol_newton"):
-        if getattr(args, name, 1.0) <= 0:
-            print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, ParseError) as exc:

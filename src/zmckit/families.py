@@ -167,13 +167,18 @@ def _block_squares(nvars: int, start: int, size: int) -> Poly:
     return total
 
 
-def _ads_poly(m: int, n: int, k: int) -> Poly:
-    nv = 2 + m + n + k
-    x1, x2 = Poly.variable(nv, 1), Poly.variable(nv, 2)
-    mid = QuadExtScalar(Fraction(m - n)) * _sqrt_ratio(1, m * n)
-    f = (x1 * x2).scale(2) + (x2 * x2).scale(mid)
-    f = f + _block_squares(nv, 3, m).scale(_sqrt_ratio(n, m))
-    f = f - _block_squares(nv, 3 + m, n).scale(_sqrt_ratio(m, n))
+def _pencil_poly(spec: FamilySpec) -> Poly:
+    """2 x_a x2 + mu x2^2 + sqrt(n/m)|y|^2 - sqrt(m/n)|z|^2 of ads:m,n,k
+    (a = 1, mu = (m-n)/sqrt(mn), y from x3) and ds1:m,n (a = 3,
+    mu = (n-m)/sqrt(mn), y from x4)."""
+    m, n = spec.params[:2]
+    a, y, diff = (1, 3, m - n) if spec.kind == "ads" else (3, 4, n - m)
+    nv = spec.nvars
+    xa, x2 = Poly.variable(nv, a), Poly.variable(nv, 2)
+    mid = QuadExtScalar(Fraction(diff)) * _sqrt_ratio(1, m * n)
+    f = (xa * x2).scale(2) + (x2 * x2).scale(mid)
+    f = f + _block_squares(nv, y, m).scale(_sqrt_ratio(n, m))
+    f = f - _block_squares(nv, y + m, n).scale(_sqrt_ratio(m, n))
     return f
 
 
@@ -184,16 +189,6 @@ def _lawson_poly(k: int, n: int) -> Poly:
     left = (x1 - x3) ** k * (x2 - x4) ** n
     right = (x1 + x3) ** k * (x2 + x4) ** n
     return (left + right).scale(2)
-
-
-def _ds1_poly(m: int, n: int) -> Poly:
-    nv = 3 + m + n
-    x2, x3 = Poly.variable(nv, 2), Poly.variable(nv, 3)
-    mid = QuadExtScalar(Fraction(n - m)) * _sqrt_ratio(1, m * n)
-    f = (x3 * x2).scale(2) + (x2 * x2).scale(mid)
-    f = f + _block_squares(nv, 4, m).scale(_sqrt_ratio(n, m))
-    f = f - _block_squares(nv, 4 + m, n).scale(_sqrt_ratio(m, n))
-    return f
 
 
 def _ds2_poly(m: int) -> Poly:
@@ -214,12 +209,10 @@ def _clifford_poly(p: int, q: int) -> Poly:
 def make_poly(spec: FamilySpec) -> Poly:
     """The defining polynomial of a family member, over Q(sqrt(d))."""
     p = spec.params
-    if spec.kind == "ads":
-        return _ads_poly(*p)
+    if spec.kind in ("ads", "ds1"):
+        return _pencil_poly(spec)
     if spec.kind == "lawson":
         return _lawson_poly(*p)
-    if spec.kind == "ds1":
-        return _ds1_poly(*p)
     if spec.kind == "ds2":
         return _ds2_poly(*p)
     return _clifford_poly(*p)
@@ -462,34 +455,28 @@ class SpectrumOracle:
 
 def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
     dim = spec.nvars - 2
-    if spec.kind == "ads":
-        m, n, k = spec.params
+    if spec.kind in ("ads", "ds1"):
+        # Curvatures -sqrt(n/(m(1+t))) (x m) and sqrt(m/(n(1+t))) (x n), zero
+        # over the flat block (u for ads, x1 for ds1) of squared norm t.
+        # ds1 squares x1 with ** 2: libm's pow and numpy's x @ x can differ
+        # in the last bit, and the printed expected spectra carry it.
+        m, n = spec.params[:2]
+        if spec.kind == "ads":
+            k, w_sign = spec.params[2], -4.0
+            flat_norm2 = lambda p: float(p[2 + m + n :] @ p[2 + m + n :])
+        else:
+            k, w_sign = 1, 4.0
+            flat_norm2 = lambda p: float(p[0]) ** 2
 
         def spectrum(point: np.ndarray) -> list[tuple[float, int]]:
-            u2 = float(point[2 + m + n :] @ point[2 + m + n :])
-            vals = [
-                (-math.sqrt(n / (m * (1 + u2))), m),
-                (math.sqrt(m / (n * (1 + u2))), n),
-            ]
+            t = flat_norm2(point)
+            vals = [(-math.sqrt(n / (m * (1 + t))), m),
+                    (math.sqrt(m / (n * (1 + t))), n)]
             if k > 0:
                 vals.append((0.0, k))
             return sorted(vals)
 
-        return SpectrumOracle(spectrum, lambda p: -4.0 * (1 + float(p[2 + m + n :] @ p[2 + m + n :])), dim)
-    if spec.kind == "ds1":
-        m, n = spec.params
-
-        def spectrum(point: np.ndarray) -> list[tuple[float, int]]:
-            x1sq = float(point[0]) ** 2
-            return sorted(
-                [
-                    (0.0, 1),
-                    (-math.sqrt(n / (m * (1 + x1sq))), m),
-                    (math.sqrt(m / (n * (1 + x1sq))), n),
-                ]
-            )
-
-        return SpectrumOracle(spectrum, lambda p: 4.0 * (1 + float(p[0]) ** 2), dim)
+        return SpectrumOracle(spectrum, lambda p: w_sign * (1 + flat_norm2(p)), dim)
     if spec.kind == "ds2":
         (m,) = spec.params
         fixed = sorted([(math.sqrt(m), 1), (-1 / math.sqrt(m), m)])

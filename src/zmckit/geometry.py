@@ -29,6 +29,8 @@ from .zmc import AmbientSig, derivatives, hessian_float
 # |w| below this scale-adjusted threshold marks a point as non-regular.
 REGULARITY_COEFF = 1e-8
 RESIDUAL_BOUND = 1e-10
+NEWTON_TOL = 1e-12
+SPECTRUM_RTOL = 1e-6
 NEWTON_MAX_ITER = 50
 CLUSTER_REL = 1e-6
 CLUSTER_FLOOR = 1e-9
@@ -139,7 +141,7 @@ def newton_project(
     f: Poly,
     sig: AmbientSig,
     seed,
-    tol: float = 1e-12,
+    tol: float = NEWTON_TOL,
 ) -> VarietyPoint:
     """Gauss-Newton projection onto {f = 0, <Bx,x> = eps} from a seed point.
 
@@ -338,7 +340,7 @@ def curvature_spectrum(
 def match_spectrum(
     computed: CurvatureSpectrum,
     expected: list[tuple[float, int]],
-    rtol: float = 1e-6,
+    rtol: float = SPECTRUM_RTOL,
 ) -> bool:
     """Compare computed clusters against an expected (value, multiplicity)
     multiset, allowing a global orientation flip of the normal."""

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
+import dataclasses
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zmckit import geometry
+import zmckit
+from zmckit import cli, geometry
 from zmckit.cli import main
 
 
@@ -255,10 +261,9 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert not path.parent.exists()
 
 
-def test_residual_bound_violation_exits_3(capsys):
-    code, out, err = run(
-        capsys, "sample", "--family", "ds2:4", "--count", "3", "--tol-residual", "1e-300"
-    )
+def test_residual_bound_violation_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_TOL_RESIDUAL", 1e-300)
+    code, out, err = run(capsys, "sample", "--family", "ds2:4", "--count", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("error: projected point violates")
@@ -282,9 +287,94 @@ def test_radicand_above_bound_is_usage_error(capsys):
     assert "exceeds the bound" in err
 
 
-def test_nonpositive_tolerance_rejected(capsys):
-    code = main(["spectrum", "--family", "ds2:1", "--tol-spectrum", "0"])
+TOLERANCE_FLAGS = [
+    ("spectrum", "--tol-residual", "1e-10"),
+    ("spectrum", "--tol-spectrum", "1e-6"),
+    ("spectrum", "--tol-newton", "1e-12"),
+    ("sample", "--tol-residual", "1e-10"),
+    ("sample", "--tol-newton", "1e-12"),
+    ("report", "--tol-residual", "1e-10"),
+    ("report", "--tol-spectrum", "1e-6"),
+    ("report", "--tol-newton", "1e-12"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", TOLERANCE_FLAGS, ids=[f"{c}:{f[2:]}" for c, f, _ in TOLERANCE_FLAGS]
+)
+def test_tolerance_flag_is_usage_error(capsys, command, flag, value):
+    # The gates are fixed constants in geometry; no command takes a
+    # tolerance, not even its old default.
+    code, out, err = run(capsys, command, "--family", "ds2:1", "--count", "2", flag, value)
     assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_spectrum_calls_the_oracle_once_per_point(capsys, monkeypatch):
+    calls = []
+
+    def counting_oracle(spec):
+        oracle = spectrum_oracle(spec)
+
+        def spectrum(coords):
+            calls.append(coords)
+            return oracle.spectrum(coords)
+
+        return dataclasses.replace(oracle, spectrum=spectrum)
+
+    spectrum_oracle = cli.spectrum_oracle
+    monkeypatch.setattr(cli, "spectrum_oracle", counting_oracle)
+    code, _, _ = run(capsys, "spectrum", "--family", "ds1:2,3", "--count", "4", "--seed", "3")
+    assert code == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "lawson:4,5", "--family", "ads:6,6,4",
+     "--family", "ds1:2,3", "--count", "20", "--seed", "3"),
+    ("sample", "--family", "ds2:1", "--family", "ds2:1"),
+    ("verify", "--family", "ads:1,1,0", "--family", "lawson:2,3"),
+    ("classify", "--family", "ads:1,1,0", "--family", "ads:2,2,1"),
+], ids=lambda argv: argv[0])
+def test_repeated_family_is_usage_error(capsys, argv):
+    # Only report aggregates families; the others used to run the last one.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {argv[0]} takes one --family, got {argv.count('--family')}"]
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_family_and_poly_together_is_usage_error(capsys, command):
+    code, out, err = run(
+        capsys, command, "--family", "ads:1,1,0",
+        "--poly", "x1^2 + x2^2", "--nvars", "2", "--sig", "1,1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: give either --family or --poly, not both"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "ads:1,1,0"),
+    ("spectrum", "--family", "ds2:4", "--count", "3"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_usage_error(argv):
+    # The read end is closed before the child starts, so its first write
+    # fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(zmckit.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zmckit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
 
 
 def test_cone_quadric_actually_divides(capsys):
