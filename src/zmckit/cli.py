@@ -12,7 +12,9 @@ Commands:
 Each subcommand takes only the flags it reads (see `build_parser`): a flag
 given to another subcommand, such as `verify --format csv`, exits 2.  Each
 command takes one input, `--family` or (`verify`, `classify`) `--poly`; only
-`report` takes `--family` more than once.
+`report` takes `--family` more than once.  `--nvars` and `--sig` belong to
+`--poly` and exit 2 beside `--family`; `classify` reads `--poly` in
+signature (2,-1), the only one it classifies in, and has no `--sig`.
 
 The numeric gates are fixed: the residual bounds `geometry.RESIDUAL_BOUND`
 on projected points, Newton's stopping tolerance `geometry.NEWTON_TOL`, the
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import geometry
 from .families import (
-    FamilySpec, make_poly, parse_family, sample_points, spectrum_oracle, surface_patch
+    FamilySpec, SurfacePatch, make_poly, parse_family, sample_points, spectrum_oracle
 )
 from .parser import ParseError, parse_poly
 from .poly import Poly
@@ -49,9 +51,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# Numerical breakdowns of sampling, projection and spectra (LinAlgError and
-# InfeasibleSampleError are ValueErrors, patch overflow an ArithmeticError).
-# Raised after the input is validated, they fail the run, not the mathematics.
+# Numerical breakdowns of sampling, projection and spectra (lawson patch
+# overflow is an ArithmeticError; LinAlgError and the residual and regularity
+# checks raise ValueErrors).  Raised after the input is validated, they fail
+# the run, not the mathematics.
 NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, geometry.ProjectionError)
 
 # The benchmark in perfbench/ reads the gates under these names.
@@ -108,10 +111,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _parse_sig(text: str, nvars: int) -> AmbientSig:
     try:
-        s_txt, eps_txt = text.split(",")
-        return AmbientSig(int(s_txt), int(eps_txt), nvars)
+        s, eps = (int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --sig value {text!r}; expected s,eps") from exc
+    return AmbientSig(s, eps, nvars)
 
 
 def _one_family(args) -> list[str]:
@@ -125,17 +128,24 @@ def _one_family(args) -> list[str]:
 def _resolve_input(args) -> tuple[Poly, AmbientSig, str | None, tuple[int, ...] | None]:
     """Turn CLI flags into (poly, sig, family_label, params)."""
     labels = _one_family(args)
+    sig_text = getattr(args, "sig", None)  # classify has no --sig
     if labels:
         if args.poly is not None:
             raise ValueError("give either --family or --poly, not both")
+        extra = [flag for flag, value in (("--nvars", args.nvars), ("--sig", sig_text))
+                 if value is not None]
+        if extra:
+            raise ValueError(f"{' and '.join(extra)} cannot be given with --family")
         spec = parse_family(labels[0])
         return make_poly(spec), spec.sig, spec.kind, spec.params
     if args.poly is None or args.nvars is None:
         raise ValueError("either --family or both --poly and --nvars are required")
     f = parse_poly(args.poly, args.nvars)
-    if args.sig is None:
+    if args.command == "classify":
+        return f, AmbientSig(2, -1, args.nvars), None, None
+    if sig_text is None:
         raise ValueError("--sig s,eps is required with --poly")
-    return f, _parse_sig(args.sig, args.nvars), None, None
+    return f, _parse_sig(sig_text, args.nvars), None, None
 
 
 def cmd_verify(args) -> int:
@@ -158,7 +168,7 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
     specs = [parse_family(label) for label in labels]
     for spec in specs:
         if spec.kind == "lawson":
-            surface_patch(spec)
+            SurfacePatch(*spec.params)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     if args.seed < 0:
@@ -362,14 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    for name, func, help_text, sig in (
-        ("verify", cmd_verify, "check residual divisibility", None),
-        ("classify", cmd_classify, "identify an ads-family quadric", "2,-1"),
+    for name, func, help_text in (
+        ("verify", cmd_verify, "check residual divisibility"),
+        ("classify", cmd_classify, "identify an ads-family quadric in sig (2,-1)"),
     ):
         p = command(name, func, help_text)
         p.add_argument("--poly")
         p.add_argument("--nvars", type=int)
-        p.add_argument("--sig", default=sig)
+        if name == "verify":
+            p.add_argument("--sig")
 
     for name, func, help_text, count in (
         ("spectrum", cmd_spectrum, "sample points and gate spectra", 50),

@@ -17,11 +17,12 @@ Five families are supported, selected by strings of the form shown:
     clifford:p,q    Clifford quadric q|y|^2 - p|z|^2 in the round sphere,
                     y in R^{p+1}, z in R^{q+1}, sig (0,1)
 
-Each quadric family comes with a closed-form on-variety sampler (solving the
-two constraints for the block norms) and a spectrum oracle that returns the
-expected principal curvature multiset at a sampled point.  The degree k+n
-surfaces are sampled through explicit coordinate patches (`SurfacePatch`)
-and have no spectrum oracle.  The patches' first fundamental forms, in closed
+Each quadric family comes with a one-pass on-variety sampler (free
+coordinates drawn inside the feasible region, the two constraints solved for
+the block norms, uniform block directions) and a spectrum oracle that
+returns the expected principal curvature multiset at a sampled point.  The
+degree k+n surfaces are sampled through explicit coordinate patches
+(`SurfacePatch`) and have no spectrum oracle.  The patches' first fundamental forms, in closed
 form and by finite differences, are test oracles in `tests/oracles.py`.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -269,26 +270,16 @@ class SurfacePatch:
         )
 
 
-def surface_patch(spec: FamilySpec) -> SurfacePatch:
-    """The natural patch of a lawson-family member (phi if k < n, else rho)."""
-    k, n = spec.params
-    return SurfacePatch(k, n)
-
-
 # ---------------------------------------------------------------------------
-# closed-form on-variety samplers
+# on-variety samplers
 # ---------------------------------------------------------------------------
 
 
-class InfeasibleSampleError(ValueError):
-    """The requested free coordinates force a negative squared block norm."""
+def _random_sign(rng: np.random.Generator) -> float:
+    return 1.0 if rng.random() < 0.5 else -1.0
 
 
-def _unit_vector(dim: int, rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        v = np.zeros(dim)
-        v[0] = 1.0
-        return v
+def _unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim)
     norm = np.linalg.norm(v)
     while norm < 1e-12:
@@ -297,92 +288,15 @@ def _unit_vector(dim: int, rng: np.random.Generator | None) -> np.ndarray:
     return v / norm
 
 
-def closed_form_sample(
-    spec: FamilySpec,
-    free: Sequence[float],
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Build a point of {f = 0} on the pseudo-sphere from free coordinates.
+def _quadric_point(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
+    """One point of {f = 0} on the pseudo-sphere of a quadric family.
 
-    free coordinates per family: ads -> (x1, x2, u_1..u_k); ds1 ->
-    (x1, x2, x3); ds2 -> (x2, x3); clifford -> ().  Block directions are
-    drawn from `rng` (canonical first-axis directions without one).  Raises
-    InfeasibleSampleError when a solved squared norm comes out negative,
-    reporting the violated bound.
+    The free coordinates (ads: x1, x2, u; ds1: x1, x2, x3; ds2: x2, x3;
+    clifford: none) are drawn strictly inside the bounds that keep every
+    solved squared norm positive.  The two constraints then fix the squared
+    norms (of y and z; for ds2, of x1 and y), and the block directions are
+    drawn uniformly.
     """
-    free = [float(v) for v in free]
-    if spec.kind == "ads":
-        m, n, k = spec.params
-        if len(free) != 2 + k:
-            raise ValueError(f"ads:{m},{n},{k} needs {2 + k} free coordinates")
-        x1, x2 = free[0], free[1]
-        u = np.asarray(free[2:], dtype=float)
-        u2 = float(u @ u)
-        y2 = ((math.sqrt(m) * x1 - math.sqrt(n) * x2) ** 2 - m * (1 + u2)) / (m + n)
-        z2 = ((math.sqrt(m) * x2 + math.sqrt(n) * x1) ** 2 - n * (1 + u2)) / (m + n)
-        if y2 < 0:
-            raise InfeasibleSampleError(
-                f"|y|^2 = {y2:.6g} < 0; need (sqrt(m) x1 - sqrt(n) x2)^2 >= "
-                f"m(1+|u|^2) = {m * (1 + u2):.6g}"
-            )
-        if z2 < 0:
-            raise InfeasibleSampleError(
-                f"|z|^2 = {z2:.6g} < 0; need (sqrt(m) x2 + sqrt(n) x1)^2 >= "
-                f"n(1+|u|^2) = {n * (1 + u2):.6g}"
-            )
-        y = math.sqrt(y2) * _unit_vector(m, rng)
-        z = math.sqrt(z2) * _unit_vector(n, rng)
-        return np.concatenate(([x1, x2], y, z, u))
-    if spec.kind == "ds1":
-        m, n = spec.params
-        if len(free) != 3:
-            raise ValueError(f"ds1:{m},{n} needs 3 free coordinates (x1, x2, x3)")
-        x1, x2, x3 = free
-        y2 = (m * (1 + x1 * x1) - (math.sqrt(m) * x3 + math.sqrt(n) * x2) ** 2) / (m + n)
-        z2 = (n * (1 + x1 * x1) - (math.sqrt(m) * x2 - math.sqrt(n) * x3) ** 2) / (m + n)
-        if y2 < 0:
-            raise InfeasibleSampleError(
-                f"|y|^2 = {y2:.6g} < 0; need (sqrt(m) x3 + sqrt(n) x2)^2 <= "
-                f"m(1+x1^2) = {m * (1 + x1 * x1):.6g}"
-            )
-        if z2 < 0:
-            raise InfeasibleSampleError(
-                f"|z|^2 = {z2:.6g} < 0; need (sqrt(m) x2 - sqrt(n) x3)^2 <= "
-                f"n(1+x1^2) = {n * (1 + x1 * x1):.6g}"
-            )
-        y = math.sqrt(y2) * _unit_vector(m, rng)
-        z = math.sqrt(z2) * _unit_vector(n, rng)
-        return np.concatenate(([x1, x2, x3], y, z))
-    if spec.kind == "ds2":
-        (m,) = spec.params
-        if len(free) != 2:
-            raise ValueError(f"ds2:{m} needs 2 free coordinates (x2, x3)")
-        x2, x3 = free
-        x1sq = ((math.sqrt(m) * x3 - x2) ** 2 - 1) / (m + 1)
-        y2 = (m - (math.sqrt(m) * x2 + x3) ** 2) / (m + 1)
-        if x1sq < 0:
-            raise InfeasibleSampleError(
-                f"x1^2 = {x1sq:.6g} < 0; need (sqrt(m) x3 - x2)^2 >= 1"
-            )
-        if y2 < 0:
-            raise InfeasibleSampleError(
-                f"|y|^2 = {y2:.6g} < 0; need (sqrt(m) x2 + x3)^2 <= m = {m}"
-            )
-        sign = 1.0 if rng is None else (1.0 if rng.random() < 0.5 else -1.0)
-        y = math.sqrt(y2) * _unit_vector(m, rng)
-        return np.concatenate(([sign * math.sqrt(x1sq), x2, x3], y))
-    if spec.kind == "clifford":
-        p, q = spec.params
-        if free:
-            raise ValueError("clifford sampler has no free coordinates")
-        y = math.sqrt(p / (p + q)) * _unit_vector(p + 1, rng)
-        z = math.sqrt(q / (p + q)) * _unit_vector(q + 1, rng)
-        return np.concatenate((y, z))
-    raise ValueError(f"no closed-form sampler for family {spec.kind!r}")
-
-
-def _feasible_free(spec: FamilySpec, rng: np.random.Generator) -> list[float]:
-    """Draw free coordinates that keep all solved squared norms positive."""
     margin = 0.1
     if spec.kind == "ads":
         m, n, k = spec.params
@@ -391,28 +305,43 @@ def _feasible_free(spec: FamilySpec, rng: np.random.Generator) -> list[float]:
         x2 = float(rng.normal(0.0, 0.5))
         t1 = (math.sqrt(m * (1 + u2)) + math.sqrt(n) * abs(x2)) / math.sqrt(m)
         t2 = (math.sqrt(n * (1 + u2)) + math.sqrt(m) * abs(x2)) / math.sqrt(n)
-        x1 = (max(t1, t2) + margin + abs(rng.normal(0.0, 1.0))) * (
-            1.0 if rng.random() < 0.5 else -1.0
-        )
-        return [x1, x2, *u]
+        # |x1| > max(t1, t2) keeps both squared norms below positive.
+        x1 = (max(t1, t2) + margin + abs(rng.normal(0.0, 1.0))) * _random_sign(rng)
+        y2 = ((math.sqrt(m) * x1 - math.sqrt(n) * x2) ** 2 - m * (1 + u2)) / (m + n)
+        z2 = ((math.sqrt(m) * x2 + math.sqrt(n) * x1) ** 2 - n * (1 + u2)) / (m + n)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
+        z = math.sqrt(z2) * _unit_vector(n, rng)
+        return np.concatenate(([x1, x2], y, z, u))
     if spec.kind == "ds1":
         m, n = spec.params
         x1 = float(rng.normal(0.0, 1.0))
         scale = math.sqrt(1 + x1 * x1)
+        # |x2|, |x3| < r scale keep both squared norms below positive.
         r = 0.9 * math.sqrt(min(m, n)) / (math.sqrt(m) + math.sqrt(n))
         x2 = float(rng.uniform(-r, r)) * scale
         x3 = float(rng.uniform(-r, r)) * scale
-        return [x1, x2, x3]
+        y2 = (m * (1 + x1 * x1) - (math.sqrt(m) * x3 + math.sqrt(n) * x2) ** 2) / (m + n)
+        z2 = (n * (1 + x1 * x1) - (math.sqrt(m) * x2 - math.sqrt(n) * x3) ** 2) / (m + n)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
+        z = math.sqrt(z2) * _unit_vector(n, rng)
+        return np.concatenate(([x1, x2, x3], y, z))
     if spec.kind == "ds2":
         (m,) = spec.params
-        a = (1 + margin + abs(rng.normal(0.0, 1.0))) * (
-            1.0 if rng.random() < 0.5 else -1.0
-        )
+        # a = sqrt(m) x3 - x2 and b = sqrt(m) x2 + x3: |a| > 1 keeps x1^2
+        # positive and |b| < sqrt(m) keeps |y|^2 positive.
+        a = (1 + margin + abs(rng.normal(0.0, 1.0))) * _random_sign(rng)
         b = float(rng.uniform(-0.9, 0.9)) * math.sqrt(m)
         x2 = (math.sqrt(m) * b - a) / (m + 1)
         x3 = (math.sqrt(m) * a + b) / (m + 1)
-        return [x2, x3]
-    return []
+        x1sq = ((math.sqrt(m) * x3 - x2) ** 2 - 1) / (m + 1)
+        y2 = (m - (math.sqrt(m) * x2 + x3) ** 2) / (m + 1)
+        x1 = _random_sign(rng) * math.sqrt(x1sq)
+        y = math.sqrt(y2) * _unit_vector(m, rng)
+        return np.concatenate(([x1, x2, x3], y))
+    p, q = spec.params
+    y = math.sqrt(p / (p + q)) * _unit_vector(p + 1, rng)
+    z = math.sqrt(q / (p + q)) * _unit_vector(q + 1, rng)
+    return np.concatenate((y, z))
 
 
 def sample_points(spec: FamilySpec, count: int, seed: int) -> list[np.ndarray]:
@@ -420,23 +349,20 @@ def sample_points(spec: FamilySpec, count: int, seed: int) -> list[np.ndarray]:
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    if spec.kind == "lawson":
-        # The variety has a singular curve at patch parameter s = 0 (all
-        # partials of f carry powers of the vanishing factors), so keep |s|
-        # bounded away from it.  |t| is capped so that cosh(max(k,n) t) stays
-        # moderate: far out along the patch the gradient turns nearly null
-        # and curvature numerics degrade.
-        patch = surface_patch(spec)
-        t_max = 1.5 / max(spec.params)
-        out = []
-        for _ in range(count):
-            s = float(rng.uniform(0.3, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-            out.append(patch(s, float(rng.uniform(-t_max, t_max))))
-        return out
-    return [
-        closed_form_sample(spec, _feasible_free(spec, rng), rng=rng)
-        for _ in range(count)
-    ]
+    if spec.kind != "lawson":
+        return [_quadric_point(spec, rng) for _ in range(count)]
+    # The variety has a singular curve at patch parameter s = 0 (all partials
+    # of f carry powers of the vanishing factors), so keep |s| bounded away
+    # from it.  |t| is capped so that cosh(max(k,n) t) stays moderate: far
+    # out along the patch the gradient turns nearly null and curvature
+    # numerics degrade.
+    patch = SurfacePatch(*spec.params)
+    t_max = 1.5 / max(spec.params)
+    out = []
+    for _ in range(count):
+        s = float(rng.uniform(0.3, 1.0)) * _random_sign(rng)
+        out.append(patch(s, float(rng.uniform(-t_max, t_max))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +376,9 @@ class SpectrumOracle:
 
     spectrum: Callable[[np.ndarray], list[tuple[float, int]]]
     expected_w: Callable[[np.ndarray], float]
-    dim_sigma: int
 
 
 def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
-    dim = spec.nvars - 2
     if spec.kind in ("ads", "ds1"):
         # Curvatures -sqrt(n/(m(1+t))) (x m) and sqrt(m/(n(1+t))) (x n), zero
         # over the flat block (u for ads, x1 for ds1) of squared norm t.
@@ -476,13 +400,13 @@ def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
                 vals.append((0.0, k))
             return sorted(vals)
 
-        return SpectrumOracle(spectrum, lambda p: w_sign * (1 + flat_norm2(p)), dim)
+        return SpectrumOracle(spectrum, lambda p: w_sign * (1 + flat_norm2(p)))
     if spec.kind == "ds2":
         (m,) = spec.params
         fixed = sorted([(math.sqrt(m), 1), (-1 / math.sqrt(m), m)])
-        return SpectrumOracle(lambda p: list(fixed), lambda p: 4.0, dim)
+        return SpectrumOracle(lambda p: list(fixed), lambda p: 4.0)
     if spec.kind == "clifford":
         p_, q_ = spec.params
         fixed = sorted([(math.sqrt(q_ / p_), p_), (-math.sqrt(p_ / q_), q_)])
-        return SpectrumOracle(lambda p: list(fixed), lambda p: 4.0 * p_ * q_, dim)
+        return SpectrumOracle(lambda p: list(fixed), lambda p: 4.0 * p_ * q_)
     raise ValueError(f"no closed-form spectrum oracle for family {spec.kind!r}")

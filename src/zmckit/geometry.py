@@ -2,14 +2,14 @@
 
 Points live on the intersection of the polynomial zero set with the quadric
 <B x, x> = epsilon.  All the classical objects are computed at such points:
-a tangent frame, the induced metric and its signature, the Gauss map
-nu = B grad f / sqrt(|w|), the shape operator, and its principal curvature
-spectrum.  Derivative polynomials are cached per polynomial
-(`zmc.derivatives`), so batch runs over many points reuse the exact gradients
-and Hessians.  The float w at a point comes from the float gradient there,
-w = <B g, g>, rather than from evaluating the expanded polynomial w, whose
-monomials cancel badly at high degree; the point carries g, so the frame and
-the Gauss map do not evaluate the gradient again.
+a tangent frame, the induced metric and its signature, the shape operator
+(the differential of the Gauss map nu = B grad f / sqrt(|w|)), and its
+principal curvature spectrum.  Derivative polynomials are cached per
+polynomial (`zmc.derivatives`), so batch runs over many points reuse the
+exact gradients and Hessians.  The float w at a point comes from the float
+gradient there, w = <B g, g>, rather than from evaluating the expanded
+polynomial w, whose monomials cancel badly at high degree; the point carries
+g, so the frame does not evaluate the gradient again.
 
 The shape operator follows the Gauss map orientation given by the formula
 above.  Oracles that state curvature signs for the opposite orientation are
@@ -115,13 +115,6 @@ def check_residuals(p: VarietyPoint, degree: int, bound: float) -> None:
         )
 
 
-def variety_point(f: Poly, sig: AmbientSig, coords) -> VarietyPoint:
-    """Wrap coordinates as a VarietyPoint within the RESIDUAL_BOUND bounds."""
-    p = _point(f, sig, np.asarray(coords, dtype=float))
-    check_residuals(p, max(f.degree(), 0), RESIDUAL_BOUND)
-    return p
-
-
 def _regular_grad(p: VarietyPoint) -> np.ndarray:
     """grad f at p, after checking that |w| clears a small fraction of the
     gradient scale.
@@ -182,10 +175,10 @@ def newton_project(
     raise ProjectionError(f"no convergence within {NEWTON_MAX_ITER} Newton iterations")
 
 
-# -- frames, metric, Gauss map --------------------------------------------------
+# -- frames, metric, shape operator --------------------------------------------
 
 
-def tangent_frame(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
+def tangent_frame(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the tangent space of Sigma at p.
 
     The tangent space is the Euclidean null space of the two rows grad f(p)
@@ -219,31 +212,15 @@ def induced_metric(
     return gram, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
 
 
-def gauss_map(p: VarietyPoint, f: Poly, sig: AmbientSig) -> np.ndarray:
-    """Unit normal nu = B grad f / sqrt(|w|) within the pseudo-sphere."""
-    b = np.asarray(sig.b_diag, dtype=float)
-    return b * _regular_grad(p) / np.sqrt(abs(p.w_value))
-
-
 def shape_operator(
-    p: VarietyPoint,
-    f: Poly,
-    sig: AmbientSig,
-    frame: np.ndarray,
+    p: VarietyPoint, f: Poly, frame: np.ndarray, gram: np.ndarray
 ) -> np.ndarray:
-    """Matrix of the Gauss map differential in the given tangent frame.
+    """Matrix of the Gauss map differential in a tangent frame whose induced
+    metric is `gram` (see `induced_metric`).
 
     S = G^{-1} H with H_ij = <Hess f(p) v_i, v_j> / sqrt(|w|); S is
     self-adjoint with respect to G, i.e. G S = S^T G up to roundoff.
     """
-    gram, _ = induced_metric(frame, sig)
-    return _shape_matrix(p, f, frame, gram)
-
-
-def _shape_matrix(
-    p: VarietyPoint, f: Poly, frame: np.ndarray, gram: np.ndarray
-) -> np.ndarray:
-    """S = G^{-1} H for a frame whose induced metric `gram` is already known."""
     h = frame @ hessian_float(f, p.coords) @ frame.T / np.sqrt(abs(p.w_value))
     h = 0.5 * (h + h.T)
     return np.linalg.solve(gram, h)
@@ -303,9 +280,9 @@ def curvature_spectrum(
     into a conjugate pair with ~1e-17 imaginary parts whose eigenvectors come
     back genuinely complex, which would tag real clusters as "complex".
     """
-    frame = tangent_frame(p, f, sig)
+    frame = tangent_frame(p, sig)
     gram, signature = induced_metric(frame, sig)
-    shape = _shape_matrix(p, f, frame, gram)
+    shape = shape_operator(p, f, frame, gram)
     dim = shape.shape[0]
     values = eigen.eigvals(shape)
     scale = max(float(np.max(np.abs(values))), 1.0)

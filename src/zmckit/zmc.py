@@ -165,10 +165,12 @@ def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
     """Compute the ZMC residual of f and divide it by f exactly.
 
     divides == True certifies that f cuts out algebraic ZMC hypersurfaces in
-    both pseudo-spheres of index s (epsilon = +1 and -1).
+    both pseudo-spheres of index s (epsilon = +1 and -1).  A constant f cuts
+    out nothing, so it is rejected; degree 1 (a totally geodesic hyperplane
+    section) is allowed.
     """
-    if f.is_zero():
-        raise ValueError("conjecture check requires a nonzero polynomial")
+    if f.degree() < 1:
+        raise ValueError("conjecture check requires a polynomial of degree >= 1")
     w, lap, residual = _residual_parts(f, sig)
     quotient, remainder = divide(residual, f)
     return ZmcReport(

@@ -7,8 +7,10 @@ only what the commands run:
 - `expected_fundamental_form` and `patch_fundamental_form_fd`: the closed-form
   first fundamental form of a lawson coordinate patch, and the same form from
   central differences of the patch in 60-digit `decimal` arithmetic;
-- `normal_derivatives_fd`: Gauss-map derivatives by finite differences, a
-  check of `geometry.shape_operator`;
+- `variety_point`: given coordinates as a `geometry.VarietyPoint`, checked
+  against the residual bounds without a Newton step;
+- `gauss_map` and `normal_derivatives_fd`: the unit normal, and its
+  derivatives by finite differences, a check of `geometry.shape_operator`;
 - `laplacian_in_basis`: the signature Laplacian in a pseudo-orthonormal basis,
   with `random_orthonormal_basis` to draw one;
 - `is_exact_isometry`: M^T B M == B in exact arithmetic;
@@ -25,7 +27,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from zmckit.families import SurfacePatch
-from zmckit.geometry import VarietyPoint, gauss_map, newton_project
+from zmckit.geometry import (
+    RESIDUAL_BOUND,
+    VarietyPoint,
+    _point,
+    _regular_grad,
+    check_residuals,
+    newton_project,
+)
 from zmckit.isometry import ExactMatrix, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly
 from zmckit.scalars import ZERO, QuadExtScalar, as_scalar
@@ -96,7 +105,20 @@ def patch_fundamental_form_fd(
     return float(e_val), float(f_val), float(g_val)
 
 
-# -- shape operator -------------------------------------------------------------
+# -- points, Gauss map, shape operator -----------------------------------------
+
+
+def variety_point(f: Poly, sig: AmbientSig, coords) -> VarietyPoint:
+    """Wrap coordinates as a VarietyPoint within the RESIDUAL_BOUND bounds."""
+    p = _point(f, sig, np.asarray(coords, dtype=float))
+    check_residuals(p, max(f.degree(), 0), RESIDUAL_BOUND)
+    return p
+
+
+def gauss_map(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
+    """Unit normal nu = B grad f / sqrt(|w|) within the pseudo-sphere."""
+    b = np.asarray(sig.b_diag, dtype=float)
+    return b * _regular_grad(p) / np.sqrt(abs(p.w_value))
 
 
 def normal_derivatives_fd(
@@ -116,8 +138,8 @@ def normal_derivatives_fd(
     for v in frame:
         plus = newton_project(f, sig, p.coords + step * v)
         minus = newton_project(f, sig, p.coords - step * v)
-        nu_plus = gauss_map(plus, f, sig)
-        nu_minus = gauss_map(minus, f, sig)
+        nu_plus = gauss_map(plus, sig)
+        nu_minus = gauss_map(minus, sig)
         rows.append((nu_plus - nu_minus) / (2.0 * step))
     return np.vstack(rows)
 

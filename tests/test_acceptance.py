@@ -13,7 +13,6 @@ from zmckit import geometry
 from zmckit.families import (
     ads,
     clifford,
-    closed_form_sample,
     ds1,
     ds2,
     lawson,
@@ -28,6 +27,7 @@ from oracles import (
     normal_derivatives_fd,
     patch_fundamental_form_fd,
     random_orthonormal_basis,
+    variety_point,
 )
 from zmckit.isometry import apply_to_poly, random_exact_isometry
 from zmckit.poly import Poly
@@ -138,7 +138,7 @@ def _spectrum_batch(spec, count=50, seed=2026):
     sig = spec.sig
     out = []
     for coords in sample_points(spec, count, seed):
-        point = geometry.variety_point(f, sig, coords)
+        point = variety_point(f, sig, coords)
         out.append((point, geometry.curvature_spectrum(point, f, sig)))
     return f, sig, out
 
@@ -169,7 +169,7 @@ def test_criterion_05_w_closed_forms_on_sigma():
         oracle = spectrum_oracle(spec)
         f = make_poly(spec)
         for coords in sample_points(spec, 50, seed=2026):
-            point = geometry.variety_point(f, spec.sig, coords)
+            point = variety_point(f, spec.sig, coords)
             expected = oracle.expected_w(point.coords)
             ok &= abs(point.w_value - expected) <= 1e-10 * abs(expected)
     _report(5, "w on Sigma matches closed forms, 1e-10 relative", ok, started)
@@ -198,7 +198,7 @@ def test_criterion_07_signature_gates():
         f = make_poly(spec)
         dim = spec.nvars - 2
         for coords in sample_points(spec, 50, seed=2026):
-            point = geometry.variety_point(f, spec.sig, coords)
+            point = variety_point(f, spec.sig, coords)
             spectrum = geometry.curvature_spectrum(point, f, spec.sig)
             if spec.kind == "ads":
                 ok &= spectrum.metric_signature == (0, dim)
@@ -261,9 +261,10 @@ def test_criterion_10_fd_shape_operator_oracle():
     for spec in instances:
         f = make_poly(spec)
         for coords in sample_points(spec, 20, seed=5150):
-            point = geometry.variety_point(f, spec.sig, coords)
-            frame = geometry.tangent_frame(point, f, spec.sig)
-            shape = geometry.shape_operator(point, f, spec.sig, frame)
+            point = variety_point(f, spec.sig, coords)
+            frame = geometry.tangent_frame(point, spec.sig)
+            gram, _ = geometry.induced_metric(frame, spec.sig)
+            shape = geometry.shape_operator(point, f, frame, gram)
             analytic = (frame.T @ shape).T
             fd = normal_derivatives_fd(point, f, spec.sig, frame)
             scale = max(1.0, float(np.max(np.abs(analytic))))

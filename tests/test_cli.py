@@ -348,12 +348,61 @@ def test_repeated_family_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("command", ["verify", "classify"])
 def test_family_and_poly_together_is_usage_error(capsys, command):
     code, out, err = run(
-        capsys, command, "--family", "ads:1,1,0",
-        "--poly", "x1^2 + x2^2", "--nvars", "2", "--sig", "1,1",
+        capsys, command, "--family", "ads:1,1,0", "--poly", "x1^2 + x2^2", "--nvars", "2",
     )
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: give either --family or --poly, not both"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (("verify", "--family", "ads:1,1,0", "--sig", "1,1", "--nvars", "9"), "--nvars and --sig"),
+    (("verify", "--family", "ads:1,1,0", "--sig", "2,-1"), "--sig"),
+    (("classify", "--family", "ads:1,1,0", "--nvars", "3"), "--nvars"),
+], ids=["verify-both", "verify-sig", "classify-nvars"])
+def test_family_with_nvars_or_sig_is_usage_error(capsys, argv, flags):
+    # --nvars and --sig describe a --poly input; a family fixes both.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flags} cannot be given with --family"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--poly", "x1^2", "--nvars", "1", "--sig", "1,1"),
+     "index s=1 out of range for nvars=1"),
+    (("classify", "--poly", "x1^2", "--nvars", "2"), "index s=2 out of range for nvars=2"),
+    (("verify", "--poly", "x1^2", "--nvars", "2", "--sig", "1,1,1"),
+     "bad --sig value '1,1,1'; expected s,eps"),
+], ids=["verify-range", "classify-range", "verify-format"])
+def test_sig_errors_name_the_actual_fault(capsys, argv, message):
+    # A well-formed --sig out of range for --nvars, and classify's fixed
+    # (2,-1), report the range, not a format error.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_classify_takes_no_sig(capsys):
+    code, out, err = run(
+        capsys, "classify", "--poly", "2 x1 x2 + x3^2 - x4^2", "--nvars", "4", "--sig", "2,-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --sig 2,-1" in err
+
+
+def test_constant_polynomial_is_not_certified(capsys):
+    # A nonzero constant has an empty zero set; a degree-1 f cuts out a
+    # totally geodesic hyperplane section and stays certifiable.
+    code, out, err = run(capsys, "verify", "--poly", "3", "--nvars", "2", "--sig", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: conjecture check requires a polynomial of degree >= 1"]
+    code, out, _ = run(capsys, "verify", "--poly", "x1", "--nvars", "2", "--sig", "1,1")
+    assert code == 0
+    assert json.loads(out)["divides"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,12 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import eval_exact, normal_derivatives_fd
+from oracles import eval_exact, gauss_map, normal_derivatives_fd, variety_point
 from zmckit import geometry
 from zmckit.families import (
     ads,
     clifford,
-    closed_form_sample,
     ds1,
     ds2,
     lawson,
@@ -24,6 +23,14 @@ from zmckit.zmc import AmbientSig, w_poly
 
 F_HAND = parse_poly("2 x1 x2 + x3^2 - x4^2", 4)
 SIG_HAND = AmbientSig(2, -1, 4)
+# x1 = 2, x2 = 0 and u = 0 on ads:1,1,1 leave |y|^2 = |z|^2 = 3/2.
+ADS_111_POINT = np.array([2.0, 0.0, math.sqrt(1.5), math.sqrt(1.5), 0.0])
+
+
+def _shape(p, f, sig, frame):
+    """The package's shape operator in `frame`, over the frame's induced metric."""
+    gram, _ = geometry.induced_metric(frame, sig)
+    return geometry.shape_operator(p, f, frame, gram)
 
 
 def test_newton_project_from_nearby_seed():
@@ -35,7 +42,7 @@ def test_newton_project_from_nearby_seed():
 
 
 def test_newton_project_fixed_point():
-    coords = closed_form_sample(ads(1, 1, 1), [2.0, 0.0, 0.0])
+    coords = ADS_111_POINT
     p = geometry.newton_project(make_poly(ads(1, 1, 1)), ads(1, 1, 1).sig, coords)
     assert np.linalg.norm(p.coords - coords) < 1e-10
 
@@ -52,15 +59,15 @@ def test_newton_project_divergence_reports(monkeypatch):
 
 
 def test_variety_point_validation():
-    good = geometry.variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
+    good = variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
     assert good.w_value == pytest.approx(-4.0)
     with pytest.raises(ValueError, match=r"violates \|f\|"):
-        geometry.variety_point(F_HAND, SIG_HAND, [1, 1, 0, 0])
+        variety_point(F_HAND, SIG_HAND, [1, 1, 0, 0])
 
 
 def test_tangent_frame_at_e1():
-    p = geometry.variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
-    frame = geometry.tangent_frame(p, F_HAND, SIG_HAND)
+    p = variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
+    frame = geometry.tangent_frame(p, SIG_HAND)
     assert frame.shape == (2, 4)
     # grad f(e1) = 2 e2 and B2 e1 = -e1, so the frame must span {e3, e4}.
     assert np.max(np.abs(frame[:, :2])) < 1e-12
@@ -74,8 +81,8 @@ def test_tangent_frame_orthogonality_residuals():
         f = make_poly(spec)
         b = np.asarray(spec.sig.b_diag, dtype=float)
         for coords in sample_points(spec, 100, seed=3):
-            p = geometry.variety_point(f, spec.sig, coords)
-            frame = geometry.tangent_frame(p, f, spec.sig)
+            p = variety_point(f, spec.sig, coords)
+            frame = geometry.tangent_frame(p, spec.sig)
             assert frame.shape == (spec.nvars - 2, spec.nvars)
             grad = np.array(
                 [f.diff(i).eval_float(p.coords) for i in range(1, spec.nvars + 1)]
@@ -98,8 +105,8 @@ def test_induced_metric_signatures():
     for spec, want in cases:
         f = make_poly(spec)
         coords = sample_points(spec, 1, seed=8)[0]
-        p = geometry.variety_point(f, spec.sig, coords)
-        frame = geometry.tangent_frame(p, f, spec.sig)
+        p = variety_point(f, spec.sig, coords)
+        frame = geometry.tangent_frame(p, spec.sig)
         _, signature = geometry.induced_metric(frame, spec.sig)
         assert signature == want, spec.label
 
@@ -122,8 +129,8 @@ def test_induced_metric_on_phi_patch_frame():
 
 
 def test_gauss_map_hand_example():
-    p = geometry.variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
-    nu = geometry.gauss_map(p, F_HAND, SIG_HAND)
+    p = variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
+    nu = gauss_map(p, SIG_HAND)
     assert np.allclose(nu, [0, -1, 0, 0])
 
 
@@ -132,12 +139,12 @@ def _gauss_map_checks(spec, closed_form):
     sig = spec.sig
     b = np.asarray(sig.b_diag, dtype=float)
     for coords in sample_points(spec, 8, seed=12):
-        p = geometry.variety_point(f, sig, coords)
-        nu = geometry.gauss_map(p, f, sig)
+        p = variety_point(f, sig, coords)
+        nu = gauss_map(p, sig)
         # Unit, tangent to the pseudo-sphere, normal to the frame.
         assert abs(abs(nu @ (b * nu)) - 1) < 1e-10
         assert abs(nu @ (b * p.coords)) < 1e-10
-        frame = geometry.tangent_frame(p, f, sig)
+        frame = geometry.tangent_frame(p, sig)
         for v in frame:
             assert abs(nu @ (b * v)) < 1e-10
         want = closed_form(p.coords)
@@ -183,9 +190,9 @@ def test_gauss_map_ds2_closed_form():
 
 
 def test_shape_operator_hand_example():
-    p = geometry.variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
+    p = variety_point(F_HAND, SIG_HAND, [1, 0, 0, 0])
     frame = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    s = geometry.shape_operator(p, F_HAND, SIG_HAND, frame)
+    s = _shape(p, F_HAND, SIG_HAND, frame)
     assert np.allclose(s, np.diag([1.0, -1.0]))
 
 
@@ -193,10 +200,10 @@ def test_shape_operator_self_adjoint_and_traceless():
     for spec in [ads(2, 3, 1), ds1(2, 2), ds2(4), lawson(2, 3)]:
         f = make_poly(spec)
         for coords in sample_points(spec, 6, seed=21):
-            p = geometry.variety_point(f, spec.sig, coords)
-            frame = geometry.tangent_frame(p, f, spec.sig)
+            p = variety_point(f, spec.sig, coords)
+            frame = geometry.tangent_frame(p, spec.sig)
             gram, _ = geometry.induced_metric(frame, spec.sig)
-            s = geometry.shape_operator(p, f, spec.sig, frame)
+            s = geometry.shape_operator(p, f, frame, gram)
             h_norm = np.linalg.norm(gram @ s)
             assert np.max(np.abs(gram @ s - s.T @ gram)) < 1e-9 * max(1, h_norm)
             assert abs(np.trace(s)) / s.shape[0] < 1e-8
@@ -206,14 +213,14 @@ def test_spectrum_invariant_under_frame_change():
     spec = ads(2, 3, 1)
     f = make_poly(spec)
     coords = sample_points(spec, 1, seed=33)[0]
-    p = geometry.variety_point(f, spec.sig, coords)
-    frame = geometry.tangent_frame(p, f, spec.sig)
+    p = variety_point(f, spec.sig, coords)
+    frame = geometry.tangent_frame(p, spec.sig)
     rng = np.random.default_rng(5)
     change = rng.normal(size=(frame.shape[0], frame.shape[0]))
     change += np.eye(frame.shape[0]) * 2
     other = change @ frame
-    s1 = np.sort(np.linalg.eigvals(geometry.shape_operator(p, f, spec.sig, frame)).real)
-    s2 = np.sort(np.linalg.eigvals(geometry.shape_operator(p, f, spec.sig, other)).real)
+    s1 = np.sort(np.linalg.eigvals(_shape(p, f, spec.sig, frame)).real)
+    s2 = np.sort(np.linalg.eigvals(_shape(p, f, spec.sig, other)).real)
     assert np.max(np.abs(s1 - s2)) < 1e-9 * max(1, np.max(np.abs(s1)))
 
 
@@ -222,7 +229,7 @@ def test_curvature_spectrum_matches_oracles():
         f = make_poly(spec)
         oracle = spectrum_oracle(spec)
         for coords in sample_points(spec, 6, seed=2):
-            p = geometry.variety_point(f, spec.sig, coords)
+            p = variety_point(f, spec.sig, coords)
             spectrum = geometry.curvature_spectrum(p, f, spec.sig)
             assert geometry.match_spectrum(spectrum, oracle.spectrum(p.coords))
             assert abs(spectrum.mean_curvature) < 1e-8
@@ -233,8 +240,7 @@ def test_curvature_spectrum_matches_oracles():
 def test_curvature_spectrum_example_values():
     spec = ads(1, 1, 1)
     f = make_poly(spec)
-    coords = closed_form_sample(spec, [2.0, 0.0, 0.0])
-    p = geometry.variety_point(f, spec.sig, coords)
+    p = variety_point(f, spec.sig, ADS_111_POINT)
     spectrum = geometry.curvature_spectrum(p, f, spec.sig)
     got = spectrum.cluster_pairs()
     assert [m for _, m in got] == [1, 1, 1]
@@ -255,7 +261,7 @@ def test_time_like_special_eigenvectors():
     ]:
         f = make_poly(spec)
         for coords in sample_points(spec, 6, seed=14):
-            p = geometry.variety_point(f, spec.sig, coords)
+            p = variety_point(f, spec.sig, coords)
             spectrum = geometry.curvature_spectrum(p, f, spec.sig)
             special = [c for c in spectrum.clusters if pick(c)]
             assert len(special) == 1
@@ -280,9 +286,9 @@ def test_fd_shape_operator_agreement():
     for spec in [ads(1, 1, 1), ds1(1, 2), ds2(4), lawson(2, 3)]:
         f = make_poly(spec)
         for coords in sample_points(spec, 3, seed=6):
-            p = geometry.variety_point(f, spec.sig, coords)
-            frame = geometry.tangent_frame(p, f, spec.sig)
-            analytic = (frame.T @ geometry.shape_operator(p, f, spec.sig, frame)).T
+            p = variety_point(f, spec.sig, coords)
+            frame = geometry.tangent_frame(p, spec.sig)
+            analytic = (frame.T @ _shape(p, f, spec.sig, frame)).T
             fd = normal_derivatives_fd(p, f, spec.sig, frame)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) < 1e-4 * scale
@@ -304,8 +310,8 @@ def test_w_value_accurate_at_high_degree():
 
 
 def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
-    """The frame, the Gauss map and the spectrum read the float gradient that
-    the projected point carries instead of evaluating grad f again."""
+    """The frame and the spectrum read the float gradient that the projected
+    point carries instead of evaluating grad f again."""
     spec = lawson(2, 3)
     f = make_poly(spec)
     p = geometry.newton_project(f, spec.sig, sample_points(spec, 1, seed=7)[0])
@@ -315,8 +321,7 @@ def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
         raise AssertionError("grad f evaluated again")
 
     monkeypatch.setattr(geometry, "_grad_at", no_gradient)
-    geometry.tangent_frame(p, f, spec.sig)
-    geometry.gauss_map(p, f, spec.sig)
+    geometry.tangent_frame(p, spec.sig)
     geometry.curvature_spectrum(p, f, spec.sig)
 
 
@@ -324,9 +329,9 @@ def test_eigenvalues_cross_checked_against_numpy():
     spec = ads(2, 3, 2)
     f = make_poly(spec)
     coords = sample_points(spec, 1, seed=10)[0]
-    p = geometry.variety_point(f, spec.sig, coords)
-    frame = geometry.tangent_frame(p, f, spec.sig)
-    s = geometry.shape_operator(p, f, spec.sig, frame)
+    p = variety_point(f, spec.sig, coords)
+    frame = geometry.tangent_frame(p, spec.sig)
+    s = _shape(p, f, spec.sig, frame)
     ours = np.sort_complex(np.asarray(geometry.curvature_spectrum(p, f, spec.sig).eigenvalues))
     numpy_vals = np.sort_complex(np.linalg.eigvals(s))
     assert np.max(np.abs(ours - numpy_vals)) < 1e-8
