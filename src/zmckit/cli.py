@@ -21,11 +21,14 @@ on projected points, Newton's stopping tolerance `geometry.NEWTON_TOL`, the
 mean-curvature gate `DEFAULT_MEAN_CURV_TOL` and the cluster match
 `geometry.SPECTRUM_RTOL` against the closed-form oracle.
 
+Input sizes are capped: `--count` at MAX_COUNT, a family's size at
+`families.MAX_LAWSON_ORDER` and `families.MAX_QUADRIC_NVARS`.
+
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error (a stdout
-that cannot be written included), 3 numerical breakdown of the sample ->
-project -> spectrum pipeline.  Output is deterministic for a fixed config and
-seed: floats are rendered with 17 significant digits and collections are
-assembled in sorted order.
+that cannot be written and an input above its cap included), 3 numerical
+breakdown of the sample -> project -> spectrum pipeline.  Output is
+deterministic for a fixed config and seed: floats are rendered with 17
+significant digits and collections are assembled in sorted order.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ import numpy as np
 
 from . import geometry
 from .families import (
-    FamilySpec, SurfacePatch, make_poly, parse_family, sample_points, spectrum_oracle
+    FamilySpec, SurfacePatch, lawson_light_cone, make_poly, parse_family, sample_points,
+    spectrum_oracle
 )
 from .parser import ParseError, parse_poly
 from .poly import Poly
 from .quadform import classify_candidate
-from .zmc import AmbientSig, conjecture_check
+from .zmc import AmbientSig, ZmcReport, conjecture_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -62,6 +66,9 @@ DEFAULT_TOL_SPECTRUM = geometry.SPECTRUM_RTOL
 DEFAULT_TOL_NEWTON = geometry.NEWTON_TOL
 DEFAULT_TOL_RESIDUAL = geometry.RESIDUAL_BOUND
 DEFAULT_MEAN_CURV_TOL = 1e-8
+
+# Cap on --count: `sample --family clifford:2,3 --count 10000` takes 3 s.
+MAX_COUNT = 10_000
 
 
 def _render_json(value, indent: int = 0) -> str:
@@ -125,8 +132,8 @@ def _one_family(args) -> list[str]:
     return labels
 
 
-def _resolve_input(args) -> tuple[Poly, AmbientSig, str | None, tuple[int, ...] | None]:
-    """Turn CLI flags into (poly, sig, family_label, params)."""
+def _resolve_input(args) -> tuple[FamilySpec | None, Poly | None, AmbientSig]:
+    """Turn CLI flags into (spec, poly, sig); spec is None for --poly."""
     labels = _one_family(args)
     sig_text = getattr(args, "sig", None)  # classify has no --sig
     if labels:
@@ -137,21 +144,33 @@ def _resolve_input(args) -> tuple[Poly, AmbientSig, str | None, tuple[int, ...] 
         if extra:
             raise ValueError(f"{' and '.join(extra)} cannot be given with --family")
         spec = parse_family(labels[0])
-        return make_poly(spec), spec.sig, spec.kind, spec.params
+        return spec, None, spec.sig
     if args.poly is None or args.nvars is None:
         raise ValueError("either --family or both --poly and --nvars are required")
     f = parse_poly(args.poly, args.nvars)
     if args.command == "classify":
-        return f, AmbientSig(2, -1, args.nvars), None, None
+        return None, f, AmbientSig(2, -1, args.nvars)
     if sig_text is None:
         raise ValueError("--sig s,eps is required with --poly")
-    return f, _parse_sig(sig_text, args.nvars), None, None
+    return None, f, _parse_sig(sig_text, args.nvars)
+
+
+def _certify(spec: FamilySpec) -> ZmcReport:
+    """conjecture_check of a family member; a lawson member is checked in
+    light-cone coordinates y = L x, where it stays small, and pulled back."""
+    if spec.kind != "lawson":
+        return conjecture_check(make_poly(spec), spec.sig)
+    F, form, rows = lawson_light_cone(*spec.params)
+    return conjecture_check(F, spec.sig, form).substitute(rows)
 
 
 def cmd_verify(args) -> int:
-    f, sig, family, params = _resolve_input(args)
-    report = conjecture_check(f, sig)
-    doc = report.to_dict(family=family, params=params, sig=sig, degree=f.degree())
+    spec, f, sig = _resolve_input(args)
+    if spec is None:
+        report, family, params, degree = conjecture_check(f, sig), None, None, f.degree()
+    else:
+        report, family, params, degree = _certify(spec), spec.kind, spec.params, spec.degree
+    doc = report.to_dict(family=family, params=params, sig=sig, degree=degree)
     _write_output(_render_json(doc), args.out)
     return EXIT_PASS if report.divides else EXIT_FAIL
 
@@ -160,8 +179,8 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
     """Parse and check the families and --count of a sampling command.
 
     A missing --family, a family without a sampler (lawson:k,k), a count
-    below one and a negative seed are config errors (exit 2), raised before
-    anything is sampled, not numerical breakdowns (3).
+    outside 1..MAX_COUNT and a negative seed are config errors (exit 2),
+    raised before anything is sampled, not numerical breakdowns (3).
     """
     if not labels:
         raise ValueError(f"{args.command} requires --family")
@@ -171,6 +190,8 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
             SurfacePatch(*spec.params)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    if args.count > MAX_COUNT:
+        raise ValueError(f"--count must be <= {MAX_COUNT}")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     return specs
@@ -302,10 +323,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    f, sig, family, params = _resolve_input(args)
-    result = classify_candidate(f, sig)
-    doc = {"classification": result.to_dict(), "family": family,
-           "params": list(params) if params else None}
+    spec, f, sig = _resolve_input(args)
+    result = classify_candidate(f if spec is None else make_poly(spec), sig)
+    doc = {"classification": result.to_dict(), "family": spec.kind if spec else None,
+           "params": list(spec.params) if spec else None}
     _write_output(_render_json(doc), args.out)
     return EXIT_PASS if result.verdict == "matches" else EXIT_FAIL
 
@@ -314,9 +335,9 @@ def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
     f = make_poly(spec)
     sig = spec.sig
     entry: dict = {"family": label, "params": list(spec.params)}
-    report = conjecture_check(f, sig)
+    report = _certify(spec)
     entry["verify"] = report.to_dict(
-        family=spec.kind, params=spec.params, sig=sig, degree=f.degree()
+        family=spec.kind, params=spec.params, sig=sig, degree=spec.degree
     )
     entry["passed"] = report.divides
     try:

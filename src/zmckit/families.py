@@ -31,19 +31,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .poly import Poly
 from .scalars import QuadExtScalar
-from .zmc import AmbientSig
+from .zmc import AmbientSig, Form
 
 FAMILY_KINDS = ("ads", "lawson", "ds1", "ds2", "clifford")
 
 # Hyperbolic-function arguments past this magnitude would overflow doubles
 # once products of cosh/sinh terms are formed.
 HYPERBOLIC_ARG_LIMIT = 300.0
+
+# Caps on family size, checked before anything is built.  At the caps the
+# slowest command takes under 20 s on one core: `report --family
+# lawson:100,101 --count 10` 1.9 s (`verify` 1.5 s, 3.9 MB of output),
+# `classify --family ads:49,49,0` (100 variables) 15 s.
+MAX_LAWSON_ORDER = 201  # k + n
+MAX_QUADRIC_NVARS = 100
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,12 @@ class FamilySpec:
         elif self.kind == "clifford":
             if len(p) != 2 or min(p) < 1:
                 raise ValueError("clifford family needs positive integers p, q")
+        if self.kind == "lawson" and sum(p) > MAX_LAWSON_ORDER:
+            raise ValueError(f"lawson order k+n = {sum(p)} exceeds the cap {MAX_LAWSON_ORDER}")
+        if self.kind != "lawson" and self.nvars > MAX_QUADRIC_NVARS:
+            raise ValueError(
+                f"{self.kind} family has {self.nvars} variables, above the cap {MAX_QUADRIC_NVARS}"
+            )
 
     @property
     def nvars(self) -> int:
@@ -183,13 +197,30 @@ def _pencil_poly(spec: FamilySpec) -> Poly:
     return f
 
 
+# Light-cone coordinates y = (a, p, c, q) = L x of R^4 in signature (2, 2):
+# a = x1 - x3, p = x1 + x3, c = x2 - x4, q = x2 + x4.  Each pair shares its
+# x variables, so `Poly.substitute`'s product tree pairs a^i with p^j and
+# c^k with q^l, and the pulled-back terms stay small until the last product.
+_LIGHT_CONE = ((1, 0, -1, 0), (1, 0, 1, 0), (0, 1, 0, -1), (0, 1, 0, 1))
+
+
+def lawson_light_cone(k: int, n: int) -> tuple[Poly, Form, tuple[Poly, ...]]:
+    """lawson:k,n (k, n not validated) in y = L x: F(y) = 2(a^k c^n + p^k q^n),
+    the metric K = L B L^T in exact integers (K_ap = K_cq = -2, all else 0)
+    and the rows y_i of L as polynomials in x; f(x) = F(Lx) = F.substitute(rows)."""
+    a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    rows = tuple(Poly(4, dict(zip(units, row))) for row in _LIGHT_CONE)
+    # B = diag(-1, -1, 1, 1), signature (2, 2), for every lawson member.
+    form = {(i, j): e for (i, li), (j, lj) in product(enumerate(_LIGHT_CONE), repeat=2)
+            if (e := sum(u * s * v for u, s, v in zip(li, (-1, -1, 1, 1), lj)))}
+    return (a**k * c**n + p**k * q**n).scale(2), form, rows
+
+
 def _lawson_poly(k: int, n: int) -> Poly:
     """2((x1-x3)^k (x2-x4)^n + (x1+x3)^k (x2+x4)^n), without validity checks."""
-    x1, x2 = Poly.variable(4, 1), Poly.variable(4, 2)
-    x3, x4 = Poly.variable(4, 3), Poly.variable(4, 4)
-    left = (x1 - x3) ** k * (x2 - x4) ** n
-    right = (x1 + x3) ** k * (x2 + x4) ** n
-    return (left + right).scale(2)
+    F, _, rows = lawson_light_cone(k, n)
+    return F.substitute(rows)
 
 
 def _ds2_poly(m: int) -> Poly:

@@ -255,11 +255,12 @@ class Poly:
             powers.append(row)
         total = Poly(out_nvars)
         for mono, coeff in self.ints.items():
-            term = _canonical(out_nvars, self.d, self.den, {origin: coeff})
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * powers[i][e]
-            total = total + term
+            factors = [powers[i][e] for i, e in enumerate(mono) if e] or [powers[0][0]]
+            factors[0] = _canonical(out_nvars, self.d, self.den, {origin: coeff}) * factors[0]
+            while len(factors) > 1:  # neighbours pair up: a product tree, not a left fold
+                pairs = zip(factors[::2], factors[1::2])
+                factors = [f * g for f, g in pairs] + factors[len(factors) & ~1 :]
+            total = total + factors[0]
         return total
 
     # -- rendering -----------------------------------------------------------------

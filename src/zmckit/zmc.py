@@ -14,9 +14,9 @@ certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,32 +55,39 @@ def gradient(f: Poly) -> list[Poly]:
     return [f.diff(i) for i in range(1, f.nvars + 1)]
 
 
-def _signed_sum(sig: AmbientSig, terms) -> Poly:
-    """sum_i b_i * terms[i], b_i = +-1 the metric signs of `sig`."""
-    total = Poly(sig.nvars)
-    for sign, term in zip(sig.b_diag, terms):
-        total = total - term if sign < 0 else total + term
-    return total
+# A constant symmetric integer bilinear form K, stored sparsely as
+# {(i, j): K_ij} over its nonzero entries (0-based; both (i, j) and (j, i)).
+Form = Mapping[tuple[int, int], int]
 
 
-def _w(grad: list[Poly], sig: AmbientSig) -> Poly:
-    return _signed_sum(sig, (g * g for g in grad))
+def _diagonal_form(sig: AmbientSig) -> Form:
+    return {(i, i): b for i, b in enumerate(sig.b_diag)}
 
 
-def _laplacian(grad: list[Poly], sig: AmbientSig) -> Poly:
-    return _signed_sum(sig, (g.diff(i) for i, g in enumerate(grad, start=1)))
+def _form_sum(form: Form, nvars: int, term: Callable[[int, int], Poly]) -> Poly:
+    """sum_ij K_ij * term(i, j) over the nonzero entries K_ij of `form`."""
+    scaled = (term(i, j) if k == 1 else term(i, j).scale(k) for (i, j), k in form.items())
+    return sum(scaled, Poly(nvars))
+
+
+def _w(grad: list[Poly], form: Form) -> Poly:
+    return _form_sum(form, grad[0].nvars, lambda i, j: grad[i] * grad[j])
+
+
+def _laplacian(grad: list[Poly], form: Form) -> Poly:
+    return _form_sum(form, grad[0].nvars, lambda i, j: grad[i].diff(j + 1))
 
 
 def laplacian_sig(f: Poly, sig: AmbientSig) -> Poly:
     """Signature Laplacian: second partials weighted by the metric signs."""
     _check_dims(f, sig)
-    return _laplacian(gradient(f), sig)
+    return _laplacian(gradient(f), _diagonal_form(sig))
 
 
 def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     """Gradient norm-square in the signature metric: <B grad f, grad f>."""
     _check_dims(f, sig)
-    return _w(gradient(f), sig)
+    return _w(gradient(f), _diagonal_form(sig))
 
 
 # Most polynomials whose derivatives stay cached; a float batch works on one
@@ -103,41 +110,50 @@ def derivatives(f: Poly) -> Derivatives:
     return Derivatives(grad, hess)
 
 
-def _residual_parts(f: Poly, sig: AmbientSig) -> tuple[Poly, Poly, Poly]:
-    """w, lap(f) and the residual of homogeneous f, all from one gradient."""
+def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None) -> tuple[Poly, Poly, Poly]:
+    """w, lap(f) and the residual of homogeneous f, all from one gradient,
+    in the metric `form` (B of `sig` when None)."""
     _check_dims(f, sig)
     if not f.is_homogeneous():
         raise ValueError("zmc residual requires a homogeneous polynomial")
+    form = _diagonal_form(sig) if form is None else form
     grad = gradient(f)
-    w = _w(grad, sig)
-    lap = _laplacian(grad, sig)
-    cross = _signed_sum(sig, (w.diff(i) * g for i, g in enumerate(grad, start=1)))
+    w = _w(grad, form)
+    lap = _laplacian(grad, form)
+    cross = _form_sum(form, f.nvars, lambda i, j: w.diff(i + 1) * grad[j])
     return w, lap, (w * lap).scale(2) - cross
 
 
-def zmc_residual(f: Poly, sig: AmbientSig) -> Poly:
-    """Residual 2*w*lap(f) - <grad w, B grad f> for homogeneous f.
+def zmc_residual(f: Poly, sig: AmbientSig, form: Form | None = None) -> Poly:
+    """Residual 2*w*lap(f) - <grad w, B grad f> for homogeneous f, with K in
+    place of B when `form` is given (see `conjecture_check`).
 
     Zero or homogeneous of degree 3k-4 when f is homogeneous of degree k.
     """
-    return _residual_parts(f, sig)[2]
+    return _residual_parts(f, sig, form)[2]
 
 
 @dataclass(frozen=True)
 class ZmcReport:
     """Outcome of a residual divisibility check.
 
-    `quotient` and `remainder` always satisfy residual_g = quotient*f +
-    remainder exactly; `quotient_h` exposes the quotient only when the
-    division is exact.
+    `quotient` and `remainder` always satisfy zmc_residual(f, sig, form) ==
+    quotient*f + remainder exactly; `quotient_h` exposes the quotient only
+    when the division is exact.
     """
 
-    residual_g: Poly
     quotient: Poly
     remainder: Poly
     divides: bool
     w: Poly
     laplacian: Poly
+
+    def substitute(self, rows: Sequence[Poly]) -> "ZmcReport":
+        """The report with each P(y) replaced by P(rows(x)): on F(y) in metric
+        K = L B L^T, with rows[i] = y_i = (Lx)_i, the report on f = F(Lx) in B,
+        since w, lap f and g are W, lap_K F and G = H F + R composed with L."""
+        polys = ("quotient", "remainder", "w", "laplacian")
+        return replace(self, **{name: getattr(self, name).substitute(rows) for name in polys})
 
     @property
     def quotient_h(self) -> Poly | None:
@@ -161,8 +177,10 @@ class ZmcReport:
         return doc
 
 
-def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
+def conjecture_check(f: Poly, sig: AmbientSig, form: Form | None = None) -> ZmcReport:
     """Compute the ZMC residual of f and divide it by f exactly.
+
+    `form` is the metric K = L B L^T when f is written in y = L x (default B).
 
     divides == True certifies that f cuts out algebraic ZMC hypersurfaces in
     both pseudo-spheres of index s (epsilon = +1 and -1).  A constant f cuts
@@ -171,10 +189,9 @@ def conjecture_check(f: Poly, sig: AmbientSig) -> ZmcReport:
     """
     if f.degree() < 1:
         raise ValueError("conjecture check requires a polynomial of degree >= 1")
-    w, lap, residual = _residual_parts(f, sig)
+    w, lap, residual = _residual_parts(f, sig, form)
     quotient, remainder = divide(residual, f)
     return ZmcReport(
-        residual_g=residual,
         quotient=quotient,
         remainder=remainder,
         divides=remainder.is_zero(),

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import zmckit
 from zmckit import cli, geometry
 from zmckit.cli import main
+from zmckit.families import MAX_LAWSON_ORDER, MAX_QUADRIC_NVARS, ads, ds2, lawson
 
 
 def run(capsys, *argv):
@@ -236,6 +238,41 @@ def test_count_below_one_is_usage_error(capsys, command):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: --count must be >= 1"]
+
+
+def _build_nothing(monkeypatch):
+    """Make building a family polynomial or sampling a point fail the test."""
+    def refuse(*args):
+        raise AssertionError("input was built")
+
+    for name in ("make_poly", "lawson_light_cone", "sample_points"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--family", "lawson:99,103"), "lawson order k+n = 202 exceeds the cap 201"),
+    (("spectrum", "--family", "lawson:99,103"), "lawson order k+n = 202 exceeds the cap 201"),
+    (("verify", "--family", "ads:50,49,0"), "ads family has 101 variables, above the cap 100"),
+    (("classify", "--family", "ads:50,49,0"), "ads family has 101 variables, above the cap 100"),
+    (("verify", "--family", "ds1:49,49"), "ds1 family has 101 variables, above the cap 100"),
+    (("sample", "--family", "ds2:98"), "ds2 family has 101 variables, above the cap 100"),
+    (("report", "--family", "clifford:50,49"),
+     "clifford family has 101 variables, above the cap 100"),
+    (("sample", "--family", "ds2:1", "--count", "10001"), "--count must be <= 10000"),
+])
+def test_input_above_its_cap_is_usage_error(capsys, monkeypatch, argv, message):
+    _build_nothing(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_inputs_at_their_caps_are_accepted():
+    assert sum(lawson(100, 101).params) == MAX_LAWSON_ORDER
+    assert ads(49, 49, 0).nvars == MAX_QUADRIC_NVARS
+    args = argparse.Namespace(command="sample", count=cli.MAX_COUNT, seed=0)
+    assert cli._sampled_families(args, ["ds2:1"]) == [ds2(1)]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sample", "report"])
@@ -464,6 +501,14 @@ EXACT_OUTPUT_SHA256 = [
      "b0147a26f8197b5a61cb103d063591bdec387dd64f5f1d604304577275fea122"),
     ("verify --family lawson:4,3", 0,
      "bf4aafa47dfe9c0fdab58992820f07ca5327a2480545a5e221b34a7dc96fee58"),
+    # Orders past the benchmark's lawson:10,11, certified in light-cone
+    # coordinates; the digests were recorded from the expanded x-form check.
+    ("verify --family lawson:14,15", 0,
+     "9b69c033559a274cdd0b9a60aa0546eabe01666043e5c5d2dd04562deb256f77"),
+    ("verify --family lawson:20,21", 0,
+     "ce6a1b64ff95e7de869f0cb1681d3ec5ceaa0405575920f27a352fcc2e3680e3"),
+    ("verify --family lawson:30,31", 0,
+     "ce6b5a1a8e906694a05a4991f9b441bbc19ade9a6983ec4d67a1d859baf6a805"),
     ("verify --poly x1^2*x2+x3^3-2*x4^3 --nvars 4 --sig 1,1", 1,
      "b76a97ead81a0509c5bbf7bc5d99942487ccd4d8a0f547f9da3e6f1da2b54bdf"),
     ("classify --family ads:2,1,1", 0,
