@@ -22,7 +22,9 @@ mean-curvature gate `DEFAULT_MEAN_CURV_TOL` and the cluster match
 `geometry.SPECTRUM_RTOL` against the closed-form oracle.
 
 Input sizes are capped: `--count` at MAX_COUNT, a family's size at
-`families.MAX_LAWSON_ORDER` and `families.MAX_QUADRIC_NVARS`.
+`families.MAX_LAWSON_ORDER` and `families.MAX_QUADRIC_NVARS`, `--nvars` at
+the latter, a `--poly` text at the parser's caps and its residual work at
+MAX_POLY_WORK.
 
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error (a stdout
 that cannot be written and an input above its cap included), 3 numerical
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,8 +45,8 @@ import numpy as np
 
 from . import geometry
 from .families import (
-    FamilySpec, SurfacePatch, lawson_light_cone, make_poly, parse_family, sample_points,
-    spectrum_oracle
+    MAX_QUADRIC_NVARS, FamilySpec, SurfacePatch, lawson_light_cone, make_poly, parse_family,
+    sample_points, spectrum_oracle
 )
 from .parser import ParseError, parse_poly
 from .poly import Poly
@@ -69,6 +72,10 @@ DEFAULT_MEAN_CURV_TOL = 1e-8
 
 # Cap on --count: `sample --family clifford:2,3 --count 10000` takes 3 s.
 MAX_COUNT = 10_000
+
+# Cap on the residual work of a --poly input (see `_residual_work`), set so
+# that the slowest accepted input measured takes under 20 s.
+MAX_POLY_WORK = 10**7
 
 
 def _render_json(value, indent: int = 0) -> str:
@@ -147,12 +154,35 @@ def _resolve_input(args) -> tuple[FamilySpec | None, Poly | None, AmbientSig]:
         return spec, None, spec.sig
     if args.poly is None or args.nvars is None:
         raise ValueError("either --family or both --poly and --nvars are required")
+    if args.nvars > MAX_QUADRIC_NVARS:
+        raise ValueError(f"--nvars {args.nvars} is above the cap {MAX_QUADRIC_NVARS}")
     f = parse_poly(args.poly, args.nvars)
+    if (work := _residual_work(f)) > MAX_POLY_WORK:
+        raise ValueError(f"--poly needs up to {work} term operations, above the cap "
+                         f"{MAX_POLY_WORK}")
     if args.command == "classify":
         return None, f, AmbientSig(2, -1, args.nvars)
     if sig_text is None:
         raise ValueError("--sig s,eps is required with --poly")
     return None, f, _parse_sig(sig_text, args.nvars)
+
+
+def _residual_work(f: Poly) -> int:
+    """A bound on the term operations of f's residual and its division.
+
+    f has T terms of degree D in m variables, and S(d) monomials of degree d
+    exist in m variables.  w then has at most min(T^2, S(2D-2)) terms, each
+    multiplied by up to T terms of f's derivatives, and the division takes at
+    most S(2D-4) steps of T terms each.
+    """
+    t, used = f.num_terms(), sum(1 for column in zip(*f.ints) if any(column))
+    if not used:
+        return 0
+
+    def span(d: int) -> int:
+        return math.comb(used + d - 1, d) if d >= 0 else 0
+
+    return t * (min(t * t, span(2 * f.degree() - 2)) + span(2 * f.degree() - 4))
 
 
 def _certify(spec: FamilySpec) -> ZmcReport:

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .isometry import linear_forms
 from .poly import Poly
 from .scalars import QuadExtScalar
 from .zmc import AmbientSig, Form
@@ -209,8 +210,7 @@ def lawson_light_cone(k: int, n: int) -> tuple[Poly, Form, tuple[Poly, ...]]:
     the metric K = L B L^T in exact integers (K_ap = K_cq = -2, all else 0)
     and the rows y_i of L as polynomials in x; f(x) = F(Lx) = F.substitute(rows)."""
     a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
-    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    rows = tuple(Poly(4, dict(zip(units, row))) for row in _LIGHT_CONE)
+    rows = linear_forms(_LIGHT_CONE)
     # B = diag(-1, -1, 1, 1), signature (2, 2), for every lawson member.
     form = {(i, j): e for (i, li), (j, lj) in product(enumerate(_LIGHT_CONE), repeat=2)
             if (e := sum(u * s * v for u, s, v in zip(li, (-1, -1, 1, 1), lj)))}

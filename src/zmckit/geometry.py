@@ -4,9 +4,10 @@ Points live on the intersection of the polynomial zero set with the quadric
 <B x, x> = epsilon.  All the classical objects are computed at such points:
 a tangent frame, the induced metric and its signature, the shape operator
 (the differential of the Gauss map nu = B grad f / sqrt(|w|)), and its
-principal curvature spectrum.  Derivative polynomials are cached per
-polynomial (`zmc.derivatives`), so batch runs over many points reuse the
-exact gradients and Hessians.  The float w at a point comes from the float
+principal curvature spectrum, whose eigenspaces take their causal tags from
+the induced metric.  Derivative polynomials are cached per polynomial
+(`zmc.derivatives`), so batch runs over many points reuse the exact
+gradients and Hessians.  The float w at a point comes from the float
 gradient there, w = <B g, g>, rather than from evaluating the expanded
 polynomial w, whose monomials cancel badly at high degree; the point carries
 g, so the frame does not evaluate the gradient again.
@@ -201,14 +202,15 @@ def induced_metric(
     """Gram matrix G_ij = <B v_i, v_j> of a frame plus its signature.
 
     Signature counts (negative, positive) eigenvalues; (0, dim) means the
-    hypersurface is space-like there, (1, dim-1) Lorentzian.
+    hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
+    eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
     """
     b = np.asarray(sig.b_diag, dtype=float)
     gram = frame @ (b[:, None] * frame.T)
     gram = 0.5 * (gram + gram.T)
-    if abs(np.linalg.det(gram)) < DEGENERATE_METRIC_TOL:
-        raise ValueError("induced metric is degenerate at this point")
     eigs = np.linalg.eigvalsh(gram)
+    if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
+        raise ValueError("induced metric is degenerate at this point")
     return gram, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
 
 
@@ -247,25 +249,18 @@ def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, list[int]]]:
     return groups
 
 
-def _causal_type(vectors: np.ndarray, frame: np.ndarray, sig: AmbientSig) -> str:
-    """Causal character of an eigenspace spanned by frame-coordinate columns."""
-    b = np.asarray(sig.b_diag, dtype=float)
-    kinds = set()
-    for col in vectors.T:
-        if np.max(np.abs(col.imag)) > 1e-8 * max(np.max(np.abs(col)), 1e-300):
-            return "complex"
-        ambient = frame.T @ col.real
-        norm2 = float(ambient @ (b * ambient))
-        scale = float(ambient @ ambient)
-        if norm2 < -1e-8 * scale:
-            kinds.add("time-like")
-        elif norm2 > 1e-8 * scale:
-            kinds.add("space-like")
-        else:
-            kinds.add("null")
-    if len(kinds) == 1:
-        return kinds.pop()
-    return "mixed"
+def _causal_type(vectors: np.ndarray, gram: np.ndarray) -> str:
+    """Causal character of an eigenspace spanned by frame-coordinate columns v:
+    v^T G v against 1e-8 |v|^2, the frame rows being orthonormal."""
+    peak = np.maximum(np.max(np.abs(vectors), axis=0), 1e-300)
+    if np.any(np.max(np.abs(vectors.imag), axis=0) > 1e-8 * peak):
+        return "complex"
+    v = vectors.real
+    kinds = {
+        "time-like" if norm2 < -1e-8 * scale else "space-like" if norm2 > 1e-8 * scale else "null"
+        for norm2, scale in zip(np.sum(v * (gram @ v), axis=0), np.sum(v * v, axis=0))
+    }
+    return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
 def curvature_spectrum(
@@ -296,7 +291,7 @@ def curvature_spectrum(
         _, _, vt = np.linalg.svd(shifted)
         basis = vt[dim - mult :, :].conj().T
         vec_blocks.append(basis)
-        clusters.append(Cluster(rep, mult, _causal_type(basis, frame, sig)))
+        clusters.append(Cluster(rep, mult, _causal_type(basis, gram)))
         # Basis vectors that fail to be near-null for S - lambda I signal a
         # defective (non-diagonalizable) operator as well.
         if np.max(np.abs(shifted @ basis)) > 1e-6 * scale:

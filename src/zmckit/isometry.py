@@ -8,7 +8,8 @@ the rotation and boost one-parameter groups come from the parametrizations
 
 so random words in these generators stay inside Q and compositions with
 polynomials remain exact.  `apply_to_poly` performs the coordinate change
-f(M x) that `classify` must see through; the exact isometry check
+f(M x) that `classify` must see through, on the forms of `linear_forms`;
+`matmul_exact` is the one exact matrix product.  The exact isometry check
 M^T B M == B is a test oracle (`tests/oracles.py`).
 """
 
@@ -30,57 +31,58 @@ def identity_exact(n: int) -> ExactMatrix:
 
 
 def matmul_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
+    """The product a b; products with a zero factor are skipped."""
+    if len(a[0]) != len(b):
         raise ValueError("inner matrix dimensions do not match")
+    cols = list(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
+    for row in a:
+        support = [(l, x) for l, x in enumerate(row) if not x.is_zero()]
+        out_row = []
+        for col in cols:
             acc = ZERO
-            for l in range(k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
+            for l, x in support:
+                if not col[l].is_zero():
+                    acc = acc + x * col[l]
+            out_row.append(acc)
+        out.append(out_row)
     return out
+
+
+def _plane_entries(sig: AmbientSig, i: int, j: int, t: Fraction):
+    """(m_ii = m_jj, m_ij, m_ji) of the generator in the (x_i, x_j) plane: a
+    rotation when both axes carry the same metric sign, a boost otherwise."""
+    t = Fraction(t)
+    rotation = sig.b_diag[i - 1] == sig.b_diag[j - 1]
+    if not rotation and not abs(t) < 1:
+        raise ValueError(f"boost parameter must satisfy |t| < 1, got {t}")
+    # (cos, sin) = (1 - t^2, 2t) / (1 + t^2); (cosh, sinh) = (1 + t^2, 2t) / (1 - t^2)
+    tt = t * t if rotation else -t * t
+    s = as_scalar(2 * t / (1 + tt))
+    return as_scalar((1 - tt) / (1 + tt)), -s if rotation else s, s
+
+
+def _plane_matrix(sig: AmbientSig, i: int, j: int, t: Fraction, rotation: bool) -> ExactMatrix:
+    if (sig.b_diag[i - 1] == sig.b_diag[j - 1]) != rotation:
+        signs, other = (("different metric signs", "boost") if rotation
+                        else ("the same metric sign", "rotation"))
+        raise ValueError(f"axes {i} and {j} carry {signs}; use a {other}")
+    diag, m_ij, m_ji = _plane_entries(sig, i, j, t)
+    m = identity_exact(sig.nvars)
+    a, b = i - 1, j - 1
+    m[a][a] = m[b][b] = diag
+    m[a][b], m[b][a] = m_ij, m_ji
+    return m
 
 
 def rotation_exact(sig: AmbientSig, i: int, j: int, t: Fraction) -> ExactMatrix:
     """Rotation in the (x_i, x_j) plane; both axes must carry the same sign."""
-    b = sig.b_diag
-    if b[i - 1] != b[j - 1]:
-        raise ValueError(
-            f"axes {i} and {j} carry different metric signs; use a boost"
-        )
-    t = Fraction(t)
-    denom = 1 + t * t
-    c = as_scalar(Fraction(1 - t * t, 1) / denom)
-    s = as_scalar(Fraction(2) * t / denom)
-    m = identity_exact(sig.nvars)
-    a, bb = i - 1, j - 1
-    m[a][a], m[a][bb] = c, -s
-    m[bb][a], m[bb][bb] = s, c
-    return m
+    return _plane_matrix(sig, i, j, t, rotation=True)
 
 
 def boost_exact(sig: AmbientSig, i: int, j: int, t: Fraction) -> ExactMatrix:
     """Hyperbolic rotation mixing a negative axis x_i with a positive axis x_j."""
-    b = sig.b_diag
-    if b[i - 1] == b[j - 1]:
-        raise ValueError(
-            f"axes {i} and {j} carry the same metric sign; use a rotation"
-        )
-    t = Fraction(t)
-    if not abs(t) < 1:
-        raise ValueError(f"boost parameter must satisfy |t| < 1, got {t}")
-    denom = 1 - t * t
-    ch = as_scalar(Fraction(1 + t * t, 1) / denom)
-    sh = as_scalar(Fraction(2) * t / denom)
-    m = identity_exact(sig.nvars)
-    a, bb = i - 1, j - 1
-    m[a][a], m[a][bb] = ch, sh
-    m[bb][a], m[bb][bb] = sh, ch
-    return m
+    return _plane_matrix(sig, i, j, t, rotation=False)
 
 
 def random_exact_isometry(sig: AmbientSig, rng: np.random.Generator, steps: int = 4) -> ExactMatrix:
@@ -90,17 +92,21 @@ def random_exact_isometry(sig: AmbientSig, rng: np.random.Generator, steps: int 
     for _ in range(steps):
         i, j = sorted(int(v) + 1 for v in rng.choice(n, size=2, replace=False))
         t = Fraction(int(rng.integers(-3, 4)), int(rng.integers(4, 9)))
-        same_sign = sig.b_diag[i - 1] == sig.b_diag[j - 1]
-        step = rotation_exact(sig, i, j, t) if same_sign else boost_exact(sig, i, j, t)
+        diag, m_ij, m_ji = _plane_entries(sig, i, j, t)
         # The generator only mixes columns i and j; skip the dense product.
         a, b = i - 1, j - 1
-        caa, cab = step[a][a], step[a][b]
-        cba, cbb = step[b][a], step[b][b]
         for row in out:
             va, vb = row[a], row[b]
-            row[a] = va * caa + vb * cba
-            row[b] = va * cab + vb * cbb
+            row[a] = va * diag + vb * m_ji
+            row[b] = va * m_ij + vb * diag
     return out
+
+
+def linear_forms(m) -> tuple[Poly, ...]:
+    """The forms x_i -> sum_j m[i][j] x_j of a square matrix, one Poly per row."""
+    n = len(m)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return tuple(Poly(n, dict(zip(units, row))) for row in m)
 
 
 def apply_to_poly(f: Poly, m: ExactMatrix) -> Poly:
@@ -108,13 +114,4 @@ def apply_to_poly(f: Poly, m: ExactMatrix) -> Poly:
     n = f.nvars
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"matrix must be {n}x{n} to act on this polynomial")
-    rows = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            if not m[i][j].is_zero():
-                mono = [0] * n
-                mono[j] = 1
-                terms[tuple(mono)] = m[i][j]
-        rows.append(Poly(n, terms))
-    return f.substitute(rows)
+    return f.substitute(linear_forms(m))

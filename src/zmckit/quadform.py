@@ -2,11 +2,11 @@
 
 A homogeneous quadratic f is written as <A x, x> with A symmetric over
 Q(sqrt(d)).  Isometries M of the metric (M^T B M = B) act by A -> M^T A M,
-which conjugates B A; the exact characteristic polynomial of B A is thus an
-isometry invariant ("pencil fingerprint") and is used to re-identify members
-of the ads quadric family after a coordinate change.  A family member's
-pencil is block diagonal, so its fingerprint is known in closed form.
-Everything here is exact.
+which conjugates B A.  The exact characteristic polynomial of B A, by
+Faddeev-LeVerrier on `isometry.matmul_exact`, is thus an isometry invariant
+(the "pencil fingerprint") that re-identifies members of the ads quadric
+family after a coordinate change.  A family member's pencil is block
+diagonal, so its fingerprint is known in closed form.  All of it is exact.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .isometry import identity_exact, matmul_exact
 from .poly import Poly
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from .zmc import AmbientSig, conjecture_check
@@ -82,31 +83,15 @@ def _pencil_matrix(
 
 def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
     """Monic characteristic polynomial coefficients (c_0=1, c_1, ..., c_n)
-    of lambda^n + c_1 lambda^{n-1} + ... + c_n, by Faddeev-LeVerrier."""
+    of lambda^n + c_1 lambda^{n-1} + ... + c_n, by Faddeev-LeVerrier:
+    M_k = A (M_{k-1} + c_{k-1} I) with M_0 = 0, and c_k = -tr(M_k) / k."""
     n = len(matrix)
     coeffs = [ONE]
-    mk = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    mk = identity_exact(n)  # M_0 + c_0 I
     for k in range(1, n + 1):
-        am = []
-        for i in range(n):
-            row_i = matrix[i]
-            out_row = []
-            for j in range(n):
-                acc = ZERO
-                for l in range(n):
-                    a = row_i[l]
-                    if a.is_zero():
-                        continue
-                    b = mk[l][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                out_row.append(acc)
-            am.append(out_row)
-        trace = sum((am[i][i] for i in range(n)), ZERO)
-        ck = -(trace / k)
+        mk = matmul_exact(matrix, mk)
+        ck = -(sum((mk[i][i] for i in range(n)), ZERO) / k)
         coeffs.append(ck)
-        mk = am
         if not ck.is_zero():
             for i in range(n):
                 mk[i][i] = mk[i][i] + ck

@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
 # Trial division takes time growing like sqrt(n): about 0.1 s for a prime
 # near 1e12, about 1 s near 1e14.
 MAX_RADICAND = 10**12
 
-# Distinct radicands seen in one run are the family parameters' products and
-# the parsed sqrt arguments: a few dozen at most.
-SQUAREFREE_CACHE_SIZE = 1024
 
-
-@lru_cache(maxsize=SQUAREFREE_CACHE_SIZE)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as c*c*d with d square-free; return (c, d).
 

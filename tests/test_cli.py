@@ -1,21 +1,41 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zmckit
 from zmckit import cli, geometry
 from zmckit.cli import main
-from zmckit.families import MAX_LAWSON_ORDER, MAX_QUADRIC_NVARS, ads, ds2, lawson
+from zmckit.families import (
+    MAX_LAWSON_ORDER, MAX_QUADRIC_NVARS, ads, ds2, lawson, make_poly, parse_family
+)
+from zmckit.isometry import apply_to_poly
+from zmckit.parser import MAX_POLY_DEGREE, MAX_POLY_TERMS, parse_poly
+from zmckit.poly import Poly
+from zmckit.zmc import AmbientSig, conjecture_check
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(capsys, *argv):
@@ -273,6 +293,140 @@ def test_inputs_at_their_caps_are_accepted():
     assert ads(49, 49, 0).nvars == MAX_QUADRIC_NVARS
     args = argparse.Namespace(command="sample", count=cli.MAX_COUNT, seed=0)
     assert cli._sampled_families(args, ["ds2:1"]) == [ds2(1)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--poly", "x1^2", "--nvars", "101", "--sig", "1,1"),
+     "--nvars 101 is above the cap 100"),
+    (("classify", "--poly", "x1^2", "--nvars", "101"), "--nvars 101 is above the cap 100"),
+])
+def test_poly_nvars_above_its_cap_is_usage_error(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "parse_poly", lambda *args: pytest.fail("--poly was parsed"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+_SUMS = ("+".join(f"x{i}" for i in range(1, 41)), "+".join(f"x{i}" for i in range(41, 91)))
+
+
+@pytest.mark.parametrize("text,message", [
+    # (x1+..+x4)^21 has 2,024 terms, one power above the term cap.
+    ("(x1+x2+x3+x4)^21", "up to 2024 terms exceed the cap 2000 (at position 13)"),
+    ("(x1+x2+x3+x4)^200", "up to 1373701 terms exceed the cap 2000 (at position 13)"),
+    ("x1^202", "degree 202 exceeds the cap 201 (at position 2)"),
+    ("x1^101 x2^101", "degree 202 exceeds the cap 201 (at position 7)"),
+    ("x1^201 x2", "degree 202 exceeds the cap 201 (at position 7)"),
+    ("(x1+x2+x3+x4+x5+x6+x7+x8)^4 * (x1+x2+x3)^4",
+     "up to 4950 terms exceed the cap 2000 (at position 28)"),
+    # A product of exactly 2,000 terms, then one more summand.
+    ("({}) ({}) + x91".format(*_SUMS), "up to 2001 terms exceed the cap 2000 (at position 355)"),
+])
+def test_poly_above_a_parser_cap_is_usage_error(capsys, monkeypatch, text, message):
+    # The parser checks a bound on each product and power before expanding
+    # it; a power expands by repeated products, which are watched here.
+    real_mul = Poly.__mul__
+
+    def small_mul(p, q):
+        assert p.num_terms() * q.num_terms() <= MAX_POLY_TERMS, "a capped product was expanded"
+        return real_mul(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", small_mul)
+    for command in (["verify", "--sig", "2,-1"], ["classify"]):
+        code, out, err = run(capsys, *command, "--poly", text, "--nvars", "91")
+        assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+def test_superscript_digit_is_a_syntax_error_with_its_position(capsys):
+    code, out, err = run(capsys, "verify", "--poly", "x1²", "--nvars", "2", "--sig", "1,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: unexpected character '²' (at position 2)"]
+
+
+def test_poly_above_the_work_cap_is_usage_error(capsys, monkeypatch):
+    for name in ("conjecture_check", "classify_candidate"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("residual was computed"))
+    # 1,140 terms of degree 17: the term cap passes, the residual's work does not.
+    code, out, err = run(capsys, "verify", "--poly", "(x1+x2+x3+x4)^17", "--nvars", "4",
+                         "--sig", "2,-1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: --poly needs up to 13681140 term operations, above the cap 10000000"
+    ]
+
+
+def test_poly_inputs_at_their_caps_are_accepted():
+    # Exactly MAX_POLY_TERMS terms from one product, and degree MAX_POLY_DEGREE.
+    assert parse_poly("({}) ({})".format(*_SUMS), 90).num_terms() == MAX_POLY_TERMS == 2000
+    assert parse_poly("x1^100 x2^101", 2).degree() == MAX_POLY_DEGREE == 201
+    assert parse_poly("(x1 + x2)^201", 2).num_terms() == 202
+    # The largest 4-variable power under the work cap, and --nvars at its cap.
+    for text, nvars in (("(x1+x2+x3+x4)^16", 4), ("x1^2 - x100^2", MAX_QUADRIC_NVARS)):
+        args = argparse.Namespace(command="verify", family=None, poly=text, nvars=nvars,
+                                  sig="1,1")
+        spec, f, sig = cli._resolve_input(args)
+        assert spec is None and sig.nvars == nvars
+        assert cli._residual_work(f) <= cli.MAX_POLY_WORK
+
+
+def test_residual_work_bounds_the_residual_and_quotient():
+    # min(T^2, S(2D-2)) bounds w's terms and S(2D-4) the quotient's.
+    for text, nvars, sig in (("(x1+x2+x3)^4 - 7 x2^4", 3, AmbientSig(1, 1, 3)),
+                             ("x1^3 x2 + x2^2 x3^2 - 2 x1 x3^3", 3, AmbientSig(1, 1, 3)),
+                             ("2 x1 x2 + x3^2 - x4^2", 4, AmbientSig(2, -1, 4))):
+        f = parse_poly(text, nvars)
+        report = conjecture_check(f, sig)
+        t, d = f.num_terms(), f.degree()
+        span = [math.comb(nvars + k - 1, k) for k in (2 * d - 2, 2 * d - 4)]
+        assert report.w.num_terms() <= min(t * t, span[0])
+        assert report.quotient.num_terms() <= span[1]
+        assert cli._residual_work(f) == t * (min(t * t, span[0]) + span[1])
+
+
+def _poly_arguments(node) -> list[tuple[str, int]]:
+    """(text, nvars) of each --poly in a run of string constants or a command line."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and "--poly " in node.value:
+        words = shlex.split(node.value)
+    elif isinstance(node, (ast.Call, ast.Tuple, ast.List)):
+        items = node.args if isinstance(node, ast.Call) else node.elts
+        words = [i.value for i in items if isinstance(i, ast.Constant) and isinstance(i.value, str)]
+    else:
+        return []
+    if "--poly" not in words or "--nvars" not in words:
+        return []
+    text = words[words.index("--poly") + 1]
+    return [] if text.startswith("--") else [(text, int(words[words.index("--nvars") + 1]))]
+
+
+# --poly inputs in tests/ that are rejected on purpose.
+REJECTED_POLY_INPUTS = {
+    ("x1 +", 2), ("x1²", 2), ("x1^2", 101), ("(x1+x2+x3+x4)^17", 4),
+    ("sqrt(1000000000039) x1^2 - x2^2 + x3^2", 3),
+}
+
+
+def test_every_poly_text_in_the_tests_and_the_benchmark_still_parses():
+    texts = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            texts.update(_poly_arguments(node))
+    texts -= REJECTED_POLY_INPUTS
+    assert len(texts) >= 10
+    bench = _load_perfbench_workloads()
+    for seed in (7, 1000010, 2000013):
+        rng = np.random.default_rng(seed)
+        for label, word in bench.CERTIFY_IMAGES:
+            spec = parse_family(label)
+            f = apply_to_poly(make_poly(spec), bench.seeded_isometry(spec.sig, word, rng))
+            texts.add((f.render(), spec.nvars))
+            texts.add((conjecture_check(f, spec.sig).quotient_h.render(), spec.nvars))
+    label, extra = bench.NON_ZMC
+    spec = parse_family(label)
+    texts.add(((make_poly(spec) + parse_poly(f"x1^{extra}", 4)).render(), spec.nvars))
+    texts.update((text, nvars) for text in bench.NON_MEMBERS
+                 for nvars in range(4, bench.CLASSIFY_MAX_TOTAL + 3))
+    for text, nvars in texts:
+        assert nvars <= MAX_QUADRIC_NVARS
+        assert cli._residual_work(parse_poly(text, nvars)) <= cli.MAX_POLY_WORK, text
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sample", "report"])

@@ -111,6 +111,29 @@ def test_induced_metric_signatures():
         assert signature == want, spec.label
 
 
+def test_induced_metric_rejects_a_frame_with_a_null_vector():
+    # (1, 0, 1, 0)/sqrt 2 is null for B = diag(-1, -1, 1, 1), and e2 is
+    # orthogonal to it, so the induced metric has a zero eigenvalue.
+    frame = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    frame[0] /= math.sqrt(2.0)
+    with pytest.raises(ValueError, match="induced metric is degenerate"):
+        geometry.induced_metric(frame, SIG_HAND)
+
+
+@pytest.mark.parametrize("columns,want", [
+    ([[1.0, 0.0, 0.0]], "time-like"),
+    ([[0.0, 1.0, 0.0], [0.0, 0.6, 0.8]], "space-like"),
+    ([[1.0, 1.0, 0.0]], "null"),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "mixed"),
+    ([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]], "mixed"),
+    ([[0.0, 1.0, 0.0], [1.0, 1j, 0.0]], "complex"),
+])
+def test_causal_type_on_hand_built_eigenvector_blocks(columns, want):
+    gram = np.diag([-1.0, 1.0, 1.0])
+    vectors = np.array(columns, dtype=complex).T
+    assert geometry._causal_type(vectors, gram) == want
+
+
 def test_induced_metric_on_phi_patch_frame():
     # Frame {d phi/ds, d phi/dt} gives G = diag(1, (k^2+n^2+(n^2-k^2)cosh 2s)/2).
     from zmckit.families import SurfacePatch

@@ -14,6 +14,7 @@ from zmckit.isometry import (
     rotation_exact,
 )
 from zmckit.parser import parse_poly
+from zmckit.scalars import ZERO, QuadExtScalar
 from zmckit.zmc import AmbientSig
 
 
@@ -57,6 +58,22 @@ def test_composition_is_isometry():
         boost_exact(sig, 1, 2, Fraction(2, 7)),
     )
     assert is_exact_isometry(m, sig)
+
+
+def test_matmul_with_zero_rows_and_columns_equals_the_dense_product():
+    def q(rat, surd=0):
+        return QuadExtScalar(Fraction(rat), Fraction(surd), 2)
+
+    a = [[q(1, 1), ZERO, q(-2)], [ZERO, ZERO, ZERO], [q(0, 3), q(1, 2), ZERO]]
+    b = [[q(2), ZERO, q(1, -1), ZERO], [ZERO, ZERO, ZERO, ZERO], [q(-1, 1), ZERO, q(3), ZERO]]
+    dense = [
+        [sum((a[i][l] * b[l][j] for l in range(3)), ZERO) for j in range(4)] for i in range(3)
+    ]
+    assert matmul_exact(a, b) == dense
+    assert matmul_exact(a, b)[1] == [ZERO] * 4
+    assert [row[1] for row in matmul_exact(a, b)] == [ZERO] * 3
+    with pytest.raises(ValueError, match="inner matrix dimensions"):
+        matmul_exact(b, a)
 
 
 def test_apply_to_poly_euclidean_rotation():

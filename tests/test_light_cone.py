@@ -11,6 +11,7 @@ import pytest
 
 from zmckit import cli
 from zmckit.families import FamilySpec, lawson, lawson_light_cone, make_poly, parse_family
+from zmckit.isometry import linear_forms
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.zmc import ZmcReport, conjecture_check, zmc_residual
@@ -41,6 +42,17 @@ def test_light_cone_coordinates_and_form():
     assert form == {(0, 1): -2, (1, 0): -2, (2, 3): -2, (3, 2): -2}
     assert F == parse_poly("2 x1^2 x3^3 + 2 x2^2 x4^3", 4)
     assert F.substitute(rows) == make_poly(lawson(2, 3))
+
+
+def test_linear_forms_reproduce_the_light_cone_rows():
+    # The rows as they were built before `linear_forms` existed, with their
+    # storage order, which `Poly.substitute`'s product tree depends on.
+    matrix = ((1, 0, -1, 0), (1, 0, 1, 0), (0, 1, 0, -1), (0, 1, 0, 1))
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    before = tuple(Poly(4, dict(zip(units, row))) for row in matrix)
+    rows = linear_forms(matrix)
+    assert rows == before == lawson_light_cone(2, 3)[2]
+    assert [list(r.ints.items()) for r in rows] == [list(r.ints.items()) for r in before]
 
 
 @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (4, 3), (8, 9), (30, 31)])

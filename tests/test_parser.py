@@ -57,6 +57,17 @@ def test_syntax_error_reports_position():
         parse_poly("x1 x", 2)
 
 
+def test_non_ascii_digits_are_a_syntax_error_with_a_position():
+    # '²' is a digit to str.isdigit but not to int(); the tokenizer reads
+    # decimal digits only.
+    with pytest.raises(ParseError) as err:
+        parse_poly("x1²", 2)
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse_poly("x1^²", 2)
+    assert err.value.position == 3
+
+
 def test_variable_out_of_range():
     with pytest.raises(ParseError, match="out of range"):
         parse_poly("x5", 4)

@@ -124,7 +124,3 @@ def test_equal_rationals_share_hash_and_dict_slot():
         assert {scalar: "scalar"}.get(value) == "scalar"
         assert {value: "value"}.get(scalar) == "value"
     assert len({2: 0, Fraction(2): 1, QuadExtScalar(2): 2}) == 1
-
-
-def test_squarefree_cache_is_bounded():
-    assert squarefree_decompose.cache_info().maxsize is not None
