@@ -36,6 +36,7 @@ significant digits and collections are assembled in sorted order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -355,7 +356,7 @@ def cmd_sample(args) -> int:
 def cmd_classify(args) -> int:
     spec, f, sig = _resolve_input(args)
     result = classify_candidate(f if spec is None else make_poly(spec), sig)
-    doc = {"classification": result.to_dict(), "family": spec.kind if spec else None,
+    doc = {"classification": dataclasses.asdict(result), "family": spec.kind if spec else None,
            "params": list(spec.params) if spec else None}
     _write_output(_render_json(doc), args.out)
     return EXIT_PASS if result.verdict == "matches" else EXIT_FAIL
@@ -385,7 +386,7 @@ def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
         entry["passed"] = False
     if spec.kind == "ads":
         result = classify_candidate(f, sig)
-        entry["classification"] = result.to_dict()
+        entry["classification"] = dataclasses.asdict(result)
         entry["passed"] = entry["passed"] and result.verdict == "matches"
     else:
         entry["classification"] = None

@@ -17,6 +17,11 @@ Five families are supported, selected by strings of the form shown:
     clifford:p,q    Clifford quadric q|y|^2 - p|z|^2 in the round sphere,
                     y in R^{p+1}, z in R^{q+1}, sig (0,1)
 
+Each quadric member is built from one table of (i, j, coefficient) entries,
+stored in the order listed.  `pencil_coefficients` gives the ads and ds1
+coefficients, and `quadform` reads the same function for its closed-form
+fingerprints.
+
 Each quadric family comes with a one-pass on-variety sampler (free
 coordinates drawn inside the feasible region, the two constraints solved for
 the block norms, uniform block directions) and a spectrum oracle that
@@ -128,9 +133,6 @@ class FamilySpec:
     def label(self) -> str:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
-    def __str__(self):
-        return self.label
-
 
 def ads(m: int, n: int, k: int) -> FamilySpec:
     return FamilySpec("ads", (m, n, k))
@@ -170,32 +172,32 @@ def parse_family(text: str) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_ratio(num: int, den: int) -> QuadExtScalar:
-    return QuadExtScalar.sqrt(Fraction(num, den))
+def pencil_coefficients(m: int, n: int) -> tuple[QuadExtScalar, QuadExtScalar, QuadExtScalar]:
+    """(mu, sqrt(n/m), -sqrt(m/n)) with mu = (m-n)/sqrt(mn): the x2^2, |y|^2
+    and |z|^2 coefficients of ads:m,n,k.  ds1:m,n has -mu in place of mu."""
+    return (QuadExtScalar(m - n) * QuadExtScalar.sqrt(Fraction(1, m * n)),
+            QuadExtScalar.sqrt(Fraction(n, m)), -QuadExtScalar.sqrt(Fraction(m, n)))
 
 
-def _block_squares(nvars: int, start: int, size: int) -> Poly:
-    """Sum of squares of variables start..start+size-1 (1-based)."""
-    total = Poly(nvars)
-    for i in range(start, start + size):
-        v = Poly.variable(nvars, i)
-        total = total + v * v
-    return total
+def _quadric(nvars: int, entries) -> Poly:
+    """sum of c x_i x_j over the (i, j, c) entries, 1-based.
+
+    The terms are stored in the order the entries are listed.  `Poly.eval_float`
+    sums in storage order, so this order fixes every float that `spectrum` and
+    `sample` print: keep it.
+    """
+    terms = {}
+    for i, j, c in entries:
+        mono = [0] * nvars
+        mono[i - 1] += 1
+        mono[j - 1] += 1
+        terms[tuple(mono)] = c
+    return Poly(nvars, terms)
 
 
-def _pencil_poly(spec: FamilySpec) -> Poly:
-    """2 x_a x2 + mu x2^2 + sqrt(n/m)|y|^2 - sqrt(m/n)|z|^2 of ads:m,n,k
-    (a = 1, mu = (m-n)/sqrt(mn), y from x3) and ds1:m,n (a = 3,
-    mu = (n-m)/sqrt(mn), y from x4)."""
-    m, n = spec.params[:2]
-    a, y, diff = (1, 3, m - n) if spec.kind == "ads" else (3, 4, n - m)
-    nv = spec.nvars
-    xa, x2 = Poly.variable(nv, a), Poly.variable(nv, 2)
-    mid = QuadExtScalar(Fraction(diff)) * _sqrt_ratio(1, m * n)
-    f = (xa * x2).scale(2) + (x2 * x2).scale(mid)
-    f = f + _block_squares(nv, y, m).scale(_sqrt_ratio(n, m))
-    f = f - _block_squares(nv, y + m, n).scale(_sqrt_ratio(m, n))
-    return f
+def _squares(first: int, count: int, c) -> list:
+    """Entries of c (x_first^2 + ... ) over `count` consecutive variables."""
+    return [(i, i, c) for i in range(first, first + count)]
 
 
 # Light-cone coordinates y = (a, p, c, q) = L x of R^4 in signature (2, 2):
@@ -223,31 +225,22 @@ def _lawson_poly(k: int, n: int) -> Poly:
     return F.substitute(rows)
 
 
-def _ds2_poly(m: int) -> Poly:
-    nv = 3 + m
-    x1, x2, x3 = (Poly.variable(nv, i) for i in (1, 2, 3))
-    f = (x1 * x1).scale(QuadExtScalar.sqrt(m)) + (x2 * x3).scale(2)
-    f = f - (x3 * x3).scale(QuadExtScalar(Fraction(m - 1)) * _sqrt_ratio(1, m))
-    f = f + _block_squares(nv, 4, m).scale(_sqrt_ratio(1, m))
-    return f
-
-
-def _clifford_poly(p: int, q: int) -> Poly:
-    nv = p + q + 2
-    f = _block_squares(nv, 1, p + 1).scale(q)
-    return f - _block_squares(nv, p + 2, q + 1).scale(p)
-
-
 def make_poly(spec: FamilySpec) -> Poly:
     """The defining polynomial of a family member, over Q(sqrt(d))."""
-    p = spec.params
-    if spec.kind in ("ads", "ds1"):
-        return _pencil_poly(spec)
+    p, nv = spec.params, spec.nvars
     if spec.kind == "lawson":
         return _lawson_poly(*p)
+    if spec.kind == "clifford":
+        return _quadric(nv, _squares(1, p[0] + 1, p[1]) + _squares(p[0] + 2, p[1] + 1, -p[0]))
     if spec.kind == "ds2":
-        return _ds2_poly(*p)
-    return _clifford_poly(*p)
+        root = QuadExtScalar.sqrt(p[0])
+        return _quadric(nv, [(1, 1, root), (2, 3, 2), (3, 3, (1 - p[0]) / root)]
+                        + _squares(4, p[0], 1 / root))
+    m, n = p[:2]
+    mu, y, z = pencil_coefficients(m, n)
+    # ads: 2 x1 x2 + mu x2^2, y from x3; ds1: 2 x3 x2 - mu x2^2, y from x4.
+    a, first, mu = (1, 3, mu) if spec.kind == "ads" else (3, 4, -mu)
+    return _quadric(nv, [(a, 2, 2), (2, 2, mu)] + _squares(first, m, y) + _squares(first + m, n, z))
 
 
 # ---------------------------------------------------------------------------

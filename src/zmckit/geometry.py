@@ -75,7 +75,6 @@ class Cluster:
 class CurvatureSpectrum:
     """Shape-operator spectrum at one point."""
 
-    eigenvalues: tuple[complex, ...]
     clusters: tuple[Cluster, ...]
     metric_signature: tuple[int, int]
     mean_curvature: float
@@ -301,7 +300,6 @@ def curvature_spectrum(
         defective = True
     mean = float(np.trace(shape)) / dim
     return CurvatureSpectrum(
-        eigenvalues=tuple(complex(v) for v in values),
         clusters=tuple(clusters),
         metric_signature=signature,
         mean_curvature=mean,

@@ -10,21 +10,24 @@ Grammar (whitespace-insensitive, implicit multiplication by juxtaposition):
     rational := posint ('/' posint)?
 
 The exponent on a parenthesized group is a convenience extension beyond the
-core grammar.  sqrt radicands normalize on construction (sqrt(8) -> 2 sqrt(2));
-mixing e.g. sqrt(2) and sqrt(3) in one polynomial raises ValueError.
+core grammar.  sqrt radicands normalize on construction (sqrt(8) -> 2 sqrt(2))
+and are at most `scalars.MAX_RADICAND`; mixing e.g. sqrt(2) and sqrt(3) in one
+polynomial raises ValueError.
 
-Every intermediate result is bounded by MAX_POLY_TERMS terms and degree
-MAX_POLY_DEGREE.  A product or power is checked on a bound of its size
-before it is expanded, so `(x1+x2+x3+x4)^200` fails at once.
+Every intermediate result is bounded by MAX_POLY_TERMS terms, degree
+MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, and one
+parse multiplies at most MAX_TERM_PAIRS pairs of terms.  A literal, product
+or power is checked on a bound of its size before it is built, so
+`(x1+x2+x3+x4)^200` and `(3)^100000` fail at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .poly import Poly
-from .scalars import QuadExtScalar
+from .scalars import MAX_RADICAND, QuadExtScalar
 
 
 class ParseError(ValueError):
@@ -40,12 +43,41 @@ class ParseError(ValueError):
 # cap is the lawson family's order cap.  `cli` caps the residual's work.
 MAX_POLY_TERMS = 2000
 MAX_POLY_DEGREE = 201
+# Cap on every coefficient integer (see `_bits`).  The integers `verify`
+# prints for w, the Laplacian and h have about two, and at most about three,
+# times as many bits as f's, so the cap keeps them below Python's 4300-digit
+# limit on converting an int to text.
+MAX_COEFF_BITS = 4096
+# Cap on the term pairs one parse multiplies, those inside powers included:
+# one `(x1+x2+x3)^61` multiplies 119,130.
+MAX_TERM_PAIRS = 10**6
+# Digits of 2^MAX_COEFF_BITS: a literal with more cannot be under the cap,
+# and is refused before it is converted.
+_MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 _TOK_NUM = "num"
 _TOK_VAR = "var"
 _TOK_SQRT = "sqrt"
 _TOK_EOF = "eof"
 _PUNCT = set("+-*/^()")
+
+
+def _bits(f: Poly) -> int:
+    """Bit length of f's largest coefficient integer: its denominator, or
+    |a| + |b| sqrt(d), rounded up, for a coefficient (a + b sqrt(d)) / den."""
+    root = isqrt(f.d) + 1
+    return max([f.den] + [abs(a) + abs(b) * root for a, b in f.ints.values()]).bit_length()
+
+
+def _integer(text: str, start: int, end: int) -> int:
+    """The decimal integer text[start:end], refused above MAX_COEFF_BITS bits
+    (by its digit count first, before it is converted)."""
+    if end - start <= _MAX_DIGITS:
+        value = int(text[start:end])
+        if value.bit_length() <= MAX_COEFF_BITS:
+            return value
+    raise ParseError(f"integer of {end - start} digits exceeds the cap of {MAX_COEFF_BITS} bits",
+                     start)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -64,7 +96,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append((_TOK_NUM, int(text[i:j]), i))
+            tokens.append((_TOK_NUM, _integer(text, i, j), i))
             i = j
             continue
         if ch == "x":
@@ -73,7 +105,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             if j == i + 1:
                 raise ParseError("variable must be 'x' followed by digits", i)
-            tokens.append((_TOK_VAR, int(text[i + 1 : j]), i))
+            tokens.append((_TOK_VAR, _integer(text, i + 1, j), i))
             i = j
             continue
         if text.startswith("sqrt", i):
@@ -90,6 +122,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
+        self.pairs = 0  # term pairs multiplied so far
 
     @property
     def current(self):
@@ -113,6 +146,27 @@ class _Parser:
         if terms > MAX_POLY_TERMS:
             raise ParseError(f"up to {terms} terms exceed the cap {MAX_POLY_TERMS}", pos)
 
+    @staticmethod
+    def _check_bits(bits: int, pos: int) -> None:
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(f"a coefficient of at least {bits} bits exceeds the cap of "
+                             f"{MAX_COEFF_BITS} bits", pos)
+
+    def _charge(self, pairs: int, pos: int) -> None:
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(f"the input multiplies over {MAX_TERM_PAIRS} term pairs", pos)
+
+    def _multiply(self, f: Poly, g: Poly, pos: int) -> Poly:
+        """f * g, charged to the parse's budget of term pairs.  Refused unbuilt
+        when the budget is spent or when its fewest bits, b + c - 1 for
+        integers of b and c bits, exceed the cap; checked again once built."""
+        self._charge(f.num_terms() * g.num_terms(), pos)
+        self._check_bits(_bits(f) + _bits(g) - 1, pos)
+        product = f * g
+        self._check_bits(_bits(product), pos)
+        return product
+
     def parse_poly(self) -> Poly:
         sign = 1
         if self.current[0] in ("+", "-"):
@@ -126,6 +180,7 @@ class _Parser:
             term = self.parse_term()
             total = total - term if op == "-" else total + term
             self._bound(total.num_terms(), 0, pos)  # each summand's degree is bounded
+            self._check_bits(_bits(total), pos)
         return total
 
     def parse_term(self) -> Poly:
@@ -139,18 +194,31 @@ class _Parser:
             factor = self.parse_factor()
             self._bound(product.num_terms() * factor.num_terms(),
                         product.degree() + factor.degree(), pos)
-            product = product * factor
+            product = self._multiply(product, factor, pos)
 
     def _power(self, base: Poly) -> Poly:
-        """base, or base^e when an exponent follows; the bound is the number
-        of multisets of e of base's terms."""
+        """base, or base^e when an exponent follows.  base^e is bounded before
+        it is built: by its degree, its fewest bits (b - 1) e + 1 for base
+        integers of b bits, and the number of multisets of e of base's terms.
+        A power of one term is then taken whole, in at most two one-pair
+        products per bit of e; any other is e - 1 products by base, at most
+        MAX_POLY_DEGREE of them."""
         if self.current[0] != "^":
             return base
         pos = self.advance()[2]
         e = self._posint("exponent")
         self._bound(0, base.degree() * e, pos)  # first: comb is slow for a huge e
+        self._check_bits((_bits(base) - 1) * e + 1, pos)
         self._bound(comb(base.num_terms() + e - 1, e), 0, pos)
-        return base**e
+        if base.num_terms() <= 1:
+            self._charge(2 * e.bit_length(), pos)
+            power = base**e
+            self._check_bits(_bits(power), pos)
+            return power
+        power = base
+        for _ in range(e - 1):
+            power = self._multiply(power, base, pos)
+        return power
 
     def _posint(self, what: str) -> int:
         kind, value, pos = self.current
@@ -172,7 +240,11 @@ class _Parser:
         if kind == _TOK_SQRT:
             self.advance()
             self.expect("(")
+            radicand_pos = self.current[2]
             radicand = self._posint("under sqrt")
+            if radicand > MAX_RADICAND:
+                raise ParseError(f"radicand {radicand} exceeds the bound {MAX_RADICAND}",
+                                 radicand_pos)
             self.expect(")")
             return Poly.constant(self.nvars, QuadExtScalar.sqrt(radicand))
         if kind == _TOK_VAR:

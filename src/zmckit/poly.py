@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
+from .scalars import QuadExtScalar, _normal, as_scalar, lowest_terms
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -74,10 +74,6 @@ class Poly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
         return cls(nvars, {(0,) * nvars: as_scalar(value)})
 
@@ -115,10 +111,6 @@ class Poly:
         if not self.ints:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.ints, key=grlex_key)
-
-    def coefficient(self, monomial: Monomial) -> QuadExtScalar:
-        ab = self.ints.get(tuple(monomial))
-        return ZERO if ab is None else _normal(*ab, self.den, self.d)
 
     def num_terms(self) -> int:
         return len(self.ints)
@@ -299,11 +291,6 @@ class Poly:
             h = hash((self.nvars, self.d, self.den, frozenset(self.ints.items())))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return divide(self, other)
 
 
 def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:

@@ -6,14 +6,16 @@ which conjugates B A.  The exact characteristic polynomial of B A, by
 Faddeev-LeVerrier on `isometry.matmul_exact`, is thus an isometry invariant
 (the "pencil fingerprint") that re-identifies members of the ads quadric
 family after a coordinate change.  A family member's pencil is block
-diagonal, so its fingerprint is known in closed form.  All of it is exact.
+diagonal, so its fingerprint is known in closed form, from the same
+coefficients `families.pencil_coefficients` builds the member with.  All of
+it is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .families import pencil_coefficients
 from .isometry import identity_exact, matmul_exact
 from .poly import Poly
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
@@ -98,18 +100,14 @@ def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, .
     return tuple(coeffs)
 
 
-def _ads_mu(m: int, n: int) -> QuadExtScalar:
-    """(m - n)/sqrt(mn), the x2^2 coefficient of ads(m, n, k)."""
-    return QuadExtScalar(m - n) * QuadExtScalar.sqrt(Fraction(1, m * n))
-
-
 def _family_fingerprint(m: int, n: int, k: int) -> tuple[QuadExtScalar, ...]:
     """The ads(m, n, k) fingerprint in closed form, as its pencil is block
-    diagonal: (l^2 + mu l - 1) (l - sqrt(n/m))^m (l + sqrt(m/n))^n l^k."""
-    coeffs = [ONE, _ads_mu(m, n), -ONE]
-    roots = [QuadExtScalar.sqrt(Fraction(n, m))] * m
-    roots += [-QuadExtScalar.sqrt(Fraction(m, n))] * n
-    for root in roots:
+    diagonal: (l^2 + mu l - 1) (l - y)^m (l - z)^n l^k, where the roots y and
+    z are the |y|^2 and |z|^2 coefficients (B = +1 on those blocks) and
+    (mu, y, z) = `families.pencil_coefficients(m, n)`."""
+    mu, y, z = pencil_coefficients(m, n)
+    coeffs = [ONE, mu, -ONE]
+    for root in [y] * m + [z] * n:
         coeffs = [c - root * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
     return tuple(coeffs) + (ZERO,) * k
 
@@ -119,13 +117,6 @@ class ClassifyResult:
     verdict: str  # "matches" | "not in family" | "inconclusive"
     params: tuple[int, int, int] | None
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "params": list(self.params) if self.params else None,
-            "detail": self.detail,
-        }
 
 
 def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
@@ -158,8 +149,8 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
     for m in range(1, sig.nvars - 2 - k):
         n = sig.nvars - 2 - k - m
-        if fingerprint[1] == _ads_mu(m, n) and fingerprint == _family_fingerprint(
-            m, n, k
+        if fingerprint[1] == pencil_coefficients(m, n)[0] and (
+            fingerprint == _family_fingerprint(m, n, k)
         ):
             return ClassifyResult(
                 "matches", (m, n, k), "exact pencil fingerprint equality"

@@ -19,9 +19,9 @@ import math
 from fractions import Fraction
 
 
-# Trial division takes time growing like sqrt(n): about 0.1 s for a prime
-# near 1e12, about 1 s near 1e14.
-MAX_RADICAND = 10**12
+# Trial division takes time growing like sqrt(n): about 3 ms for a prime
+# near 1e9, so 5,000 copies of `sqrt(999999937)` parse in about 9 s.
+MAX_RADICAND = 10**9
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -34,7 +34,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError(f"radicand must be a positive integer, got {n}")
     if n > MAX_RADICAND:
-        raise ValueError(f"radicand {n} exceeds the bound 10^12")
+        raise ValueError(f"radicand {n} exceeds the bound {MAX_RADICAND}")
     c, d = 1, 1
     rest = n
     p = 2
@@ -189,9 +189,6 @@ class QuadExtScalar:
             base = base * base
             e >>= 1
         return out
-
-    def conjugate(self) -> "QuadExtScalar":
-        return _normal(self.a, -self.b, self.den, self.d)
 
     # -- comparison / conversion ---------------------------------------------
 

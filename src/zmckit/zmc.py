@@ -138,8 +138,8 @@ class ZmcReport:
     """Outcome of a residual divisibility check.
 
     `quotient` and `remainder` always satisfy zmc_residual(f, sig, form) ==
-    quotient*f + remainder exactly; `quotient_h` exposes the quotient only
-    when the division is exact.
+    quotient*f + remainder exactly; `quotient` is the h of the certificate
+    g = h f when `divides`.
     """
 
     quotient: Poly
@@ -154,10 +154,6 @@ class ZmcReport:
         since w, lap f and g are W, lap_K F and G = H F + R composed with L."""
         polys = ("quotient", "remainder", "w", "laplacian")
         return replace(self, **{name: getattr(self, name).substitute(rows) for name in polys})
-
-    @property
-    def quotient_h(self) -> Poly | None:
-        return self.quotient if self.divides else None
 
     def to_dict(self, family: str | None, params, sig: AmbientSig, degree: int) -> dict:
         """JSON-ready report document; family and params are None for a

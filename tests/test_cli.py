@@ -23,7 +23,9 @@ from zmckit.families import (
     MAX_LAWSON_ORDER, MAX_QUADRIC_NVARS, ads, ds2, lawson, make_poly, parse_family
 )
 from zmckit.isometry import apply_to_poly
-from zmckit.parser import MAX_POLY_DEGREE, MAX_POLY_TERMS, parse_poly
+from zmckit.parser import (
+    MAX_COEFF_BITS, MAX_POLY_DEGREE, MAX_POLY_TERMS, MAX_TERM_PAIRS, ParseError, parse_poly
+)
 from zmckit.poly import Poly
 from zmckit.zmc import AmbientSig, conjecture_check
 
@@ -336,6 +338,78 @@ def test_poly_above_a_parser_cap_is_usage_error(capsys, monkeypatch, text, messa
         assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
 
 
+# The product of two (cap/2 + 1)-bit literals has at least cap + 1 bits.
+_HALF = str((1 << MAX_COEFF_BITS // 2) - 1 << 1)
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"{1 << MAX_COEFF_BITS} x1^2",
+     f"integer of 1234 digits exceeds the cap of {MAX_COEFF_BITS} bits (at position 0)"),
+    ("x2 + " + "1" * 5000 + " x1^2",
+     f"integer of 5000 digits exceeds the cap of {MAX_COEFF_BITS} bits (at position 5)"),
+    (f"(3)^{MAX_COEFF_BITS} x1^2",
+     f"a coefficient of at least 4097 bits exceeds the cap of {MAX_COEFF_BITS} bits (at position 3)"),
+    ("(3)^100000 x1^2 x2 - x2^3 + x3^3 - x1 x2 x3",
+     f"a coefficient of at least 100001 bits exceeds the cap of {MAX_COEFF_BITS} bits "
+     "(at position 3)"),
+    ("(2)^99999999999 x1^2",
+     f"a coefficient of at least 100000000000 bits exceeds the cap of {MAX_COEFF_BITS} bits "
+     "(at position 3)"),
+    (f"{_HALF} {_HALF} x1^2",
+     f"a coefficient of at least 4097 bits exceeds the cap of {MAX_COEFF_BITS} bits "
+     f"(at position {len(_HALF) + 1})"),
+])
+def test_coefficient_above_the_bit_cap_is_usage_error(capsys, monkeypatch, text, message):
+    # Refused on a bound, before any product or power is built.
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(Poly, name, lambda *args: pytest.fail("a capped input was built"))
+    code, out, err = run(capsys, "verify", "--poly", text, "--nvars", "3", "--sig", "1,1")
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+def test_coefficients_at_the_bit_cap_are_accepted(capsys):
+    top = (1 << MAX_COEFF_BITS) - 1
+    assert parse_poly(f"{top} x1^2", 1).ints == {(2,): (top, 0)}
+    # The largest power of 3 under the cap; one more factor is refused once built.
+    assert parse_poly("(3)^2584 x1", 1).ints == {(1,): (3**2584, 0)}
+    # Sums, products and powers whose integers pass the bound on them but
+    # not the cap: refused once built, at the operator.
+    a, b = (1 << 2049) - 1, (1 << 2100) - 1
+    for text, bits, position in (("(3)^2585 x1", 4098, 3),
+                                 (f"{a} {a >> 1} x1", 4097, len(str(a)) + 1),
+                                 (f"1/{b} x1 + 1/{b + 2} x1^2", 4200, len(str(b)) + 6)):
+        with pytest.raises(ParseError, match=f"at least {bits} bits") as caught:
+            parse_poly(text, 1)
+        assert caught.value.position == position
+    # Every integer verify prints fits in JSON: w and the Laplacian, and h
+    # for the quadric that divides.
+    for text, nvars, sig, code in (
+        (f"{top} x1^2 x2 - x2^3 + x3^3 - x1 x2 x3", "3", "1,1", 1),
+        (f"1/{top} x1^2 x2 - x2^3 + x3^3 - x1 x2 x3", "3", "1,1", 1),
+        (f"{top >> 1} (2 x1 x2 + x3^2 - x4^2)", "4", "2,-1", 0),
+    ):
+        got, out, err = run(capsys, "verify", "--poly", text, "--nvars", nvars, "--sig", sig)
+        assert (got, err) == (code, "")
+        assert json.loads(out)["divides"] is (code == 0)
+
+
+def test_one_parse_multiplies_at_most_its_budget_of_term_pairs(monkeypatch):
+    # 119,130 term pairs a copy: the ninth copy is refused before it is done.
+    pairs = []
+    real_mul = Poly.__mul__
+
+    def counting_mul(p, q):
+        pairs.append(p.num_terms() * q.num_terms())
+        return real_mul(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    copy = "(x1+x2+x3)^61"
+    with pytest.raises(ParseError, match=f"over {MAX_TERM_PAIRS} term pairs") as caught:
+        parse_poly(" + ".join([copy] * 40), 3)
+    assert caught.value.position == 8 * len(copy + " + ") + copy.index("^")
+    assert 8 * 119_130 < sum(pairs) <= MAX_TERM_PAIRS
+
+
 def test_superscript_digit_is_a_syntax_error_with_its_position(capsys):
     code, out, err = run(capsys, "verify", "--poly", "x1²", "--nvars", "2", "--sig", "1,1")
     assert (code, out) == (2, "")
@@ -400,7 +474,7 @@ def _poly_arguments(node) -> list[tuple[str, int]]:
 # --poly inputs in tests/ that are rejected on purpose.
 REJECTED_POLY_INPUTS = {
     ("x1 +", 2), ("x1²", 2), ("x1^2", 101), ("(x1+x2+x3+x4)^17", 4),
-    ("sqrt(1000000000039) x1^2 - x2^2 + x3^2", 3),
+    ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3),
 }
 
 
@@ -418,7 +492,7 @@ def test_every_poly_text_in_the_tests_and_the_benchmark_still_parses():
             spec = parse_family(label)
             f = apply_to_poly(make_poly(spec), bench.seeded_isometry(spec.sig, word, rng))
             texts.add((f.render(), spec.nvars))
-            texts.add((conjecture_check(f, spec.sig).quotient_h.render(), spec.nvars))
+            texts.add((conjecture_check(f, spec.sig).quotient.render(), spec.nvars))
     label, extra = bench.NON_ZMC
     spec = parse_family(label)
     texts.add(((make_poly(spec) + parse_poly(f"x1^{extra}", 4)).render(), spec.nvars))
@@ -469,13 +543,16 @@ def test_mean_curvature_gate_miss_still_exits_1(capsys):
 
 
 def test_radicand_above_bound_is_usage_error(capsys):
-    # Trial division of a 13-digit prime; a 20-digit one would take minutes.
+    # Refused before trial division, which grows like the radicand's root.
     code, _, err = run(
-        capsys, "verify", "--poly", "sqrt(1000000000039) x1^2 - x2^2 + x3^2",
+        capsys, "verify", "--poly", "sqrt(1000000007) x1^2 - x2^2 + x3^2",
         "--nvars", "3", "--sig", "1,1",
     )
     assert code == 2
-    assert "exceeds the bound" in err
+    assert err.splitlines() == [
+        "error: radicand 1000000007 exceeds the bound 1000000000 (at position 5)"
+    ]
+    assert parse_poly("sqrt(1000000000) x1", 1) == parse_poly("10000 sqrt(10) x1", 1)
 
 
 TOLERANCE_FLAGS = [

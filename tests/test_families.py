@@ -24,6 +24,7 @@ from zmckit.families import (
 )
 from oracles import expected_fundamental_form, patch_fundamental_form_fd, variety_point
 from zmckit.parser import parse_poly
+from zmckit.poly import Poly
 from zmckit.scalars import QuadExtScalar
 from zmckit.zmc import conjecture_check
 
@@ -74,9 +75,9 @@ def test_ads_poly_surd_coefficients():
     f = make_poly(ads(1, 2, 0))
     # (m-n)/sqrt(mn) = -1/sqrt(2) = -(1/2) sqrt(2); sqrt(n/m) = sqrt(2);
     # sqrt(m/n) = (1/2) sqrt(2).
-    assert f.coefficient((0, 2, 0, 0, 0)) == QuadExtScalar(0, Fraction(-1, 2), 2)
-    assert f.coefficient((0, 0, 2, 0, 0)) == QuadExtScalar(0, 1, 2)
-    assert f.coefficient((0, 0, 0, 2, 0)) == QuadExtScalar(0, Fraction(-1, 2), 2)
+    assert f.terms[0, 2, 0, 0, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
+    assert f.terms[0, 0, 2, 0, 0] == QuadExtScalar(0, 1, 2)
+    assert f.terms[0, 0, 0, 2, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
 
 
 def test_lawson_poly_shape():
@@ -111,9 +112,31 @@ def test_every_family_passes_divisibility():
         report = conjecture_check(make_poly(spec), spec.sig)
         assert report.divides, spec.label
         if spec.degree == 2 and spec.kind != "clifford":
-            assert report.quotient_h == make_poly(spec).zero(spec.nvars) + (
-                make_poly(spec).constant(spec.nvars, -16)
-            )
+            assert report.quotient == Poly.constant(spec.nvars, -16)
+
+
+# sha256 of repr((d, den, list(ints.items()))) of make_poly(spec).
+# `Poly.eval_float` sums the terms in storage order, so a builder that stores
+# the same polynomial in another order moves the floats `spectrum` and
+# `sample` print; these digests catch it, where Poly equality cannot.
+POLY_SHA256 = [
+    ("ads:2,3,1", "db751e2a05854993928ec40934029e6340ae3189a01aaf56077694d0f4e657d6"),
+    ("ads:20,20,10", "b85d71e0ed6970669c0c9a857643484b216e74042395903a7e0e7813da72be2d"),
+    ("ds1:2,3", "8969ccb495f0d0850b8a5eb4c8c03c64966d228787809605fa9a546a438a4404"),
+    ("ds1:8,8", "f4aff7102b9ff6f4b12dc98b4933402af8ad282c417cf5f78480b7feb17dd680"),
+    ("ds2:3", "9881911358237a032bdaa464154ea8ba37f8e77a1a095e0a4a36cdf4df355e7c"),
+    ("ds2:20", "c53b7defb12d9a9b9568f3b5d537c214cd60a5a5b17e4e6b538bf9b07c1aa169"),
+    ("clifford:2,3", "1612405f2b8c9316cf8d7c21de9a45c6af3f5d652ecfb4b14ed3153d270a6f57"),
+    ("clifford:10,10", "789bd1d430e87efeb3e5428a689a99af2fca74e6bb363d34326dac9c0f10fd7a"),
+    ("lawson:8,9", "eb122f8d677a5385f8ea62d1c201226b3b38852aa72c3c3bf68a6cd127d88918"),
+]
+
+
+@pytest.mark.parametrize("label,digest", POLY_SHA256)
+def test_family_polynomials_keep_their_storage_order(label, digest):
+    f = make_poly(parse_family(label))
+    stored = repr((f.d, f.den, list(f.ints.items())))
+    assert hashlib.sha256(stored.encode()).hexdigest() == digest
 
 
 # -- patches ---------------------------------------------------------------

@@ -355,6 +355,7 @@ def test_eigenvalues_cross_checked_against_numpy():
     p = variety_point(f, spec.sig, coords)
     frame = geometry.tangent_frame(p, spec.sig)
     s = _shape(p, f, spec.sig, frame)
-    ours = np.sort_complex(np.asarray(geometry.curvature_spectrum(p, f, spec.sig).eigenvalues))
+    clusters = geometry.curvature_spectrum(p, f, spec.sig).clusters
+    ours = np.sort(np.repeat([c.value for c in clusters], [c.multiplicity for c in clusters]))
     numpy_vals = np.sort_complex(np.linalg.eigvals(s))
     assert np.max(np.abs(ours - numpy_vals)) < 1e-8

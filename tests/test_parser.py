@@ -31,7 +31,7 @@ def test_sqrt_times_sqrt_collapses():
 def test_rationalized_surd_coefficient():
     # (m-n)/sqrt(mn) at m=1, n=2, rationalized by hand: -1/2 sqrt(2).
     f = parse_poly("-1/2 sqrt(2) x2^2", 4)
-    assert f.coefficient((0, 2, 0, 0)) == QuadExtScalar(0, Fraction(-1, 2), 2)
+    assert f.terms[0, 2, 0, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
 
 
 def test_sqrt_normalization_in_text():

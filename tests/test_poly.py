@@ -38,7 +38,7 @@ def test_diff_examples():
 
 
 def test_degree_and_homogeneity():
-    assert Poly.zero(3).degree() == -1
+    assert Poly(3).degree() == -1
     assert P("x1^2 + x2 x3").is_homogeneous()
     assert not P("x1^2 + x2").is_homogeneous()
     assert P("x1^3 x2 + x4").degree() == 4
@@ -73,13 +73,13 @@ def test_divide_single_step():
 
 def test_divide_by_zero_polynomial():
     with pytest.raises(ZeroDivisionError):
-        divide(P("x1"), Poly.zero(4))
+        divide(P("x1"), Poly(4))
 
 
 def test_divmod_round_trip_identity():
     g = P("x1^3 x2 - 2 x2^2 + x3 x4 - 7")
     f = P("x1 x2 - x3")
-    q, r = divmod(g, f)
+    q, r = divide(g, f)
     assert q * f + r == g
 
 
@@ -221,7 +221,7 @@ def test_euler_identity(polys):
     if p.is_zero():
         return
     n = p.nvars
-    total = Poly.zero(n)
+    total = Poly(n)
     for i in range(1, n + 1):
         total = total + Poly.variable(n, i) * p.diff(i)
     assert total == p.scale(p.degree())
@@ -255,7 +255,7 @@ def test_mul_and_divide_match_scalar_reference(polys):
     products = [
         (p, q),
         (p, _flip_alternate_signs(p)),
-        (Poly.zero(3), q),
+        (Poly(3), q),
         (P("x1 - x2", 3), P("x1 + x2", 3)),
     ]
     for a, b in products:
@@ -264,7 +264,7 @@ def test_mul_and_divide_match_scalar_reference(polys):
         if f.is_zero():
             continue
         # g is not homogeneous in general; p * q divides exactly by p.
-        for dividend in (g, p * q, Poly.zero(3)):
+        for dividend in (g, p * q, Poly(3)):
             got = divide(dividend, f)
             want = _reference_divide(dividend, f)
             assert got == want
@@ -284,7 +284,7 @@ def _assert_canonical(f: Poly) -> None:
     assert math.gcd(f.den, *(x for ab in values for x in ab)) == 1
     assert (f.d == 1) == all(b == 0 for _, b in values)
     assert [(c.hex(), m) for c, m in f._float_view()] == [
-        (float(f.coefficient(m)).hex(), m) for m in f.ints
+        (float(f.terms[m]).hex(), m) for m in f.ints
     ]
 
 
@@ -321,7 +321,7 @@ def test_every_route_stores_the_canonical_form(case):
     _assert_same((p - q) + q, p)
     _assert_same(-(-p), p)
     _assert_same(p + p, p.scale(2))
-    _assert_same(p - p, Poly.zero(3))
+    _assert_same(p - p, Poly(3))
     _assert_same(p.scale(c), Poly(3, {m: v * c for m, v in p.terms.items()}))
     if not q.is_zero():
         quo, rem = divide(p * q + p, q)

@@ -86,7 +86,6 @@ def test_binary_ops_match_reference(pair):
 def test_unary_ops_match_reference(parts, d, exponent):
     x, rx = QuadExtScalar(*parts, d), RefScalar(*parts, d)
     assert_same(-x, -rx)
-    assert_same(x.conjugate(), rx.conjugate())
     assert_same(_outcome(x.inverse), _outcome(rx.inverse))
     assert_same(_outcome(pow, x, exponent), _outcome(pow, rx, exponent))
     assert x.is_zero() == rx.is_zero() and bool(x) == bool(rx)
