@@ -182,8 +182,9 @@ def pencil_coefficients(m: int, n: int) -> tuple[QuadExtScalar, QuadExtScalar, Q
 def _quadric(nvars: int, entries) -> Poly:
     """sum of c x_i x_j over the (i, j, c) entries, 1-based.
 
-    The terms are stored in the order the entries are listed.  `Poly.eval_float`
-    sums in storage order, so this order fixes every float that `spectrum` and
+    The terms are stored in the order the entries are listed.  The float
+    evaluators (`Poly.eval_float` and the term tables of `zmc.derivatives`)
+    sum in storage order, so this order fixes every float that `spectrum` and
     `sample` print: keep it.
     """
     terms = {}

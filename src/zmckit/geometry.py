@@ -5,12 +5,13 @@ Points live on the intersection of the polynomial zero set with the quadric
 a tangent frame, the induced metric and its signature, the shape operator
 (the differential of the Gauss map nu = B grad f / sqrt(|w|)), and its
 principal curvature spectrum, whose eigenspaces take their causal tags from
-the induced metric.  Derivative polynomials are cached per polynomial
-(`zmc.derivatives`), so batch runs over many points reuse the exact
-gradients and Hessians.  The float w at a point comes from the float
-gradient there, w = <B g, g>, rather than from evaluating the expanded
-polynomial w, whose monomials cancel badly at high degree; the point carries
-g, so the frame does not evaluate the gradient again.
+the induced metric.  Each polynomial's float terms are compiled once into
+term tables (`zmc.derivatives`): one for f with its gradient, one for the
+Hessian, so a Newton step reads f and grad f from one evaluation and batch
+runs over many points reuse the tables.  The float w at a point comes from
+the float gradient there, w = <B g, g>, rather than from evaluating the
+expanded polynomial w, whose monomials cancel badly at high degree; the point
+carries g, so the frame does not evaluate the gradient again.
 
 The shape operator follows the Gauss map orientation given by the formula
 above.  Oracles that state curvature signs for the opposite orientation are
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import eigen
 from .poly import Poly
-from .zmc import AmbientSig, derivatives, hessian_float
+from .zmc import AmbientSig, hessian_float, value_and_gradient
 
 # |w| below this scale-adjusted threshold marks a point as non-regular.
 REGULARITY_COEFF = 1e-8
@@ -87,16 +88,12 @@ class CurvatureSpectrum:
 # -- point construction -------------------------------------------------------
 
 
-def _grad_at(f: Poly, x: np.ndarray) -> np.ndarray:
-    return np.array([g.eval_float(x) for g in derivatives(f).grad])
-
-
 def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
     """x with its residuals and w = <B grad f, grad f> from the float gradient."""
     b = np.asarray(sig.b_diag, dtype=float)
-    grad = _grad_at(f, x)
+    fval, grad = value_and_gradient(f, x)
     cres = float(x @ (b * x)) - sig.epsilon
-    return VarietyPoint(x, float(f.eval_float(x)), cres, float(grad @ (b * grad)), grad)
+    return VarietyPoint(x, fval, cres, float(grad @ (b * grad)), grad)
 
 
 def check_residuals(p: VarietyPoint, degree: int, bound: float) -> None:
@@ -154,12 +151,12 @@ def newton_project(
     polish_left = 2
     for _ in range(NEWTON_MAX_ITER):
         norm = float(np.linalg.norm(x))
-        fres = f.eval_float(x)
+        fres, grad = value_and_gradient(f, x)
         cres = float(x @ (b * x)) - sig.epsilon
         converged = abs(fres) <= tol * (1.0 + norm**deg) and abs(cres) <= tol * (
             1.0 + norm * norm
         )
-        jac = np.vstack([_grad_at(f, x), 2.0 * b * x])
+        jac = np.vstack([grad, 2.0 * b * x])
         gram = jac @ jac.T
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):

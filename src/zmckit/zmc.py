@@ -90,24 +90,70 @@ def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     return _w(gradient(f), _diagonal_form(sig))
 
 
-# Most polynomials whose derivatives stay cached; a float batch works on one
-# polynomial per family.
+# Most polynomials whose derivative term tables stay cached; a float batch
+# works on one polynomial per family.
 DERIVATIVE_CACHE_SIZE = 64
 
 
+class TermTable(NamedTuple):
+    """The float terms of several polynomials, compiled for `_evaluate`.
+
+    Each factor indexes the vector [coeffs, x, x_j**e for (j, e) in powers]:
+    per term its coefficient, then its powers of x in variable order."""
+
+    coeffs: np.ndarray  # polynomial by polynomial, each in storage order
+    powers: tuple[tuple[int, int], ...]  # the (j, e), e >= 2, that terms read
+    factors: np.ndarray
+    starts: np.ndarray  # each term's first position in `factors`
+    slots: np.ndarray  # each term's polynomial
+    size: int
+
+
+def _compile(polys: Sequence[Poly]) -> TermTable:
+    """The term table of polynomials that share one nvars."""
+    terms = [(slot, c, m) for slot, p in enumerate(polys) for c, m in p._float_view()]
+    x_at = len(terms)
+    powers_at = x_at + polys[0].nvars
+    powers: dict[tuple[int, int], int] = {}
+    factors, starts = [], []
+    for t, (_, _, mono) in enumerate(terms):
+        starts.append(len(factors))
+        factors.append(t)
+        for j, e in enumerate(mono):
+            if e == 1:
+                factors.append(x_at + j)
+            elif e:
+                factors.append(powers_at + powers.setdefault((j, e), len(powers)))
+    coeffs = np.array([c for _, c, _ in terms], dtype=float)
+    slots = np.array([slot for slot, _, _ in terms], dtype=np.intp)
+    factors, starts = np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
+    return TermTable(coeffs, tuple(powers), factors, starts, slots, len(polys))
+
+
+def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
+    """Every polynomial of the table at a point, bit for bit as
+    `Poly.eval_float`: scalar x_j**e (numpy's array power may differ in the
+    last bit), each term multiplied left to right, each polynomial summed from
+    0.0 in storage order."""
+    powers = [point[j] ** e for j, e in table.powers]
+    values = np.concatenate((table.coeffs, point, powers))
+    products = np.multiply.reduceat(values[table.factors], table.starts)
+    sums = np.bincount(table.slots, weights=products, minlength=table.size)
+    return sums.astype(float, copy=False)  # ints when the table has no terms
+
+
 class Derivatives(NamedTuple):
-    grad: tuple[Poly, ...]
-    hess: tuple[tuple[Poly, ...], ...]  # hess[i][j - i]: d2f/dx_{i+1}dx_{j+1}, j >= i
+    first: TermTable  # f, then df/dx_1 .. df/dx_n
+    second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
 
 
 @lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
 def derivatives(f: Poly) -> Derivatives:
-    """Gradient and upper-triangular Hessian of f, cached per polynomial."""
-    grad = tuple(gradient(f))
-    hess = tuple(
-        tuple(grad[i].diff(j + 1) for j in range(i, f.nvars)) for i in range(f.nvars)
-    )
-    return Derivatives(grad, hess)
+    """Term tables of f with its gradient, and of its upper-triangular
+    Hessian, cached per polynomial; the exact derivatives are not kept."""
+    grad = gradient(f)
+    hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
+    return Derivatives(_compile([f, *grad]), _compile(hess))
 
 
 def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None) -> tuple[Poly, Poly, Poly]:
@@ -196,14 +242,15 @@ def conjecture_check(f: Poly, sig: AmbientSig, form: Form | None = None) -> ZmcR
     )
 
 
-def hessian_float(f: Poly, point: np.ndarray) -> np.ndarray:
+def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarray]:
+    """f and its gradient at a float point, from one table evaluation."""
+    out = _evaluate(derivatives(f).first, point)
+    return float(out[0]), out[1:]
+
+
+def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    hess = derivatives(f).hess
-    n = f.nvars
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            value = hess[i][j - i].eval_float(point)
-            out[i, j] = value
-            out[j, i] = value
+    rows, cols = np.triu_indices(f.nvars)
+    out = np.empty((f.nvars, f.nvars))
+    out[rows, cols] = out[cols, rows] = _evaluate(derivatives(f).second, point)
     return out

@@ -16,13 +16,17 @@ only what the commands run:
 - `is_exact_isometry`: M^T B M == B in exact arithmetic;
 - `from_matrix`: the quadratic polynomial <A x, x> of a form matrix;
 - `eval_exact`: a polynomial's value at a point, term by term in
-  QuadExtScalar arithmetic.
+  QuadExtScalar arithmetic;
+- `value_and_gradient_loops` and `hessian_loops`: f, its gradient and its
+  full Hessian at a float point, one `Poly.eval_float` per derivative
+  polynomial, the loops that `zmc`'s term tables must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from zmckit.geometry import (
 from zmckit.isometry import ExactMatrix, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly
 from zmckit.scalars import ZERO, QuadExtScalar, as_scalar
-from zmckit.zmc import AmbientSig, _check_dims, hessian_float
+from zmckit.zmc import AmbientSig, _check_dims, gradient, hessian_float
 
 
 # -- lawson coordinate patches ------------------------------------------------
@@ -231,3 +235,25 @@ def eval_exact(f: Poly, point) -> QuadExtScalar:
                 term = term * value**e
         total = total + term
     return total
+
+
+# -- float derivatives, one polynomial at a time ---------------------------------
+
+
+@lru_cache(maxsize=8)
+def _derivative_polys(f: Poly) -> tuple[list[Poly], list[list[Poly]]]:
+    """The gradient of f and its full Hessian, each entry d/dx_{j+1} of grad[i]."""
+    grad = gradient(f)
+    return grad, [[g.diff(j) for j in range(1, f.nvars + 1)] for g in grad]
+
+
+def value_and_gradient_loops(f: Poly, point) -> tuple[float, np.ndarray]:
+    """f and grad f at a float point, from `Poly.eval_float` loops."""
+    grad, _ = _derivative_polys(f)
+    return float(f.eval_float(point)), np.array([g.eval_float(point) for g in grad], dtype=float)
+
+
+def hessian_loops(f: Poly, point) -> np.ndarray:
+    """Every entry of Hess f at a float point, both triangles evaluated."""
+    _, hess = _derivative_polys(f)
+    return np.array([[h.eval_float(point) for h in row] for row in hess], dtype=float)

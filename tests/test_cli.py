@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import zmckit
+from oracles import hessian_loops, value_and_gradient_loops
 from zmckit import cli, geometry
 from zmckit.cli import main
 from zmckit.families import (
@@ -194,6 +195,42 @@ def test_report_determinism(tmp_path):
     assert main(args + ["--out", str(a_path)]) == 0
     assert main(args + ["--out", str(b_path)]) == 0
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--family", "ads:6,6,4", "--count", "20", "--seed", "7"),
+        ("spectrum", "--family", "lawson:4,5", "--count", "30", "--seed", "7"),
+        ("spectrum", "--family", "lawson:4,5", "--count", "10", "--seed", "3", "--format", "csv"),
+        ("sample", "--family", "ds1:2,3", "--count", "10", "--seed", "7"),
+        ("sample", "--family", "lawson:2,3", "--count", "10", "--seed", "0", "--format", "csv"),
+        ("report", "--family", "ads:3,3,2", "--family", "clifford:2,3",
+         "--family", "lawson:4,5", "--count", "10", "--seed", "7"),
+    ],
+    ids=["spectrum-ads", "spectrum-lawson", "spectrum-csv", "sample", "sample-csv", "report"],
+)
+def test_output_unchanged_with_eval_float_loops_in_place_of_term_tables(
+    capsys, monkeypatch, argv
+):
+    """The commands print the same bytes when f, grad f and Hess f come from
+    one `Poly.eval_float` per derivative polynomial instead of the term
+    tables; no float is pinned, so the test holds whatever libm rounds."""
+    shipped = run(capsys, *argv)
+    calls = []
+
+    def counted(reference):
+        def evaluate(f, point):
+            calls.append(reference)
+            return reference(f, point)
+
+        return evaluate
+
+    monkeypatch.setattr(geometry, "value_and_gradient", counted(value_and_gradient_loops))
+    monkeypatch.setattr(geometry, "hessian_float", counted(hessian_loops))
+    assert run(capsys, *argv) == shipped
+    assert value_and_gradient_loops in calls
+    assert (hessian_loops in calls) == (argv[0] != "sample")
 
 
 def test_float_rendering_17_digits(capsys):

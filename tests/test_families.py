@@ -116,8 +116,8 @@ def test_every_family_passes_divisibility():
 
 
 # sha256 of repr((d, den, list(ints.items()))) of make_poly(spec).
-# `Poly.eval_float` sums the terms in storage order, so a builder that stores
-# the same polynomial in another order moves the floats `spectrum` and
+# The float evaluators sum the terms in storage order, so a builder that
+# stores the same polynomial in another order moves the floats `spectrum` and
 # `sample` print; these digests catch it, where Poly equality cannot.
 POLY_SHA256 = [
     ("ads:2,3,1", "db751e2a05854993928ec40934029e6340ae3189a01aaf56077694d0f4e657d6"),

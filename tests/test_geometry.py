@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import eval_exact, gauss_map, normal_derivatives_fd, variety_point
-from zmckit import geometry
+from zmckit import geometry, zmc
 from zmckit.families import (
     ads,
     clifford,
@@ -334,16 +334,26 @@ def test_w_value_accurate_at_high_degree():
 
 def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
     """The frame and the spectrum read the float gradient that the projected
-    point carries instead of evaluating grad f again."""
+    point carries instead of evaluating grad f again: neither the first-order
+    evaluator nor its term table is touched after the projection."""
     spec = lawson(2, 3)
     f = make_poly(spec)
     p = geometry.newton_project(f, spec.sig, sample_points(spec, 1, seed=7)[0])
-    assert np.array_equal(p.grad, geometry._grad_at(f, p.coords))
+    assert np.array_equal(p.grad, zmc.value_and_gradient(f, p.coords)[1])
+    first = zmc.derivatives(f).first
+    evaluate = zmc._evaluate
 
-    def no_gradient(f, x):
+    def no_gradient(*args):
         raise AssertionError("grad f evaluated again")
 
-    monkeypatch.setattr(geometry, "_grad_at", no_gradient)
+    def only_second_order(table, point):
+        if table is first:
+            no_gradient()
+        return evaluate(table, point)
+
+    monkeypatch.setattr(geometry, "value_and_gradient", no_gradient)
+    monkeypatch.setattr(zmc, "value_and_gradient", no_gradient)
+    monkeypatch.setattr(zmc, "_evaluate", only_second_order)
     geometry.tangent_frame(p, spec.sig)
     geometry.curvature_spectrum(p, f, spec.sig)
 

@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly, parse_family
-from oracles import eval_exact, laplacian_in_basis, random_orthonormal_basis
+from zmckit import zmc
+from zmckit.families import (
+    ads,
+    clifford,
+    ds1,
+    ds2,
+    lawson,
+    make_poly,
+    parse_family,
+    sample_points,
+)
+from oracles import (
+    eval_exact,
+    hessian_loops,
+    laplacian_in_basis,
+    random_orthonormal_basis,
+    value_and_gradient_loops,
+)
 from zmckit.isometry import apply_to_poly, random_exact_isometry
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
@@ -16,7 +32,9 @@ from zmckit.zmc import (
     AmbientSig,
     conjecture_check,
     gradient,
+    hessian_float,
     laplacian_sig,
+    value_and_gradient,
     w_poly,
     zmc_residual,
 )
@@ -330,3 +348,86 @@ def test_conjecture_check_reports_its_w_laplacian_and_residual(label):
     assert report.w == w_poly(f, spec.sig)
     assert report.laplacian == laplacian_sig(f, spec.sig)
     assert report.quotient * f + report.remainder == zmc_residual(f, spec.sig)
+
+
+# -- float evaluation from term tables ------------------------------------------
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _assert_tables_match_loops(f: Poly, point) -> None:
+    """value_and_gradient and hessian_float equal the `Poly.eval_float` loops
+    bit for bit, the Hessian in both triangles."""
+    value, grad = value_and_gradient(f, point)
+    ref_value, ref_grad = value_and_gradient_loops(f, point)
+    assert _hex([value, *grad]) == _hex([ref_value, *ref_grad])
+    assert _hex(hessian_float(f, point)) == _hex(hessian_loops(f, point))
+
+
+_float_coeffs = st.fractions(
+    min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
+)
+# Coordinates near 1 keep terms of one polynomial at comparable sizes, where
+# the order of the sum shows in the last bit.
+_coordinates = st.one_of(
+    st.just(0.0),
+    *(
+        st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)), sizes)
+        for sizes in (st.floats(1e-3, 1e3), st.floats(0.5, 2.0))
+    ),
+)
+
+
+@st.composite
+def _float_eval_cases(draw, count=1):
+    """`count` polynomials in one set of 1-18 variables, with exponents up to
+    17 and rational or surd coefficients, zero and constant polynomials
+    included, and a point whose coordinates are 0.0 or of either sign between
+    1e-3 and 1e3."""
+    nvars = draw(st.integers(1, 18))
+    polys = []
+    for _ in range(count):
+        d = draw(st.sampled_from((1, 2, 3, 5)))
+        terms = {}
+        for _ in range(draw(st.integers(0, 10))):
+            mono = [0] * nvars
+            for j in draw(st.lists(st.integers(0, nvars - 1), max_size=4)):
+                mono[j] = draw(st.integers(0, 17))
+            surd = draw(_float_coeffs) if d > 1 else 0
+            terms[tuple(mono)] = QuadExtScalar(draw(_float_coeffs), surd, d)
+        polys.append(Poly(nvars, terms))
+    return polys, draw(st.lists(_coordinates, min_size=nvars, max_size=nvars))
+
+
+@given(_float_eval_cases(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_term_tables_match_eval_float_bitwise(case, as_array):
+    (f,), point = case
+    _assert_tables_match_loops(f, np.array(point) if as_array else point)
+
+
+@given(_float_eval_cases(count=3))
+@settings(max_examples=60, deadline=None)
+def test_one_table_of_several_polynomials_matches_eval_float(case):
+    """Polynomials compiled into one table, a zero one among them, each read
+    back from its own slot."""
+    polys, point = case
+    polys.insert(1, Poly(polys[0].nvars))
+    got = zmc._evaluate(zmc._compile(polys), np.array(point))
+    assert _hex(got) == _hex([p.eval_float(np.array(point)) for p in polys])
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "ads:1,1,0", "ads:3,3,2", "ads:6,6,4", "ds1:2,3", "ds2:4",
+        "clifford:2,3", "lawson:2,3", "lawson:4,5", "lawson:8,9",
+    ],
+)
+def test_term_tables_match_eval_float_on_family_samples(label):
+    spec = parse_family(label)
+    f = make_poly(spec)
+    for point in sample_points(spec, 5, seed=7):
+        _assert_tables_match_loops(f, point)
