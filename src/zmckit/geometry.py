@@ -96,16 +96,21 @@ def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
     return VarietyPoint(x, fval, cres, float(grad @ (b * grad)), grad)
 
 
+def _residual_scales(norm: float, degree: int) -> tuple[float, float]:
+    """The scales 1 + |x|^degree and 1 + |x|^2 of the |f| and |<Bx,x> - eps| tests."""
+    return 1.0 + norm**degree, 1.0 + norm * norm
+
+
 def check_residuals(p: VarietyPoint, degree: int, bound: float) -> None:
     """Raise ValueError unless |f| <= bound (1 + |x|^degree) and
     |<Bx,x> - eps| <= bound (1 + |x|^2) at p."""
-    norm = float(np.linalg.norm(p.coords))
-    if abs(p.f_residual) > bound * (1.0 + norm**degree):
+    f_scale, c_scale = _residual_scales(float(np.linalg.norm(p.coords)), degree)
+    if abs(p.f_residual) > bound * f_scale:
         raise ValueError(
             f"projected point violates |f| <= {bound:g} (scaled): "
             f"{p.f_residual:.3e}"
         )
-    if abs(p.constraint_residual) > bound * (1.0 + norm * norm):
+    if abs(p.constraint_residual) > bound * c_scale:
         raise ValueError(
             f"projected point violates pseudo-sphere residual bound: "
             f"{p.constraint_residual:.3e}"
@@ -153,9 +158,8 @@ def newton_project(
         norm = float(np.linalg.norm(x))
         fres, grad = value_and_gradient(f, x)
         cres = float(x @ (b * x)) - sig.epsilon
-        converged = abs(fres) <= tol * (1.0 + norm**deg) and abs(cres) <= tol * (
-            1.0 + norm * norm
-        )
+        f_scale, c_scale = _residual_scales(norm, deg)
+        converged = abs(fres) <= tol * f_scale and abs(cres) <= tol * c_scale
         jac = np.vstack([grad, 2.0 * b * x])
         gram = jac @ jac.T
         sv = np.linalg.svd(jac, compute_uv=False)

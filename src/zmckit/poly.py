@@ -8,9 +8,10 @@ entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 (1 for purely rational polynomials), so equality and hashing compare
 (nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
 works on these integers and returns through one normaliser, `_canonical`;
-`terms` rebuilds the coefficients as reduced QuadExtScalars on demand.  The
-monomial order everywhere is graded lexicographic with x1 > x2 > ..., which
-makes single-divisor division deterministic.
+`render` and the float view read them too, and only `terms` rebuilds the
+coefficients as reduced QuadExtScalars, on demand.  The monomial order
+everywhere is graded lexicographic with x1 > x2 > ..., which makes
+single-divisor division deterministic.
 
 Everything is exact.  Instances are immutable and hashable, so derived data
 (gradients, Hessians) can be cached keyed on the polynomial.
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import QuadExtScalar, _normal, as_scalar, lowest_terms
+from .scalars import QuadExtScalar, _normal, as_scalar, coeff_text, lowest_terms
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -42,7 +43,7 @@ def monomial_divides(divisor: Monomial, multiple: Monomial) -> bool:
 class Poly:
     """Immutable sparse polynomial in `nvars` variables over Q(sqrt(d))."""
 
-    __slots__ = ("nvars", "d", "den", "ints", "_hash", "_float_terms")
+    __slots__ = ("nvars", "d", "den", "ints", "_hash")
 
     def __new__(cls, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -201,11 +202,10 @@ class Poly:
     # -- evaluation ----------------------------------------------------------------
 
     def _float_view(self) -> list[tuple[float, Monomial]]:
-        cached = self._float_terms
-        if cached is None:
-            cached = [(float(c), m) for m, c in self.terms.items()]
-            object.__setattr__(self, "_float_terms", cached)
-        return cached
+        """(float coefficient, monomial) pairs in storage order; int / int rounds
+        correctly, so each equals float() of the reduced scalar bit for bit."""
+        den, root = self.den, sqrt(self.d)
+        return [(a / den + b / den * root if b else a / den, m) for m, (a, b) in self.ints.items()]
 
     def eval_float(self, point: Sequence[float]) -> float:
         if len(point) != self.nvars:
@@ -259,16 +259,24 @@ class Poly:
 
     def render(self) -> str:
         """Text form in the input grammar; parse(render(p), p.nvars) == p."""
-        terms = self.terms
-        if not terms:
+        ints, den, d = self.ints, self.den, self.d
+        if not ints:
             return "0"
         pieces: list[str] = []
-        for mono in sorted(terms, key=grlex_key, reverse=True):
-            sign, body = _render_term(terms[mono], mono)
-            if not pieces:
-                pieces.append(body if sign >= 0 else f"-{body}")
+        for mono in sorted(ints, key=grlex_key, reverse=True):
+            a, b = ints[mono]
+            vars_txt = " ".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(mono, 1) if e)
+            if a and b:
+                # Mixed rational + surd: parenthesize so the term survives a round trip.
+                negative, body = False, f"({coeff_text(a, b, den, d)})"
             else:
-                pieces.append(f"+ {body}" if sign >= 0 else f"- {body}")
+                # One of a, b is 0: print |c| and carry the sign.
+                negative, body = a + b < 0, coeff_text(abs(a), abs(b), den, d)
+            text = vars_txt if vars_txt and body == "1" else f"{body} {vars_txt}".strip()
+            if pieces:
+                pieces.append(f"- {text}" if negative else f"+ {text}")
+            else:
+                pieces.append(f"-{text}" if negative else text)
         return " ".join(pieces)
 
     __str__ = render
@@ -303,7 +311,7 @@ def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:
     if not any(b for _, b in ints.values()):
         d = 1
     out = object.__new__(Poly)
-    for name, value in zip(Poly.__slots__, (nvars, d, den // g, ints, None, None)):
+    for name, value in zip(Poly.__slots__, (nvars, d, den // g, ints, None)):
         object.__setattr__(out, name, value)
     return out
 
@@ -315,23 +323,6 @@ def _over_lcm(nvars: int, d: int, triples: Mapping) -> Poly:
     return _canonical(nvars, d, den, {
         m: (a * (den // t), b * (den // t)) for m, (a, b, t) in triples.items()
     })
-
-
-def _render_term(coeff: QuadExtScalar, mono: Monomial) -> tuple[int, str]:
-    """Render one term; returns (sign, body-without-sign)."""
-    vars_txt = " ".join(
-        f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-        for i, e in enumerate(mono)
-        if e
-    )
-    if coeff.a and coeff.b:
-        # Mixed rational + surd: parenthesize so the term survives a round trip.
-        return 1, f"({coeff}) {vars_txt}".strip()
-    sign = 1 if coeff.a + coeff.b > 0 else -1  # one of a, b is zero
-    body = str(coeff if sign > 0 else -coeff)
-    if vars_txt and body == "1":
-        return sign, vars_txt
-    return sign, f"{body} {vars_txt}".strip()
 
 
 def _heap_item(mono: Monomial) -> tuple[int, Monomial, Monomial]:

@@ -215,20 +215,30 @@ class QuadExtScalar:
         return value
 
     def __str__(self):
-        rat, surd = self.rat, self.surd
-        if surd == 0:
-            return str(rat)
-        surd_txt = f"sqrt({self.d})" if abs(surd) == 1 else f"{abs(surd)} sqrt({self.d})"
-        if rat == 0:
-            return surd_txt if surd > 0 else f"-{surd_txt}"
-        op = "+" if surd > 0 else "-"
-        return f"{rat} {op} {surd_txt}"
+        return coeff_text(self.a, self.b, self.den, self.d)
 
     def __repr__(self):
         return f"QuadExtScalar({self.rat!r}, {self.surd!r}, d={self.d})"
 
 
 _new_scalar = object.__new__
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """n/den in lowest terms as str(Fraction(n, den)) prints it, for den > 0."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def coeff_text(a: int, b: int, den: int, d: int) -> str:
+    """str() of the scalar (a + b sqrt(d)) / den, for integers a, b and den > 0
+    in any terms and a square-free d > 1 if b != 0; every QuadExtScalar prints so."""
+    if not b:
+        return _ratio_text(a, den)
+    surd_txt = f"sqrt({d})" if abs(b) == den else f"{_ratio_text(abs(b), den)} sqrt({d})"
+    if not a:
+        return surd_txt if b > 0 else f"-{surd_txt}"
+    return f"{_ratio_text(a, den)} {'+' if b > 0 else '-'} {surd_txt}"
 
 
 def lowest_terms(a: int, b: int, den: int) -> tuple[int, int, int]:

@@ -17,6 +17,8 @@ only what the commands run:
 - `from_matrix`: the quadratic polynomial <A x, x> of a form matrix;
 - `eval_exact`: a polynomial's value at a point, term by term in
   QuadExtScalar arithmetic;
+- `render_via_terms`: a polynomial's text, term by term from `Poly.terms`,
+  each coefficient printed by the Fraction-pair reference scalar;
 - `value_and_gradient_loops` and `hessian_loops`: f, its gradient and its
   full Hessian at a float point, one `Poly.eval_float` per derivative
   polynomial, the loops that `zmc`'s term tables must match bit for bit.
@@ -30,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from reference_scalars import QuadExtScalar as RefScalar
 from zmckit.families import SurfacePatch
 from zmckit.geometry import (
     RESIDUAL_BOUND,
@@ -40,7 +43,7 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, matmul_exact, random_exact_isometry
-from zmckit.poly import Poly
+from zmckit.poly import Poly, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar, as_scalar
 from zmckit.zmc import AmbientSig, _check_dims, gradient, hessian_float
 
@@ -235,6 +238,43 @@ def eval_exact(f: Poly, point) -> QuadExtScalar:
                 term = term * value**e
         total = total + term
     return total
+
+
+# -- rendering --------------------------------------------------------------------
+
+
+def _render_term(coeff: QuadExtScalar, mono: tuple[int, ...]) -> tuple[int, str]:
+    """One term as (sign, body without its sign)."""
+    vars_txt = " ".join(
+        f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+        for i, e in enumerate(mono)
+        if e
+    )
+    ref = RefScalar(coeff.rat, coeff.surd, coeff.d)
+    if ref.rat and ref.surd:
+        # Mixed rational + surd: parenthesized, so the term parses back.
+        return 1, f"({ref}) {vars_txt}".strip()
+    sign = 1 if ref.rat + ref.surd > 0 else -1  # one of the parts is zero
+    body = str(ref if sign > 0 else -ref)
+    if vars_txt and body == "1":
+        return sign, vars_txt
+    return sign, f"{body} {vars_txt}".strip()
+
+
+def render_via_terms(p: Poly) -> str:
+    """`Poly.render` rebuilt from `p.terms`: terms in descending grlex order,
+    the first carrying a bare "-", later ones joined by "+ " or "- "."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    pieces: list[str] = []
+    for mono in sorted(terms, key=grlex_key, reverse=True):
+        sign, body = _render_term(terms[mono], mono)
+        if not pieces:
+            pieces.append(body if sign >= 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if sign >= 0 else f"- {body}")
+    return " ".join(pieces)
 
 
 # -- float derivatives, one polynomial at a time ---------------------------------

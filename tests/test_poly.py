@@ -4,9 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from oracles import eval_exact
+from oracles import eval_exact, render_via_terms
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly, divide, grlex_key, monomial_divides
 from zmckit.scalars import ZERO, QuadExtScalar
@@ -336,6 +336,47 @@ def test_surds_that_cancel_leave_a_rational_polynomial():
     mixed = P("(1 + sqrt(2)) x1", 1) - P("sqrt(2) x1", 1)
     assert (mixed.d, mixed.den, mixed.ints) == (1, 1, {(1,): (1, 0)})
     _assert_same(mixed, P("x1", 1))
+
+
+@given(st.one_of(_field_polys(1), _field_polys(1, _homogeneous_polys)))
+@example([P("0", 3)])
+@example([P("-7/4", 3)])
+@example([P("sqrt(5)", 3)])
+@example([P("-(3/2 - 1/4 sqrt(2))", 3)])
+@example([P("x1^2 x3 - x2 - 1", 3)])
+@example([P("-x1 + sqrt(2) x2 - sqrt(2) x3 - 2/3 sqrt(2) x1 x2 + (1/2 + 3/4 sqrt(2))", 3)])
+@example([P("(-1 - sqrt(5)) x1 + (2/3 - 1/2 sqrt(5)) x2^3 - 5/2", 3)])
+@settings(max_examples=150)
+def test_render_matches_the_scalar_by_scalar_renderer(polys):
+    """`render` prints from the stored integers; the oracle prints each
+    reduced coefficient of `terms` with the Fraction-pair reference scalar.
+    Drawn: mixed a + b sqrt(d), negative, fractional and surd-only
+    coefficients, constants and zero."""
+    (p,) = polys
+    assert p.render() == render_via_terms(p)
+
+
+# Integers past 2^1000: their quotient fits a float, but neither does alone.
+_huge = st.integers(2**1000, 2**1100) | st.integers(-(2**1100), -(2**1000))
+
+
+@given(st.sampled_from((1, 2, 5)), _huge, _huge | st.just(0), _huge, _huge.map(abs))
+@settings(max_examples=80)
+def test_float_view_of_huge_coefficients_is_the_reduced_float(d, x, y, h, g):
+    """Each float of `_float_view` is float() of the reduced coefficient,
+    bit for bit, when the stored integers are huge and share a huge factor
+    g with `den`: term 1 is (x + y sqrt(d)) / h and term 2 is 1 / (g h), so
+    over den = g |h| term 1 stores g x and g y."""
+    y = y if d > 1 else 0
+    p = Poly(2, {(1, 0): QuadExtScalar(Fraction(x, h), Fraction(y, h), d),
+                 (0, 1): QuadExtScalar(Fraction(1, g * h))})
+    a, b = p.ints[(1, 0)]
+    assume(math.gcd(a, b, p.den) > 2**1000)
+    assert max(abs(a), abs(b)) > 2**1000
+    assert [(c.hex(), m) for c, m in p._float_view()] == [
+        (float(p.terms[m]).hex(), m) for m in p.ints
+    ]
+    assert (b != 0) == (y != 0)
 
 
 def _to_sympy(p: Poly, gens):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from reference_scalars import QuadExtScalar as RefScalar
-from zmckit.scalars import QuadExtScalar
+from zmckit.scalars import QuadExtScalar, coeff_text
 
 # 8 and 9 are not square-free: the constructor folds them to 2 sqrt(2) and 3.
 _TAGS = [1, 2, 3, 5, 6, 8, 9]
@@ -97,6 +97,14 @@ def test_unary_ops_match_reference(parts, d, exponent):
 )))
 def test_sqrt_matches_reference(value):
     assert_same(_outcome(QuadExtScalar.sqrt, value), _outcome(RefScalar.sqrt, value))
+
+
+@given(_parts, st.sampled_from(_TAGS), st.integers(1, 10**30))
+def test_coeff_text_of_unreduced_integers_matches_reference(parts, d, k):
+    """`coeff_text` takes a, b and den in any terms, as `Poly.render` passes
+    them over the polynomial's common denominator."""
+    x = QuadExtScalar(*parts, d)
+    assert coeff_text(k * x.a, k * x.b, k * x.den, x.d) == str(RefScalar(*parts, d))
 
 
 def test_incompatible_surds_raise_like_reference():
