@@ -55,7 +55,7 @@ HYPERBOLIC_ARG_LIMIT = 300.0
 # Caps on family size, checked before anything is built.  At the caps the
 # slowest command takes under 20 s on one core: `report --family
 # lawson:100,101 --count 10` 1.6 s (`verify` 1.1 s, 3.9 MB of output),
-# `classify --family ads:49,49,0` (100 variables) 15 s.
+# `classify --family ads:49,49,0` (100 variables) 1.6 s.
 MAX_LAWSON_ORDER = 201  # k + n
 MAX_QUADRIC_NVARS = 100
 

@@ -9,8 +9,8 @@ the rotation and boost one-parameter groups come from the parametrizations
 so random words in these generators stay inside Q and compositions with
 polynomials remain exact.  `apply_to_poly` performs the coordinate change
 f(M x) that `classify` must see through, on the forms of `linear_forms`;
-`matmul_exact` is the one exact matrix product.  The exact isometry check
-M^T B M == B is a test oracle (`tests/oracles.py`).
+`matmul_exact` is the one product of `QuadExtScalar` matrices.  The exact
+isometry check M^T B M == B is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations

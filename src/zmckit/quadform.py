@@ -3,22 +3,22 @@
 A homogeneous quadratic f is written as <A x, x> with A symmetric over
 Q(sqrt(d)).  Isometries M of the metric (M^T B M = B) act by A -> M^T A M,
 which conjugates B A.  The exact characteristic polynomial of B A, by
-Faddeev-LeVerrier on `isometry.matmul_exact`, is thus an isometry invariant
+Faddeev-LeVerrier on integer coordinates, is thus an isometry invariant
 (the "pencil fingerprint") that re-identifies members of the ads quadric
 family after a coordinate change.  A family member's pencil is block
 diagonal, so its fingerprint is known in closed form, from the same
 coefficients `families.pencil_coefficients` builds the member with.  All of
-it is exact.
+it is exact: rank and char poly run on integer pairs over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .families import pencil_coefficients
-from .isometry import identity_exact, matmul_exact
 from .poly import Poly
-from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
+from .scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
 from .zmc import AmbientSig, conjecture_check
 
 
@@ -42,26 +42,47 @@ def to_matrix(f: Poly) -> list[list[QuadExtScalar]]:
     return rows
 
 
+def _integer_rows(matrix: list[list[QuadExtScalar]]) -> tuple[list[list[tuple]], int, int]:
+    """(rows, den, d) with matrix = rows / den, each entry of rows the integer
+    pair (a, b) of a + b sqrt(d): den is the lcm of the entries' denominators
+    and d the one surd of the entries with b != 0."""
+    surds = sorted({x.d for row in matrix for x in row if x.b}) or [1]
+    if len(surds) > 1:
+        raise ValueError(f"incompatible surds: sqrt({surds[0]}) cannot mix with sqrt({surds[1]})")
+    den = math.lcm(*(x.den for row in matrix for x in row))
+    rows = [[(x.a * (den // x.den), x.b * (den // x.den)) for x in row] for row in matrix]
+    return rows, den, surds[0]
+
+
 def exact_rank(matrix: list[list[QuadExtScalar]]) -> int:
-    """Rank over Q(sqrt(d)) by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
+    """Rank over Q(sqrt(d)) by fraction-free (Bareiss) elimination of den A in
+    Z[sqrt(d)].  Each entry is a minor, so dividing by the previous pivot q is
+    exact in integers: y / q = y conj(q) / N(q)."""
+    m, _, d = _integer_rows(matrix)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
-    prev_pivot = ONE
+    qa, qb = 1, 0
     for col in range(ncols):
-        pivot_row = next(
-            (r for r in range(rank, nrows) if not m[r][col].is_zero()), None
-        )
+        pivot_row = next((r for r in range(rank, nrows) if m[r][col] != (0, 0)), None)
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
+        top = m[rank]
+        pa, pb = top[col]
+        # conj(q) / N(q) over their gcd, so a rational q divides as one integer.
+        norm = qa * qa - d * qb * qb
+        g = math.gcd(qa, qb, norm)
+        qa, qb, norm = qa // g, qb // g, norm // g
+        for row in m[rank + 1:]:
+            la, lb = row[col]
             for c in range(col + 1, ncols):
-                m[r][c] = (pivot * m[r][c] - m[r][col] * m[rank][c]) / prev_pivot
-            m[r][col] = ZERO
-        prev_pivot = pivot
+                (xa, xb), (ua, ub) = row[c], top[c]
+                ya = pa * xa + d * pb * xb - la * ua - d * lb * ub
+                yb = pa * xb + pb * xa - la * ub - lb * ua
+                row[c] = ((ya * qa - d * yb * qb) // norm, (yb * qa - ya * qb) // norm)
+            row[col] = (0, 0)
+        qa, qb = pa, pb
         rank += 1
     return rank
 
@@ -84,19 +105,40 @@ def _pencil_matrix(
 
 
 def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
-    """Monic characteristic polynomial coefficients (c_0=1, c_1, ..., c_n)
-    of lambda^n + c_1 lambda^{n-1} + ... + c_n, by Faddeev-LeVerrier:
-    M_k = A (M_{k-1} + c_{k-1} I) with M_0 = 0, and c_k = -tr(M_k) / k."""
-    n = len(matrix)
+    """Monic characteristic polynomial coefficients (c_0=1, c_1, ..., c_n) of
+    lambda^n + c_1 lambda^{n-1} + ... + c_n, by Faddeev-LeVerrier:
+    M_k = A (M_{k-1} + c_{k-1} I) with M_0 = 0, and c_k = -tr(M_k) / k.  With
+    A = P / D in integer pairs, M_k + c_k I = Q_k / E_k for Q_k = k P Q_{k-1}
+    - tr(P Q_{k-1}) I and E_k = k D E_{k-1}, each step divided by their gcd."""
+    p, den, d = _integer_rows(matrix)
+    n = len(p)
+    supports = [[(l, a, b) for l, (a, b) in enumerate(row) if a or b] for row in p]
+    q = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    e = 1
     coeffs = [ONE]
-    mk = identity_exact(n)  # M_0 + c_0 I
     for k in range(1, n + 1):
-        mk = matmul_exact(matrix, mk)
-        ck = -(sum((mk[i][i] for i in range(n)), ZERO) / k)
-        coeffs.append(ck)
-        if not ck.is_zero():
-            for i in range(n):
-                mk[i][i] = mk[i][i] + ck
+        cols = list(zip(*q))
+        prod = []
+        for support in supports:
+            out = []
+            for col in cols:
+                sa = sb = 0
+                for l, a, b in support:
+                    ya, yb = col[l]
+                    if ya or yb:
+                        sa += a * ya + d * b * yb
+                        sb += a * yb + b * ya
+                out.append((sa, sb))
+            prod.append(out)
+        ta, tb = sum(prod[i][i][0] for i in range(n)), sum(prod[i][i][1] for i in range(n))
+        e *= k * den
+        coeffs.append(_normal(-ta, -tb, e, d))
+        for i, row in enumerate(prod):
+            row[:] = [(k * a, k * b) for a, b in row]
+            row[i] = (row[i][0] - ta, row[i][1] - tb)
+        g = math.gcd(e, *(x for row in prod for pair in row for x in pair))
+        q = [[(a // g, b // g) for a, b in row] for row in prod]
+        e //= g
     return tuple(coeffs)
 
 

@@ -15,6 +15,9 @@ only what the commands run:
   with `random_orthonormal_basis` to draw one;
 - `is_exact_isometry`: M^T B M == B in exact arithmetic;
 - `from_matrix`: the quadratic polynomial <A x, x> of a form matrix;
+- `exact_rank_reference` and `char_poly_reference`: Bareiss rank and
+  Faddeev-LeVerrier in QuadExtScalar arithmetic, the references for
+  `quadform`'s integer-coordinate versions;
 - `eval_exact`: a polynomial's value at a point, term by term in
   QuadExtScalar arithmetic;
 - `render_via_terms`: a polynomial's text, term by term from `Poly.terms`,
@@ -42,9 +45,9 @@ from zmckit.geometry import (
     check_residuals,
     newton_project,
 )
-from zmckit.isometry import ExactMatrix, matmul_exact, random_exact_isometry
+from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly, grlex_key
-from zmckit.scalars import ZERO, QuadExtScalar, as_scalar
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from zmckit.zmc import AmbientSig, _check_dims, gradient, hessian_float
 
 
@@ -223,6 +226,47 @@ def from_matrix(entries: list[list[QuadExtScalar]]) -> Poly:
             mono[j] += 1
             terms[tuple(mono)] = coeff
     return Poly(n, terms)
+
+
+def exact_rank_reference(matrix: list[list[QuadExtScalar]]) -> int:
+    """Rank over Q(sqrt(d)) by Bareiss elimination in QuadExtScalar
+    arithmetic, with `quadform.exact_rank`'s pivot choice."""
+    m = [list(row) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rank = 0
+    prev_pivot = ONE
+    for col in range(ncols):
+        pivot_row = next(
+            (r for r in range(rank, nrows) if not m[r][col].is_zero()), None
+        )
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (pivot * m[r][c] - m[r][col] * m[rank][c]) / prev_pivot
+            m[r][col] = ZERO
+        prev_pivot = pivot
+        rank += 1
+    return rank
+
+
+def char_poly_reference(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
+    """`quadform.char_poly_exact` by Faddeev-LeVerrier on `matmul_exact`:
+    M_k = A (M_{k-1} + c_{k-1} I) with M_0 = 0, and c_k = -tr(M_k) / k."""
+    n = len(matrix)
+    coeffs = [ONE]
+    mk = identity_exact(n)  # M_0 + c_0 I
+    for k in range(1, n + 1):
+        mk = matmul_exact(matrix, mk)
+        ck = -(sum((mk[i][i] for i in range(n)), ZERO) / k)
+        coeffs.append(ck)
+        if not ck.is_zero():
+            for i in range(n):
+                mk[i][i] = mk[i][i] + ck
+    return tuple(coeffs)
 
 
 def eval_exact(f: Poly, point) -> QuadExtScalar:

@@ -1,13 +1,21 @@
 """Quadratic form matrices, exact rank, pencil fingerprints, classification."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import from_matrix
+from oracles import char_poly_reference, exact_rank_reference, from_matrix
 from zmckit.families import ads, ds2, make_poly
-from zmckit.isometry import apply_to_poly, boost_exact, random_exact_isometry, rotation_exact
+from zmckit.isometry import (
+    apply_to_poly,
+    boost_exact,
+    matmul_exact,
+    random_exact_isometry,
+    rotation_exact,
+)
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.quadform import (
@@ -236,3 +244,92 @@ def test_exact_linear_algebra_matches_sympy():
                 dm = DomainMatrix(elements, (size, size), field)
                 assert [to_field(c) for c in char_poly_exact(rows)] == dm.charpoly()
                 assert exact_rank(rows) == dm.rank()
+
+
+_BIG = 2**1000
+
+
+def _sized(small: st.SearchStrategy) -> st.SearchStrategy:
+    """Small integers, or integers above 2^1000 of either sign."""
+    big = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]),
+                    st.integers(_BIG + 1, 4 * _BIG))
+    return st.one_of(small, big)
+
+
+@st.composite
+def _exact_matrices(draw):
+    """A non-symmetric n x n matrix over Q(sqrt(d)), d in {1, 2, 3}, n <= 5:
+    sparse entries whose numerators and denominators may pass 2^1000, of
+    rank r <= n (a product of n x r and r x n factors when r < n), with a
+    row, a column, both or neither zeroed."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 5))
+    r = n if draw(st.booleans()) else draw(st.integers(0, n - 1))
+    numerators = _sized(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    denominators = st.one_of(st.integers(1, 4), st.integers(_BIG + 1, 4 * _BIG))
+    nonzero = st.builds(
+        lambda p, q, s, t: QuadExtScalar(Fraction(p, q), Fraction(s, t), d),
+        numerators, denominators, st.one_of(st.just(0), numerators), denominators,
+    )
+    entry = st.one_of(nonzero, nonzero, nonzero, st.just(ZERO))
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if r == n:
+        rows = block(n, n)
+    elif r:
+        rows = matmul_exact(block(n, r), block(r, n))
+    else:
+        rows = [[ZERO] * n for _ in range(n)]
+    zeroed = draw(st.sampled_from(["", "", "", "row", "column", "row and column"]))
+    if "row" in zeroed:
+        rows[draw(st.integers(0, n - 1))] = [ZERO] * n
+    if "column" in zeroed:
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = ZERO
+    return rows
+
+
+@given(_exact_matrices())
+@settings(max_examples=150, deadline=None)
+def test_integer_linear_algebra_matches_scalar_reference(rows):
+    """exact_rank and char_poly_exact on integer coordinates equal Bareiss and
+    Faddeev-LeVerrier in QuadExtScalar arithmetic, exactly."""
+    assert exact_rank(rows) == exact_rank_reference(rows)
+    assert char_poly_exact(rows) == char_poly_reference(rows)
+
+
+def test_rank_and_char_poly_scale_exactly():
+    """exact_rank(lam A) = exact_rank(A) and c_k(lam A) = lam^k c_k(A) on the
+    pencils of the ads members with parameters <= 3 and of a seeded isometry
+    image of each; lam = 1 + sqrt(2) only where the pencil has no other surd."""
+    rng = np.random.default_rng(5)
+    one_plus_root2 = QuadExtScalar(1, 1, 2)
+    scales = [2**4095 - 1, -3, Fraction(1, 7), one_plus_root2]
+    for m, n, k in itertools.product(range(1, 4), range(1, 4), range(4)):
+        spec = ads(m, n, k)
+        f = make_poly(spec)
+        for g in (f, apply_to_poly(f, random_exact_isometry(spec.sig, rng, steps=3))):
+            pencil = _pencil_matrix(to_matrix(g), spec.sig)
+            d = max(x.d for row in pencil for x in row)
+            rank, coeffs = exact_rank(pencil), char_poly_exact(pencil)
+            for lam in scales:
+                if lam is one_plus_root2 and d not in (1, 2):
+                    continue
+                scaled = [[lam * x for x in row] for row in pencil]
+                assert exact_rank(scaled) == rank, (m, n, k, lam)
+                want = tuple(lam**i * c for i, c in enumerate(coeffs))
+                assert char_poly_exact(scaled) == want, (m, n, k, lam)
+
+
+def test_mixed_surds_raise():
+    """A matrix with both sqrt(2) and sqrt(3) entries is rejected, as
+    QuadExtScalar arithmetic rejects it, not read over the first surd."""
+    root2, root3 = QuadExtScalar.sqrt(2), QuadExtScalar.sqrt(3)
+    matrix = [[root2, ZERO], [ZERO, root3]]
+    for fn in (exact_rank, char_poly_exact, exact_rank_reference, char_poly_reference):
+        with pytest.raises(ValueError, match="incompatible surds"):
+            fn(matrix)
