@@ -1,64 +1,106 @@
-"""Degree-2 analysis: form matrices, exact rank, and congruence invariants.
+"""Degree-2 analysis: a quadric's pencil, its ZMC residual, exact rank and
+congruence invariants.
 
 A homogeneous quadratic f is written as <A x, x> with A symmetric over
-Q(sqrt(d)).  Isometries M of the metric (M^T B M = B) act by A -> M^T A M,
-which conjugates B A.  The exact characteristic polynomial of B A, by
-Faddeev-LeVerrier on integer coordinates, is thus an isometry invariant
-(the "pencil fingerprint") that re-identifies members of the ads quadric
-family after a coordinate change.  A family member's pencil is block
-diagonal, so its fingerprint is known in closed form, from the same
-coefficients `families.pencil_coefficients` builds the member with.  All of
-it is exact: rank and char poly run on integer pairs over one denominator.
+Q(sqrt(d)), and P = B A is its pencil.  Then grad f = 2 A x, lap f = 2 tr P
+and, as B^2 = I, w = <B grad f, grad f> = 4 <A B A x, x> = 4 <B P^2 x, x> and
+grad w = 8 A B A x, so the ZMC residual is
+
+    g = 2 w lap f - <grad w, B grad f> = 16 <B (tr(P) P^2 - P^3) x, x>.
+
+Both B P^2 = A B A and B P^3 = A B A B A are symmetric, and g has f's degree,
+so f | g exactly when g = 16 lam f for a scalar lam, that is when
+P^3 - tr(P) P^2 = -lam P: on a family member lam = -1, on c times it -c^2.
+Isometries M of the metric (M^T B M = B) act by A -> M^T A M, which
+conjugates P.  The exact characteristic polynomial of P, by
+Faddeev-LeVerrier, is thus an isometry invariant (the "pencil fingerprint")
+that re-identifies members of the ads quadric family after a coordinate
+change.  A family member's pencil is block diagonal, so its fingerprint is
+known in closed form, from the same coefficients `families.pencil_coefficients`
+builds the member with.  All of it is exact and runs on one integer pencil
+(rows, den, d): P = rows / den, each entry of rows the integer pair (a, b) of
+a + b sqrt(d), read straight from f's integer form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .families import pencil_coefficients
 from .poly import Poly
-from .scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
-from .zmc import AmbientSig, conjecture_check
+from .scalars import ONE, ZERO, QuadExtScalar, _normal
+from .zmc import AmbientSig, _check_dims
+
+# (rows, den, d): the matrix rows / den, each entry (a, b) meaning a + b sqrt(d).
+Pencil = tuple[list[list[tuple[int, int]]], int, int]
 
 
-def to_matrix(f: Poly) -> list[list[QuadExtScalar]]:
-    """The symmetric A with f = <A x, x>: diagonal from squares, halved cross
-    terms."""
-    if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
-        raise ValueError("quadratic-form extraction needs homogeneous degree 2")
+def _pencil(f: Poly, sig: AmbientSig) -> Pencil:
+    """P = B A of f = <A x, x> from f's integers: A_ii = 2 a / (2 den) from
+    x_i^2 and A_ij = a / (2 den) from x_i x_j, reduced by the common gcd."""
     n = f.nvars
-    half = as_scalar(1) / as_scalar(2)
-    rows = [[ZERO for _ in range(n)] for _ in range(n)]
-    for mono, coeff in f.terms.items():
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = coeff
-        else:
-            i, j = support
-            rows[i][j] = coeff * half
-            rows[j][i] = coeff * half
-    return rows
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for mono, (a, b) in f.ints.items():
+        i, j = [i for i, e in enumerate(mono) for _ in range(e)]
+        rows[i][j] = rows[j][i] = (2 * a, 2 * b) if i == j else (a, b)
+    g = math.gcd(2 * f.den, *chain.from_iterable(chain.from_iterable(rows)))
+    rows = [[(s * a // g, s * b // g) for a, b in row] for row, s in zip(rows, sig.b_diag)]
+    return rows, 2 * f.den // g, f.d
 
 
-def _integer_rows(matrix: list[list[QuadExtScalar]]) -> tuple[list[list[tuple]], int, int]:
-    """(rows, den, d) with matrix = rows / den, each entry of rows the integer
-    pair (a, b) of a + b sqrt(d): den is the lcm of the entries' denominators
-    and d the one surd of the entries with b != 0."""
-    surds = sorted({x.d for row in matrix for x in row if x.b}) or [1]
-    if len(surds) > 1:
-        raise ValueError(f"incompatible surds: sqrt({surds[0]}) cannot mix with sqrt({surds[1]})")
-    den = math.lcm(*(x.den for row in matrix for x in row))
-    rows = [[(x.a * (den // x.den), x.b * (den // x.den)) for x in row] for row in matrix]
-    return rows, den, surds[0]
+def _times(supports: list[list[tuple[int, int, int]]], q: list, d: int) -> list[list[tuple]]:
+    """P Q in Z[sqrt(d)], P given by each row's nonzero entries (l, a, b)."""
+    cols = list(zip(*q))
+    prod = []
+    for support in supports:
+        out = []
+        for col in cols:
+            sa = sb = 0
+            for l, a, b in support:
+                ya, yb = col[l]
+                if ya or yb:
+                    sa += a * ya + d * b * yb
+                    sb += a * yb + b * ya
+            out.append((sa, sb))
+        prod.append(out)
+    return prod
 
 
-def exact_rank(matrix: list[list[QuadExtScalar]]) -> int:
-    """Rank over Q(sqrt(d)) by fraction-free (Bareiss) elimination of den A in
-    Z[sqrt(d)].  Each entry is a minor, so dividing by the previous pivot q is
-    exact in integers: y / q = y conj(q) / N(q)."""
-    m, _, d = _integer_rows(matrix)
+def _supports(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int, int]]]:
+    return [[(l, a, b) for l, (a, b) in enumerate(row) if a or b] for row in rows]
+
+
+def _residual_divides(pencil: Pencil) -> bool:
+    """Whether f divides its ZMC residual: R = P^3 - tr(P) P^2 is a multiple
+    of P (see the module docstring), checked by cross-multiplication,
+    R_kl P_ij = R_ij P_kl at the first nonzero P_ij.  R scales as den^3, so
+    the integer rows stand for P."""
+    rows, _, d = pencil
+
+    def mul(x, y):
+        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    supports = _supports(rows)
+    square = _times(supports, rows, d)
+    cube = _times(supports, square, d)
+    ta, tb = map(sum, zip(*(row[i] for i, row in enumerate(rows))))
+    r = [[(ca - ta * sa - d * tb * sb, cb - ta * sb - tb * sa)
+          for (ca, cb), (sa, sb) in zip(c_row, s_row)] for c_row, s_row in zip(cube, square)]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x != (0, 0))
+    return all(mul(x, rows[i][j]) == mul(r[i][j], y)
+               for r_row, p_row in zip(r, rows) for x, y in zip(r_row, p_row))
+
+
+def exact_rank(pencil: Pencil) -> int:
+    """Rank over Q(sqrt(d)) by fraction-free (Bareiss) elimination in
+    Z[sqrt(d)] of the rows over the gcd of their entries, as the rank does
+    not depend on scale.  Each entry is a minor, so dividing by the previous
+    pivot q is exact in integers: y / q = y conj(q) / N(q)."""
+    rows, _, d = pencil
+    g = math.gcd(*chain.from_iterable(chain.from_iterable(rows))) or 1
+    m = [[(a // g, b // g) for a, b in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -87,56 +129,27 @@ def exact_rank(matrix: list[list[QuadExtScalar]]) -> int:
     return rank
 
 
-def reducibility_rank(entries: list[list[QuadExtScalar]]) -> str:
-    """Rank-based criterion: rank >= 3 -> 'irreducible' (the form has no
-    linear factors even over C), rank 1 or 2 -> 'reducible', rank 0 ->
-    'degenerate' (zero form)."""
-    rank = exact_rank(entries)
-    if rank == 0:
-        return "degenerate"
-    return "irreducible" if rank >= 3 else "reducible"
-
-
-def _pencil_matrix(
-    entries: list[list[QuadExtScalar]], sig: AmbientSig
-) -> list[list[QuadExtScalar]]:
-    """B A, the pencil whose char poly is the fingerprint."""
-    return [[a * b for a in row] for row, b in zip(entries, sig.b_diag)]
-
-
-def char_poly_exact(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScalar, ...]:
+def char_poly_exact(pencil: Pencil) -> tuple[QuadExtScalar, ...]:
     """Monic characteristic polynomial coefficients (c_0=1, c_1, ..., c_n) of
     lambda^n + c_1 lambda^{n-1} + ... + c_n, by Faddeev-LeVerrier:
     M_k = A (M_{k-1} + c_{k-1} I) with M_0 = 0, and c_k = -tr(M_k) / k.  With
     A = P / D in integer pairs, M_k + c_k I = Q_k / E_k for Q_k = k P Q_{k-1}
     - tr(P Q_{k-1}) I and E_k = k D E_{k-1}, each step divided by their gcd."""
-    p, den, d = _integer_rows(matrix)
+    p, den, d = pencil
     n = len(p)
-    supports = [[(l, a, b) for l, (a, b) in enumerate(row) if a or b] for row in p]
+    supports = _supports(p)
     q = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     e = 1
     coeffs = [ONE]
     for k in range(1, n + 1):
-        cols = list(zip(*q))
-        prod = []
-        for support in supports:
-            out = []
-            for col in cols:
-                sa = sb = 0
-                for l, a, b in support:
-                    ya, yb = col[l]
-                    if ya or yb:
-                        sa += a * ya + d * b * yb
-                        sb += a * yb + b * ya
-                out.append((sa, sb))
-            prod.append(out)
+        prod = _times(supports, q, d)
         ta, tb = sum(prod[i][i][0] for i in range(n)), sum(prod[i][i][1] for i in range(n))
         e *= k * den
         coeffs.append(_normal(-ta, -tb, e, d))
         for i, row in enumerate(prod):
             row[:] = [(k * a, k * b) for a, b in row]
             row[i] = (row[i][0] - ta, row[i][1] - tb)
-        g = math.gcd(e, *(x for row in prod for pair in row for x in pair))
+        g = math.gcd(e, *chain.from_iterable(chain.from_iterable(prod)))
         q = [[(a // g, b // g) for a, b in row] for row in prod]
         e //= g
     return tuple(coeffs)
@@ -176,18 +189,17 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")
     if (sig.s, sig.epsilon) != (2, -1):
         raise ValueError("classification is defined for signature (2, -1) only")
-    report = conjecture_check(f, sig)
-    if not report.divides:
+    _check_dims(f, sig)
+    pencil = _pencil(f, sig)
+    if not _residual_divides(pencil):
         return ClassifyResult(
             "not in family", None, "ZMC residual is not a multiple of f"
         )
-    entries = to_matrix(f)
-    verdict = reducibility_rank(entries)
-    if verdict != "irreducible":
+    if exact_rank(pencil) < 3:
         return ClassifyResult(
-            "not in family", None, f"quadratic form is {verdict} (rank <= 2)"
+            "not in family", None, "quadratic form is reducible (rank <= 2)"
         )
-    fingerprint = char_poly_exact(_pencil_matrix(entries, sig))
+    fingerprint = char_poly_exact(pencil)
     k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
     for m in range(1, sig.nvars - 2 - k):
         n = sig.nvars - 2 - k - m

@@ -14,10 +14,15 @@ only what the commands run:
 - `laplacian_in_basis`: the signature Laplacian in a pseudo-orthonormal basis,
   with `random_orthonormal_basis` to draw one;
 - `is_exact_isometry`: M^T B M == B in exact arithmetic;
-- `from_matrix`: the quadratic polynomial <A x, x> of a form matrix;
+- `to_matrix` and `from_matrix`: the symmetric A of a quadric f = <A x, x>
+  and back; `pencil_matrix`: its pencil B A;
+- `integer_rows`: a QuadExtScalar matrix as `quadform`'s integer pencil
+  (rows, den, d), rejecting mixed surds;
 - `exact_rank_reference` and `char_poly_reference`: Bareiss rank and
   Faddeev-LeVerrier in QuadExtScalar arithmetic, the references for
   `quadform`'s integer-coordinate versions;
+- `classify_reference`: `quadform.classify_candidate` through the polynomial
+  ZMC certificate and the QuadExtScalar references above;
 - `eval_exact`: a polynomial's value at a point, term by term in
   QuadExtScalar arithmetic;
 - `render_via_terms`: a polynomial's text, term by term from `Poly.terms`,
@@ -36,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from reference_scalars import QuadExtScalar as RefScalar
-from zmckit.families import SurfacePatch
+from zmckit.families import SurfacePatch, pencil_coefficients
 from zmckit.geometry import (
     RESIDUAL_BOUND,
     VarietyPoint,
@@ -47,8 +52,9 @@ from zmckit.geometry import (
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly, grlex_key
+from zmckit.quadform import ClassifyResult, _family_fingerprint
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, as_scalar
-from zmckit.zmc import AmbientSig, _check_dims, gradient, hessian_float
+from zmckit.zmc import AmbientSig, _check_dims, conjecture_check, gradient, hessian_float
 
 
 # -- lawson coordinate patches ------------------------------------------------
@@ -212,6 +218,45 @@ def is_exact_isometry(m: ExactMatrix, sig: AmbientSig) -> bool:
 # -- quadratic forms ------------------------------------------------------------
 
 
+def to_matrix(f: Poly) -> list[list[QuadExtScalar]]:
+    """The symmetric A with f = <A x, x>: diagonal from squares, halved cross
+    terms."""
+    if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
+        raise ValueError("quadratic-form extraction needs homogeneous degree 2")
+    n = f.nvars
+    half = as_scalar(1) / as_scalar(2)
+    rows = [[ZERO for _ in range(n)] for _ in range(n)]
+    for mono, coeff in f.terms.items():
+        support = [i for i, e in enumerate(mono) if e]
+        if len(support) == 1:
+            i = support[0]
+            rows[i][i] = coeff
+        else:
+            i, j = support
+            rows[i][j] = coeff * half
+            rows[j][i] = coeff * half
+    return rows
+
+
+def pencil_matrix(
+    entries: list[list[QuadExtScalar]], sig: AmbientSig
+) -> list[list[QuadExtScalar]]:
+    """B A, the pencil whose char poly is the fingerprint."""
+    return [[a * b for a in row] for row, b in zip(entries, sig.b_diag)]
+
+
+def integer_rows(matrix: list[list[QuadExtScalar]]) -> tuple[list[list[tuple]], int, int]:
+    """(rows, den, d) with matrix = rows / den, each entry of rows the integer
+    pair (a, b) of a + b sqrt(d): den is the lcm of the entries' denominators
+    and d the one surd of the entries with b != 0."""
+    surds = sorted({x.d for row in matrix for x in row if x.b}) or [1]
+    if len(surds) > 1:
+        raise ValueError(f"incompatible surds: sqrt({surds[0]}) cannot mix with sqrt({surds[1]})")
+    den = math.lcm(*(x.den for row in matrix for x in row))
+    rows = [[(x.a * (den // x.den), x.b * (den // x.den)) for x in row] for row in matrix]
+    return rows, den, surds[0]
+
+
 def from_matrix(entries: list[list[QuadExtScalar]]) -> Poly:
     """Reassemble the quadratic polynomial <A x, x> from its matrix."""
     n = len(entries)
@@ -267,6 +312,44 @@ def char_poly_reference(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScala
             for i in range(n):
                 mk[i][i] = mk[i][i] + ck
     return tuple(coeffs)
+
+
+def classify_reference(f: Poly, sig: AmbientSig) -> ClassifyResult:
+    """`quadform.classify_candidate` as the polynomial certificate decides
+    it: `conjecture_check` divides the residual by f, then the rank and the
+    fingerprint come from the form matrix in QuadExtScalar arithmetic."""
+    if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
+        raise ValueError("classification needs a homogeneous degree-2 polynomial")
+    if (sig.s, sig.epsilon) != (2, -1):
+        raise ValueError("classification is defined for signature (2, -1) only")
+    report = conjecture_check(f, sig)
+    if not report.divides:
+        return ClassifyResult(
+            "not in family", None, "ZMC residual is not a multiple of f"
+        )
+    entries = to_matrix(f)
+    rank = exact_rank_reference(entries)
+    if rank < 3:
+        verdict = "degenerate" if rank == 0 else "reducible"
+        return ClassifyResult(
+            "not in family", None, f"quadratic form is {verdict} (rank <= 2)"
+        )
+    fingerprint = char_poly_reference(pencil_matrix(entries, sig))
+    k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
+    for m in range(1, sig.nvars - 2 - k):
+        n = sig.nvars - 2 - k - m
+        if fingerprint[1] == pencil_coefficients(m, n)[0] and (
+            fingerprint == _family_fingerprint(m, n, k)
+        ):
+            return ClassifyResult(
+                "matches", (m, n, k), "exact pencil fingerprint equality"
+            )
+    return ClassifyResult(
+        "inconclusive",
+        None,
+        "residual divides and the form is irreducible, but no family "
+        "fingerprint matches",
+    )
 
 
 def eval_exact(f: Poly, point) -> QuadExtScalar:

@@ -1,13 +1,23 @@
-"""Quadratic form matrices, exact rank, pencil fingerprints, classification."""
+"""Quadric pencils, the ZMC divisibility identity, exact rank, pencil
+fingerprints, classification."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import char_poly_reference, exact_rank_reference, from_matrix
+from oracles import (
+    char_poly_reference,
+    classify_reference,
+    exact_rank_reference,
+    from_matrix,
+    integer_rows,
+    pencil_matrix,
+    to_matrix,
+)
 from zmckit.families import ads, ds2, make_poly
 from zmckit.isometry import (
     apply_to_poly,
@@ -20,15 +30,14 @@ from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.quadform import (
     _family_fingerprint,
-    _pencil_matrix,
+    _pencil,
+    _residual_divides,
     char_poly_exact,
     classify_candidate,
     exact_rank,
-    reducibility_rank,
-    to_matrix,
 )
-from zmckit.scalars import ONE, ZERO, QuadExtScalar
-from zmckit.zmc import AmbientSig
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal
+from zmckit.zmc import AmbientSig, conjecture_check, zmc_residual
 
 SIG4 = AmbientSig(2, -1, 4)
 
@@ -67,24 +76,42 @@ def test_round_trip_random_quadrics():
         assert from_matrix(to_matrix(f)) == f
 
 
+def test_pencil_is_b_times_form_matrix():
+    """`_pencil` reads B A straight from f's integers, over the least
+    denominator: the same matrix as `pencil_matrix(to_matrix(f))`."""
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 3):
+        for size in range(2, 6):
+            for rank in (1, size):
+                f = from_matrix(_random_symmetric(rng, size, d, rank))
+                if f.is_zero():
+                    continue
+                sig = AmbientSig(int(rng.integers(0, size)), -1, size)
+                rows, den, surd = _pencil(f, sig)
+                assert math.gcd(den, *(x for row in rows for pair in row for x in pair)) == 1
+                want = pencil_matrix(to_matrix(f), sig)
+                assert [[_normal(a, b, den, surd) for a, b in row] for row in rows] == want
+
+
 def test_exact_rank_examples():
-    assert reducibility_rank(to_matrix(make_poly(ads(1, 1, 0)))) == "irreducible"
-    assert reducibility_rank(to_matrix(parse_poly("x1 x2", 4))) == "reducible"
-    assert reducibility_rank(to_matrix(parse_poly("x1^2", 4))) == "reducible"
+    assert exact_rank(_pencil(make_poly(ads(1, 1, 0)), SIG4)) == 4  # irreducible
+    assert exact_rank(_pencil(parse_poly("x1 x2", 4), SIG4)) == 2  # reducible
+    assert exact_rank(_pencil(parse_poly("x1^2", 4), SIG4)) == 1  # reducible
 
 
 def test_exact_rank_with_surds():
-    f = make_poly(ads(2, 3, 1))
-    assert exact_rank(to_matrix(f)) == ads(2, 3, 1).nvars - 1  # u-block is zero
+    spec = ads(2, 3, 1)
+    f = make_poly(spec)
+    assert exact_rank(_pencil(f, spec.sig)) == spec.nvars - 1  # u-block is zero
 
 
 def test_char_poly_of_known_matrix():
     # B2 A for f = 2 x1 x2 + x3^2 - x4^2 has blocks [[0,-1],[-1,0]], diag(1,-1):
     # spectrum {1, 1, -1, -1}, char poly (x^2-1)^2 = x^4 - 2x^2 + 1.
     a = to_matrix(make_poly(ads(1, 1, 0)))
-    coeffs = char_poly_exact(
+    coeffs = char_poly_exact(integer_rows(
         [[a[i][j] * SIG4.b_diag[i] for j in range(4)] for i in range(4)]
-    )
+    ))
     assert coeffs == (
         ONE,
         ZERO,
@@ -98,12 +125,12 @@ def test_pencil_invariants_isometry_invariance():
     spec = ads(2, 1, 1)
     f = make_poly(spec)
     sig = spec.sig
-    base = char_poly_exact(_pencil_matrix(to_matrix(f), sig))
+    base = char_poly_exact(_pencil(f, sig))
     m = rotation_exact(sig, 3, 4, Fraction(2, 5))
     m2 = boost_exact(sig, 1, 3, Fraction(1, 3))
     for iso in (m, m2):
         moved = apply_to_poly(f, iso)
-        assert char_poly_exact(_pencil_matrix(to_matrix(moved), sig)) == base
+        assert char_poly_exact(_pencil(moved, sig)) == base
 
 
 def test_ds2_pencil_regression():
@@ -118,7 +145,7 @@ def test_ds2_pencil_regression():
     }
     for m, want in frozen.items():
         spec = ds2(m)
-        coeffs = char_poly_exact(_pencil_matrix(to_matrix(make_poly(spec)), spec.sig))
+        coeffs = char_poly_exact(_pencil(make_poly(spec), spec.sig))
         # Render the char poly as a univariate for comparison.
         n = len(coeffs) - 1
         rendered = Poly(
@@ -196,9 +223,8 @@ def test_closed_form_fingerprint_matches_char_poly():
             for n in range(1, total - m + 1):
                 k = total - m - n
                 spec = ads(m, n, k)
-                pencil = _pencil_matrix(to_matrix(make_poly(spec)), spec.sig)
                 key = _family_fingerprint(m, n, k)
-                assert key == char_poly_exact(pencil), (m, n, k)
+                assert key == char_poly_exact(_pencil(make_poly(spec), spec.sig)), (m, n, k)
                 assert seen.setdefault(key, (m, n, k)) == (m, n, k)
     assert len(seen) == 84
 
@@ -242,8 +268,9 @@ def test_exact_linear_algebra_matches_sympy():
                 rows = _random_symmetric(rng, size, d, rank)
                 elements = [[to_field(x) for x in row] for row in rows]
                 dm = DomainMatrix(elements, (size, size), field)
-                assert [to_field(c) for c in char_poly_exact(rows)] == dm.charpoly()
-                assert exact_rank(rows) == dm.rank()
+                pencil = integer_rows(rows)
+                assert [to_field(c) for c in char_poly_exact(pencil)] == dm.charpoly()
+                assert exact_rank(pencil) == dm.rank()
 
 
 _BIG = 2**1000
@@ -298,8 +325,8 @@ def _exact_matrices(draw):
 def test_integer_linear_algebra_matches_scalar_reference(rows):
     """exact_rank and char_poly_exact on integer coordinates equal Bareiss and
     Faddeev-LeVerrier in QuadExtScalar arithmetic, exactly."""
-    assert exact_rank(rows) == exact_rank_reference(rows)
-    assert char_poly_exact(rows) == char_poly_reference(rows)
+    assert exact_rank(integer_rows(rows)) == exact_rank_reference(rows)
+    assert char_poly_exact(integer_rows(rows)) == char_poly_reference(rows)
 
 
 def test_rank_and_char_poly_scale_exactly():
@@ -313,23 +340,120 @@ def test_rank_and_char_poly_scale_exactly():
         spec = ads(m, n, k)
         f = make_poly(spec)
         for g in (f, apply_to_poly(f, random_exact_isometry(spec.sig, rng, steps=3))):
-            pencil = _pencil_matrix(to_matrix(g), spec.sig)
+            pencil = pencil_matrix(to_matrix(g), spec.sig)
             d = max(x.d for row in pencil for x in row)
-            rank, coeffs = exact_rank(pencil), char_poly_exact(pencil)
+            unscaled = _pencil(g, spec.sig)
+            rank, coeffs = exact_rank(unscaled), char_poly_exact(unscaled)
             for lam in scales:
                 if lam is one_plus_root2 and d not in (1, 2):
                     continue
                 scaled = [[lam * x for x in row] for row in pencil]
-                assert exact_rank(scaled) == rank, (m, n, k, lam)
+                assert exact_rank(integer_rows(scaled)) == rank, (m, n, k, lam)
                 want = tuple(lam**i * c for i, c in enumerate(coeffs))
-                assert char_poly_exact(scaled) == want, (m, n, k, lam)
+                assert char_poly_exact(integer_rows(scaled)) == want, (m, n, k, lam)
 
 
 def test_mixed_surds_raise():
     """A matrix with both sqrt(2) and sqrt(3) entries is rejected, as
-    QuadExtScalar arithmetic rejects it, not read over the first surd."""
+    QuadExtScalar arithmetic rejects it, not read over the first surd; the
+    integer pencil holds one surd, and a polynomial cannot mix two."""
     root2, root3 = QuadExtScalar.sqrt(2), QuadExtScalar.sqrt(3)
     matrix = [[root2, ZERO], [ZERO, root3]]
-    for fn in (exact_rank, char_poly_exact, exact_rank_reference, char_poly_reference):
+    for fn in (integer_rows, exact_rank_reference, char_poly_reference):
         with pytest.raises(ValueError, match="incompatible surds"):
             fn(matrix)
+    with pytest.raises(ValueError, match="mixed surds"):
+        Poly(2, {(2, 0): root2, (0, 2): root3})
+
+
+_SCALES = (-3, Fraction(1, 7), 2**4095 - 1)
+
+
+@st.composite
+def _quadrics(draw):
+    """A quadric in 4-8 variables: an ads member, a seeded isometry image of
+    one, c times either (c in _SCALES), a random form over Q(sqrt(d)) with
+    d in {1, 2, 3}, or a rank-1 or rank-2 form (rank-1 forms have residual
+    0; the images of x1 x2 divide, products of random linear forms do not)."""
+    nvars = draw(st.integers(4, 8))
+    sig = AmbientSig(2, -1, nvars)
+    d = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeff = st.builds(
+        lambda p, q, s, t: QuadExtScalar(Fraction(p, q), Fraction(s, t), d),
+        st.integers(-4, 4), st.integers(1, 4), st.integers(-2, 2), st.integers(1, 3),
+    )
+
+    def linear():
+        return sum((Poly.variable(nvars, i + 1).scale(draw(coeff)) for i in range(nvars)),
+                   Poly(nvars))
+
+    kind = draw(st.sampled_from(["member", "image", "scaled", "random", "rank 1", "rank 2"]))
+    if kind in ("member", "image", "scaled"):
+        m = draw(st.integers(1, nvars - 3))
+        n = draw(st.integers(1, nvars - 2 - m))
+        f = make_poly(ads(m, n, nvars - 2 - m - n))
+        if kind != "member" and draw(st.booleans()):
+            f = apply_to_poly(f, random_exact_isometry(sig, rng, steps=3))
+        if kind == "scaled":
+            f = f.scale(draw(st.sampled_from(_SCALES)))
+    elif kind == "random":
+        monos = [tuple(int(v in (i, j)) + int(i == j == v) for v in range(nvars))
+                 for i in range(nvars) for j in range(i, nvars)]
+        f = Poly(nvars, {mono: draw(coeff) for mono in monos if draw(st.booleans())})
+    elif kind == "rank 1":
+        f = linear() ** 2
+    elif draw(st.booleans()):
+        f = linear() * linear()
+    else:
+        f = apply_to_poly(parse_poly("x1 x2", nvars), random_exact_isometry(sig, rng, steps=3))
+    assume(not f.is_zero() and f.degree() == 2)
+    return f, sig
+
+
+@given(_quadrics())
+@settings(max_examples=120, deadline=None)
+def test_divisibility_identity_matches_polynomial_certificate(case):
+    """P^3 - tr(P) P^2 = -lam P decides f | g exactly as dividing the
+    residual polynomial does, and classify_candidate equals the parent
+    pipeline (polynomial certificate, QuadExtScalar rank and fingerprint)."""
+    f, sig = case
+    assert _residual_divides(_pencil(f, sig)) == conjecture_check(f, sig).divides
+    assert classify_candidate(f, sig) == classify_reference(f, sig)
+
+
+def test_quadric_cases_reach_every_verdict():
+    """Fixed representatives of the hypothesis cases above: each verdict and
+    a zero residual occur, and both paths agree on them."""
+    sig = AmbientSig(2, -1, 6)
+    member = make_poly(ads(2, 1, 1))
+    image = apply_to_poly(member, random_exact_isometry(sig, np.random.default_rng(4), steps=3))
+    null_square = parse_poly("(x1 + x3)^2", 6)
+    cases = {
+        "member": (member, "matches"),
+        "image": (image, "matches"),
+        "huge multiple": (image.scale(2**4095 - 1), "inconclusive"),
+        "seventh": (member.scale(Fraction(1, 7)), "inconclusive"),
+        "surd square": (parse_poly("(x1 + sqrt(2) x4 - x6)^2", 6), "not in family"),
+        "null square": (null_square, "not in family"),
+        "rank 2": (parse_poly("x1 x2", 6), "not in family"),
+        "no division": (parse_poly("x1^2 + x3^2 + 2 x4^2", 6), "not in family"),
+        # P's first row is zero, and so is R's: only a nonzero P_ij decides.
+        "no division, x1 absent": (parse_poly("x2^2 + x3^2 + 2 x4^2", 6), "not in family"),
+    }
+    for name, (f, verdict) in cases.items():
+        assert classify_candidate(f, sig).verdict == verdict, name
+        assert classify_candidate(f, sig) == classify_reference(f, sig), name
+        assert _residual_divides(_pencil(f, sig)) == conjecture_check(f, sig).divides, name
+    assert zmc_residual(null_square, sig).is_zero()
+    assert not _residual_divides(_pencil(cases["no division"][0], sig))
+    assert not _residual_divides(_pencil(cases["no division, x1 absent"][0], sig))
+
+
+def test_member_multiples_have_lambda_minus_c_squared():
+    """On c times a member, P^3 - tr(P) P^2 = c^2 P (lam = -c^2), so the
+    residual is -16 c^2 f."""
+    spec = ads(2, 3, 1)
+    for c in _SCALES:
+        f = make_poly(spec).scale(c)
+        assert zmc_residual(f, spec.sig) == f.scale(-16 * Fraction(c) ** 2)
