@@ -36,7 +36,7 @@ from zmckit.quadform import (
     classify_candidate,
     exact_rank,
 )
-from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
 from zmckit.zmc import AmbientSig, conjecture_check, zmc_residual
 
 SIG4 = AmbientSig(2, -1, 4)
@@ -48,6 +48,11 @@ def test_to_matrix_hand_example():
     assert a[0][1] == ONE and a[1][0] == ONE
     assert a[2][2] == ONE and a[3][3] == QuadExtScalar(-1)
     assert a[0][0] == ZERO and a[0][2] == ZERO
+    # P = B A over the least denominator, B = diag(-1, -1, 1, 1).
+    z = (0, 0)
+    assert _pencil(f, SIG4) == (
+        [[z, (-1, 0), z, z], [(-1, 0), z, z, z], [z, z, (1, 0), z], [z, z, z, (-1, 0)]], 1, 1
+    )
 
 
 def test_to_matrix_requires_degree_two():
@@ -372,7 +377,8 @@ _SCALES = (-3, Fraction(1, 7), 2**4095 - 1)
 @st.composite
 def _quadrics(draw):
     """A quadric in 4-8 variables: an ads member, a seeded isometry image of
-    one, c times either (c in _SCALES), a random form over Q(sqrt(d)) with
+    one, c times either (c in _SCALES, or 1 + sqrt(d) over the member's own
+    surd d, 2 for a rational one), a random form over Q(sqrt(d)) with
     d in {1, 2, 3}, or a rank-1 or rank-2 form (rank-1 forms have residual
     0; the images of x1 x2 divide, products of random linear forms do not)."""
     nvars = draw(st.integers(4, 8))
@@ -396,7 +402,8 @@ def _quadrics(draw):
         if kind != "member" and draw(st.booleans()):
             f = apply_to_poly(f, random_exact_isometry(sig, rng, steps=3))
         if kind == "scaled":
-            f = f.scale(draw(st.sampled_from(_SCALES)))
+            surd_scale = QuadExtScalar(1, 1, f.d if f.d != 1 else 2)
+            f = f.scale(draw(st.sampled_from([*_SCALES, surd_scale])))
     elif kind == "random":
         monos = [tuple(int(v in (i, j)) + int(i == j == v) for v in range(nvars))
                  for i in range(nvars) for j in range(i, nvars)]
@@ -434,6 +441,8 @@ def test_quadric_cases_reach_every_verdict():
         "image": (image, "matches"),
         "huge multiple": (image.scale(2**4095 - 1), "inconclusive"),
         "seventh": (member.scale(Fraction(1, 7)), "inconclusive"),
+        # Every entry of P, the pivot included, has a surd part; lam = -(3 + 2 sqrt(2)).
+        "surd multiple": (member.scale(QuadExtScalar(1, 1, 2)), "inconclusive"),
         "surd square": (parse_poly("(x1 + sqrt(2) x4 - x6)^2", 6), "not in family"),
         "null square": (null_square, "not in family"),
         "rank 2": (parse_poly("x1 x2", 6), "not in family"),
@@ -453,7 +462,8 @@ def test_quadric_cases_reach_every_verdict():
 def test_member_multiples_have_lambda_minus_c_squared():
     """On c times a member, P^3 - tr(P) P^2 = c^2 P (lam = -c^2), so the
     residual is -16 c^2 f."""
-    spec = ads(2, 3, 1)
-    for c in _SCALES:
+    spec = ads(2, 3, 1)  # coefficients in Q(sqrt(6))
+    for c in [*_SCALES, QuadExtScalar(1, 1, 6)]:
         f = make_poly(spec).scale(c)
-        assert zmc_residual(f, spec.sig) == f.scale(-16 * Fraction(c) ** 2)
+        assert zmc_residual(f, spec.sig) == f.scale(-16 * as_scalar(c) ** 2)
+        assert _residual_divides(_pencil(f, spec.sig))
