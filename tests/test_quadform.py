@@ -380,7 +380,7 @@ def _quadrics(draw):
     one, c times either (c in _SCALES, or 1 + sqrt(d) over the member's own
     surd d, 2 for a rational one), a random form over Q(sqrt(d)) with
     d in {1, 2, 3}, or a rank-1 or rank-2 form (rank-1 forms have residual
-    0; the images of x1 x2 divide, products of random linear forms do not)."""
+    0; the images of x1 x2 divide, products of random linear forms seldom do)."""
     nvars = draw(st.integers(4, 8))
     sig = AmbientSig(2, -1, nvars)
     d = draw(st.sampled_from([1, 2, 3]))
@@ -422,8 +422,9 @@ def _quadrics(draw):
 @settings(max_examples=120, deadline=None)
 def test_divisibility_identity_matches_polynomial_certificate(case):
     """P^3 - tr(P) P^2 = -lam P decides f | g exactly as dividing the
-    residual polynomial does, and classify_candidate equals the parent
-    pipeline (polynomial certificate, QuadExtScalar rank and fingerprint)."""
+    residual polynomial does, and classify_candidate equals
+    `classify_reference` (polynomial certificate, QuadExtScalar rank and
+    fingerprint)."""
     f, sig = case
     assert _residual_divides(_pencil(f, sig)) == conjecture_check(f, sig).divides
     assert classify_candidate(f, sig) == classify_reference(f, sig)
