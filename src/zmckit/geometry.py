@@ -4,9 +4,11 @@ Points live on the intersection of the polynomial zero set with the quadric
 <B x, x> = epsilon.  All the classical objects are computed at such points:
 a tangent frame, the induced metric and its signature, the shape operator
 (the differential of the Gauss map nu = B grad f / sqrt(|w|)), and its
-principal curvature spectrum, whose eigenspaces take their causal tags from
-the induced metric.  Each polynomial's float terms are compiled once into
-term tables (`zmc.derivatives`): one for f with its gradient, one for the
+principal curvature spectrum with causal tags from the induced metric G.
+Where G is definite every principal direction has G's causal type and the
+shape operator is diagonalisable, so the tags come from G alone; only where G
+is indefinite are eigenvectors computed (see `curvature_spectrum`).  Each
+polynomial's float terms are compiled once into term tables (`zmc.derivatives`): one for f with its gradient, one for the
 Hessian, so a Newton step reads f and grad f from one evaluation and batch
 runs over many points reuse the tables.  The float w at a point comes from
 the float gradient there, w = <B g, g>, rather than from evaluating the
@@ -38,6 +40,9 @@ CLUSTER_REL = 1e-6
 CLUSTER_FLOOR = 1e-9
 DEGENERATE_METRIC_TOL = 1e-12
 DEFECTIVE_COND_LIMIT = 1e8
+# Relative size below which v^T G v (against |v|^2) counts as null, or a
+# vector's imaginary part (against its largest entry) as zero.
+CAUSAL_REL = 1e-8
 
 
 class ProjectionError(RuntimeError):
@@ -196,6 +201,19 @@ def tangent_frame(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
     return vt[2:, :]
 
 
+def _induced_metric(
+    frame: np.ndarray, sig: AmbientSig
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """`induced_metric` with G's eigenvalues, ascending, between its two results."""
+    b = np.asarray(sig.b_diag, dtype=float)
+    gram = frame @ (b[:, None] * frame.T)
+    gram = 0.5 * (gram + gram.T)
+    eigs = np.linalg.eigvalsh(gram)
+    if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
+        raise ValueError("induced metric is degenerate at this point")
+    return gram, eigs, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
+
+
 def induced_metric(
     frame: np.ndarray, sig: AmbientSig
 ) -> tuple[np.ndarray, tuple[int, int]]:
@@ -205,13 +223,8 @@ def induced_metric(
     hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
     eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
     """
-    b = np.asarray(sig.b_diag, dtype=float)
-    gram = frame @ (b[:, None] * frame.T)
-    gram = 0.5 * (gram + gram.T)
-    eigs = np.linalg.eigvalsh(gram)
-    if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
-        raise ValueError("induced metric is degenerate at this point")
-    return gram, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
+    gram, _, signature = _induced_metric(frame, sig)
+    return gram, signature
 
 
 def shape_operator(
@@ -251,35 +264,33 @@ def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, list[int]]]:
 
 def _causal_type(vectors: np.ndarray, gram: np.ndarray) -> str:
     """Causal character of an eigenspace spanned by frame-coordinate columns v:
-    v^T G v against 1e-8 |v|^2, the frame rows being orthonormal."""
+    v^T G v against CAUSAL_REL |v|^2, the frame rows being orthonormal."""
     peak = np.maximum(np.max(np.abs(vectors), axis=0), 1e-300)
-    if np.any(np.max(np.abs(vectors.imag), axis=0) > 1e-8 * peak):
+    if np.any(np.max(np.abs(vectors.imag), axis=0) > CAUSAL_REL * peak):
         return "complex"
     v = vectors.real
     kinds = {
-        "time-like" if norm2 < -1e-8 * scale else "space-like" if norm2 > 1e-8 * scale else "null"
+        "time-like" if norm2 < -CAUSAL_REL * scale
+        else "space-like" if norm2 > CAUSAL_REL * scale else "null"
         for norm2, scale in zip(np.sum(v * (gram @ v), axis=0), np.sum(v * v, axis=0))
     }
     return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
-def curvature_spectrum(
-    p: VarietyPoint, f: Poly, sig: AmbientSig
-) -> CurvatureSpectrum:
-    """Principal curvature spectrum of Sigma at p, with multiplicities.
+def _eigenvector_clusters(
+    shape: np.ndarray, gram: np.ndarray, values: np.ndarray
+) -> tuple[list[Cluster], bool]:
+    """The clusters of S's eigenvalues `values`, tagged from their
+    eigenvectors, and whether S looks defective: `curvature_spectrum` at an
+    indefinite induced metric G.
 
-    Eigenvalues come from LAPACK (`eigen.eigvals`); eigenvectors (used for
-    causal tags and the defectiveness check) from SVD null spaces of
-    S - lambda I per cluster.  One `np.linalg.eig` call is not used for the
-    vectors: S = G^{-1} H is not symmetric, so a repeated eigenvalue can split
-    into a conjugate pair with ~1e-17 imaginary parts whose eigenvectors come
-    back genuinely complex, which would tag real clusters as "complex".
+    The vectors are SVD null spaces of S - lambda I per cluster.  One
+    `np.linalg.eig` call is not used for them: S = G^{-1} H is not symmetric,
+    so a repeated eigenvalue can split into a conjugate pair with ~1e-17
+    imaginary parts whose eigenvectors come back genuinely complex, which
+    would tag real clusters as "complex".
     """
-    frame = tangent_frame(p, sig)
-    gram, signature = induced_metric(frame, sig)
-    shape = shape_operator(p, f, frame, gram)
     dim = shape.shape[0]
-    values = eigen.eigvals(shape)
     scale = max(float(np.max(np.abs(values))), 1.0)
     clusters = []
     vec_blocks = []
@@ -294,16 +305,47 @@ def curvature_spectrum(
         clusters.append(Cluster(rep, mult, _causal_type(basis, gram)))
         # Basis vectors that fail to be near-null for S - lambda I signal a
         # defective (non-diagonalizable) operator as well.
-        if np.max(np.abs(shifted @ basis)) > 1e-6 * scale:
-            defective = True
+        defective |= np.max(np.abs(shifted @ basis)) > 1e-6 * scale
     # The blocks' multiplicities sum to dim, so the eigenvector matrix is square.
-    if np.linalg.cond(np.hstack(vec_blocks)) > DEFECTIVE_COND_LIMIT:
-        defective = True
-    mean = float(np.trace(shape)) / dim
+    defective |= np.linalg.cond(np.hstack(vec_blocks)) > DEFECTIVE_COND_LIMIT
+    return clusters, bool(defective)
+
+
+def curvature_spectrum(
+    p: VarietyPoint, f: Poly, sig: AmbientSig
+) -> CurvatureSpectrum:
+    """Principal curvature spectrum of Sigma at p, with multiplicities.
+
+    Eigenvalues come from LAPACK (`eigen.eigvals`) and are grouped by
+    `cluster_eigenvalues`.  S = G^{-1} H is self-adjoint for the induced
+    metric G.  Where G is definite, S is diagonalisable with a real spectrum
+    and every eigenvector has G's causal type (O'Neill, Semi-Riemannian
+    Geometry, ch. 4); so where every eigenvalue of G has one sign and size
+    above CAUSAL_REL, each cluster is tagged "space-like" (G > 0) or
+    "time-like" (G < 0), the flag is False, and no eigenvector is computed.
+    That is the eigenvector path's answer there: the frame rows are
+    orthonormal and |B| = 1, so |lambda(G)| <= 1; a real v has
+    |v^T G v| > CAUSAL_REL |v|^2 with G's sign; and the per-cluster null
+    bases X are G-orthogonal, so cond(X) <= kappa(G) < 1 / CAUSAL_REL =
+    DEFECTIVE_COND_LIMIT.  Only an indefinite G allows complex or
+    non-diagonalisable shape operators (Magid, Pacific J. Math. 118, 1985),
+    and only there do tags and flag come from eigenvectors
+    (`_eigenvector_clusters`).
+    """
+    frame = tangent_frame(p, sig)
+    gram, gram_eigs, signature = _induced_metric(frame, sig)
+    shape = shape_operator(p, f, frame, gram)
+    values = eigen.eigvals(shape)
+    if np.all(gram_eigs > CAUSAL_REL) or np.all(gram_eigs < -CAUSAL_REL):
+        causal = "space-like" if gram_eigs[0] > 0 else "time-like"
+        clusters = [Cluster(rep, len(idx), causal) for rep, idx in cluster_eigenvalues(values)]
+        defective = False
+    else:
+        clusters, defective = _eigenvector_clusters(shape, gram, values)
     return CurvatureSpectrum(
         clusters=tuple(clusters),
         metric_signature=signature,
-        mean_curvature=mean,
+        mean_curvature=float(np.trace(shape)) / shape.shape[0],
         defective_flag=defective,
     )
 

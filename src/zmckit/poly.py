@@ -8,8 +8,8 @@ entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 (1 for purely rational polynomials), so equality and hashing compare
 (nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
 works on these integers and returns through one normaliser, `_canonical`;
-`render` and the float view read them too, and only `terms` rebuilds the
-coefficients as reduced QuadExtScalars, on demand.  The monomial order
+`render` and the float view read them too, and nothing here rebuilds the
+coefficients as QuadExtScalars.  The monomial order
 everywhere is graded lexicographic with x1 > x2 > ..., which makes
 single-divisor division deterministic.
 
@@ -25,7 +25,7 @@ from math import gcd, lcm, sqrt
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import QuadExtScalar, _normal, as_scalar, coeff_text, lowest_terms
+from .scalars import as_scalar, coeff_text, lowest_terms
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -88,13 +88,6 @@ class Poly:
         return cls(nvars, {tuple(mono): 1})
 
     # -- structure ------------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, QuadExtScalar]:
-        """Each coefficient as a reduced QuadExtScalar, in storage order.  A
-        new dict on every access: changing it leaves the polynomial alone."""
-        den, d = self.den, self.d
-        return {m: _normal(a, b, den, d) for m, (a, b) in self.ints.items()}
 
     def is_zero(self) -> bool:
         return not self.ints

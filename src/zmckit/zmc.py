@@ -145,15 +145,17 @@ def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
 class Derivatives(NamedTuple):
     first: TermTable  # f, then df/dx_1 .. df/dx_n
     second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
+    upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
 
 
 @lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
 def derivatives(f: Poly) -> Derivatives:
     """Term tables of f with its gradient, and of its upper-triangular
-    Hessian, cached per polynomial; the exact derivatives are not kept."""
+    Hessian with that triangle's index pair, cached per polynomial; the exact
+    derivatives are not kept."""
     grad = gradient(f)
     hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
-    return Derivatives(_compile([f, *grad]), _compile(hess))
+    return Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars))
 
 
 def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None) -> tuple[Poly, Poly, Poly]:
@@ -250,7 +252,7 @@ def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarr
 
 def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    rows, cols = np.triu_indices(f.nvars)
+    _, second, (rows, cols) = derivatives(f)
     out = np.empty((f.nvars, f.nvars))
-    out[rows, cols] = out[cols, rows] = _evaluate(derivatives(f).second, point)
+    out[rows, cols] = out[cols, rows] = _evaluate(second, point)
     return out

@@ -25,7 +25,8 @@ only what the commands run:
   ZMC certificate and the QuadExtScalar references above;
 - `eval_exact`: a polynomial's value at a point, term by term in
   QuadExtScalar arithmetic;
-- `render_via_terms`: a polynomial's text, term by term from `Poly.terms`,
+- `scalar_terms`: a polynomial's coefficients as reduced QuadExtScalars;
+- `render_via_terms`: a polynomial's text, term by term from `scalar_terms`,
   each coefficient printed by the Fraction-pair reference scalar;
 - `value_and_gradient_loops` and `hessian_loops`: f, its gradient and its
   full Hessian at a float point, one `Poly.eval_float` per derivative
@@ -53,7 +54,7 @@ from zmckit.geometry import (
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly, grlex_key
 from zmckit.quadform import ClassifyResult, _family_fingerprint
-from zmckit.scalars import ONE, ZERO, QuadExtScalar, as_scalar
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
 from zmckit.zmc import AmbientSig, _check_dims, conjecture_check, gradient, hessian_float
 
 
@@ -226,7 +227,7 @@ def to_matrix(f: Poly) -> list[list[QuadExtScalar]]:
     n = f.nvars
     half = as_scalar(1) / as_scalar(2)
     rows = [[ZERO for _ in range(n)] for _ in range(n)]
-    for mono, coeff in f.terms.items():
+    for mono, coeff in scalar_terms(f).items():
         support = [i for i, e in enumerate(mono) if e]
         if len(support) == 1:
             i = support[0]
@@ -352,13 +353,18 @@ def classify_reference(f: Poly, sig: AmbientSig) -> ClassifyResult:
     )
 
 
+def scalar_terms(p: Poly) -> dict[tuple[int, ...], QuadExtScalar]:
+    """Each coefficient of p as a reduced QuadExtScalar, in storage order."""
+    return {m: _normal(a, b, p.den, p.d) for m, (a, b) in p.ints.items()}
+
+
 def eval_exact(f: Poly, point) -> QuadExtScalar:
     """f at `point` (ints, Fractions or QuadExtScalars), exactly."""
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
     values = [as_scalar(v) for v in point]
     total = ZERO
-    for mono, coeff in f.terms.items():
+    for mono, coeff in scalar_terms(f).items():
         term = coeff
         for value, e in zip(values, mono):
             if e:
@@ -389,9 +395,9 @@ def _render_term(coeff: QuadExtScalar, mono: tuple[int, ...]) -> tuple[int, str]
 
 
 def render_via_terms(p: Poly) -> str:
-    """`Poly.render` rebuilt from `p.terms`: terms in descending grlex order,
-    the first carrying a bare "-", later ones joined by "+ " or "- "."""
-    terms = p.terms
+    """`Poly.render` rebuilt from `scalar_terms(p)`: terms in descending grlex
+    order, the first carrying a bare "-", later ones joined by "+ " or "- "."""
+    terms = scalar_terms(p)
     if not terms:
         return "0"
     pieces: list[str] = []

@@ -22,7 +22,12 @@ from zmckit.families import (
     spectrum_oracle,
     _lawson_poly,
 )
-from oracles import expected_fundamental_form, patch_fundamental_form_fd, variety_point
+from oracles import (
+    expected_fundamental_form,
+    patch_fundamental_form_fd,
+    scalar_terms,
+    variety_point,
+)
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.scalars import QuadExtScalar
@@ -75,9 +80,9 @@ def test_ads_poly_surd_coefficients():
     f = make_poly(ads(1, 2, 0))
     # (m-n)/sqrt(mn) = -1/sqrt(2) = -(1/2) sqrt(2); sqrt(n/m) = sqrt(2);
     # sqrt(m/n) = (1/2) sqrt(2).
-    assert f.terms[0, 2, 0, 0, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
-    assert f.terms[0, 0, 2, 0, 0] == QuadExtScalar(0, 1, 2)
-    assert f.terms[0, 0, 0, 2, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
+    assert scalar_terms(f)[0, 2, 0, 0, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
+    assert scalar_terms(f)[0, 0, 2, 0, 0] == QuadExtScalar(0, 1, 2)
+    assert scalar_terms(f)[0, 0, 0, 2, 0] == QuadExtScalar(0, Fraction(-1, 2), 2)
 
 
 def test_lawson_poly_shape():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import eval_exact, gauss_map, normal_derivatives_fd, variety_point
-from zmckit import geometry, zmc
+from zmckit import eigen, geometry, zmc
 from zmckit.families import (
     ads,
     clifford,
@@ -289,6 +289,78 @@ def test_time_like_special_eigenvectors():
             special = [c for c in spectrum.clusters if pick(c)]
             assert len(special) == 1
             assert special[0].causal == "time-like"
+
+
+def _frame_metric_shape(p, f, sig):
+    frame = geometry.tangent_frame(p, sig)
+    gram, signature = geometry.induced_metric(frame, sig)
+    return gram, signature, geometry.shape_operator(p, f, frame, gram)
+
+
+@pytest.mark.parametrize("spec", [ads(1, 1, 1), ads(3, 3, 2), clifford(2, 3), lawson(2, 3), lawson(4, 5)])
+def test_definite_metric_tags_equal_the_eigenvector_path(spec):
+    """At space-like points the tags come from G alone; they, the values and
+    the flag equal what the eigenvector path gives on the same (S, G)."""
+    f = make_poly(spec)
+    for coords in sample_points(spec, 12, seed=5):
+        p = variety_point(f, spec.sig, coords)
+        gram, signature, shape = _frame_metric_shape(p, f, spec.sig)
+        assert signature == (0, spec.nvars - 2)
+        spectrum = geometry.curvature_spectrum(p, f, spec.sig)
+        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        assert spectrum.clusters == tuple(clusters)
+        assert spectrum.defective_flag == defective
+        assert {c.causal for c in clusters} == {"space-like"}
+
+
+def test_eigenvectors_are_computed_only_at_an_indefinite_metric(monkeypatch):
+    calls = []
+    indefinite = geometry._eigenvector_clusters
+
+    def counted(*args):
+        calls.append(args)
+        return indefinite(*args)
+
+    monkeypatch.setattr(geometry, "_eigenvector_clusters", counted)
+    for spec, want in [(ads(2, 3, 1), 0), (clifford(2, 3), 0), (ds1(1, 2), 3), (ds2(4), 3)]:
+        calls.clear()
+        f = make_poly(spec)
+        for coords in sample_points(spec, 3, seed=9):
+            geometry.curvature_spectrum(variety_point(f, spec.sig, coords), f, spec.sig)
+        assert len(calls) == want, spec.label
+
+
+def test_negative_definite_metric_tags_time_like():
+    """On {x1 x4 + x2^2 - x3^2 = 0} in <Bx, x> = 1 with B = diag(-1, -1, -1, 1),
+    the tangent space at e4 is span{e2, e3}, so G = -I and S = diag(-2, 2):
+    both principal directions are time-like."""
+    f = parse_poly("x1 x4 + x2^2 - x3^2", 4)
+    sig = AmbientSig(3, 1, 4)
+    p = variety_point(f, sig, [0, 0, 0, 1])
+    gram, signature, shape = _frame_metric_shape(p, f, sig)
+    assert np.allclose(gram, -np.eye(2)) and signature == (2, 0)
+    spectrum = geometry.curvature_spectrum(p, f, sig)
+    assert spectrum.cluster_pairs() == [(-2.0, 1), (2.0, 1)]
+    assert [c.causal for c in spectrum.clusters] == ["time-like", "time-like"]
+    assert not spectrum.defective_flag
+    clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+    assert (tuple(clusters), defective) == (spectrum.clusters, False)
+
+
+def test_eigenvector_path_on_hand_built_self_adjoint_operators():
+    """S is G-self-adjoint (G S symmetric) in each case.  In a null frame,
+    G = [[0, 1], [1, 0]] and S = [[lam, 1], [0, lam]] is Magid's type II:
+    one eigenvalue, one null eigenvector, not diagonalisable."""
+    lam = 0.7
+    cases = [
+        (np.diag([-1.0, 1.0]), np.diag([1.0, 2.0]), [(1.0, 1, "time-like"), (2.0, 1, "space-like")], False),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[lam, 1.0], [0.0, lam]]), [(lam, 2, "null")], True),
+    ]
+    for gram, shape, want, want_defective in cases:
+        assert np.array_equal(gram @ shape, (gram @ shape).T)
+        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        assert [(c.value, c.multiplicity, c.causal) for c in clusters] == want
+        assert defective is want_defective
 
 
 def test_match_spectrum_allows_global_flip():
