@@ -8,9 +8,10 @@ principal curvature spectrum with causal tags from the induced metric G.
 Where G is definite every principal direction has G's causal type and the
 shape operator is diagonalisable, so the tags come from G alone; only where G
 is indefinite are eigenvectors computed (see `curvature_spectrum`).  Each
-polynomial's float terms are compiled once into term tables (`zmc.derivatives`): one for f with its gradient, one for the
-Hessian, so a Newton step reads f and grad f from one evaluation and batch
-runs over many points reuse the tables.  The float w at a point comes from
+polynomial's float terms are compiled once into term tables
+(`zmc.derivatives`): one for f with its gradient, one for the Hessian, so a
+Newton step reads f and grad f from one evaluation and batch runs over many
+points reuse the tables.  The float w at a point comes from
 the float gradient there, w = <B g, g>, rather than from evaluating the
 expanded polynomial w, whose monomials cancel badly at high degree; the point
 carries g, so the frame does not evaluate the gradient again.

@@ -297,7 +297,11 @@ def _frame_metric_shape(p, f, sig):
     return gram, signature, geometry.shape_operator(p, f, frame, gram)
 
 
-@pytest.mark.parametrize("spec", [ads(1, 1, 1), ads(3, 3, 2), clifford(2, 3), lawson(2, 3), lawson(4, 5)])
+@pytest.mark.parametrize(
+    "spec",
+    [ads(1, 1, 1), ads(3, 3, 2), clifford(2, 3), lawson(2, 3), lawson(4, 5)],
+    ids=lambda spec: spec.label,
+)
 def test_definite_metric_tags_equal_the_eigenvector_path(spec):
     """At space-like points the tags come from G alone; they, the values and
     the flag equal what the eigenvector path gives on the same (S, G)."""
@@ -353,8 +357,10 @@ def test_eigenvector_path_on_hand_built_self_adjoint_operators():
     one eigenvalue, one null eigenvector, not diagonalisable."""
     lam = 0.7
     cases = [
-        (np.diag([-1.0, 1.0]), np.diag([1.0, 2.0]), [(1.0, 1, "time-like"), (2.0, 1, "space-like")], False),
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[lam, 1.0], [0.0, lam]]), [(lam, 2, "null")], True),
+        (np.diag([-1.0, 1.0]), np.diag([1.0, 2.0]),
+         [(1.0, 1, "time-like"), (2.0, 1, "space-like")], False),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[lam, 1.0], [0.0, lam]]),
+         [(lam, 2, "null")], True),
     ]
     for gram, shape, want, want_defective in cases:
         assert np.array_equal(gram @ shape, (gram @ shape).T)
