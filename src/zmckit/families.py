@@ -19,8 +19,7 @@ Five families are supported, selected by strings of the form shown:
 
 Each quadric member is built from one table of (i, j, coefficient) entries,
 stored in the order listed.  `pencil_coefficients` gives the ads and ds1
-coefficients, and `quadform` reads the same function for its closed-form
-fingerprints.
+coefficients, and `quadform` reads the same function for the trace test.
 
 Each quadric family comes with a one-pass on-variety sampler (free
 coordinates drawn inside the feasible region, the two constraints solved for
@@ -55,7 +54,7 @@ HYPERBOLIC_ARG_LIMIT = 300.0
 # Caps on family size, checked before anything is built.  At the caps the
 # slowest command takes under 20 s on one core: `report --family
 # lawson:100,101 --count 10` 1.6 s (`verify` 1.1 s, 3.9 MB of output),
-# `classify --family ads:49,49,0` (100 variables) 1.6 s.
+# `classify --family ads:49,49,0` (100 variables) 0.5 s.
 MAX_LAWSON_ORDER = 201  # k + n
 MAX_QUADRIC_NVARS = 100
 
@@ -174,7 +173,8 @@ def parse_family(text: str) -> FamilySpec:
 
 def pencil_coefficients(m: int, n: int) -> tuple[QuadExtScalar, QuadExtScalar, QuadExtScalar]:
     """(mu, sqrt(n/m), -sqrt(m/n)) with mu = (m-n)/sqrt(mn): the x2^2, |y|^2
-    and |z|^2 coefficients of ads:m,n,k.  ds1:m,n has -mu in place of mu."""
+    and |z|^2 coefficients of ads:m,n,k, and the trace test's tr(B A) = -mu
+    (`quadform`).  ds1:m,n has -mu in place of mu."""
     return (QuadExtScalar(m - n) * QuadExtScalar.sqrt(Fraction(1, m * n)),
             QuadExtScalar.sqrt(Fraction(n, m)), -QuadExtScalar.sqrt(Fraction(m, n)))
 

@@ -202,10 +202,16 @@ def tangent_frame(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
     return vt[2:, :]
 
 
-def _induced_metric(
+def induced_metric(
     frame: np.ndarray, sig: AmbientSig
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """`induced_metric` with G's eigenvalues, ascending, between its two results."""
+    """Gram matrix G_ij = <B v_i, v_j> of a frame, its eigenvalues (ascending)
+    and its signature.
+
+    Signature counts (negative, positive) eigenvalues; (0, dim) means the
+    hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
+    eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
+    """
     b = np.asarray(sig.b_diag, dtype=float)
     gram = frame @ (b[:, None] * frame.T)
     gram = 0.5 * (gram + gram.T)
@@ -213,19 +219,6 @@ def _induced_metric(
     if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
         raise ValueError("induced metric is degenerate at this point")
     return gram, eigs, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
-
-
-def induced_metric(
-    frame: np.ndarray, sig: AmbientSig
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Gram matrix G_ij = <B v_i, v_j> of a frame plus its signature.
-
-    Signature counts (negative, positive) eigenvalues; (0, dim) means the
-    hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
-    eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
-    """
-    gram, _, signature = _induced_metric(frame, sig)
-    return gram, signature
 
 
 def shape_operator(
@@ -334,7 +327,7 @@ def curvature_spectrum(
     (`_eigenvector_clusters`).
     """
     frame = tangent_frame(p, sig)
-    gram, gram_eigs, signature = _induced_metric(frame, sig)
+    gram, gram_eigs, signature = induced_metric(frame, sig)
     shape = shape_operator(p, f, frame, gram)
     values = eigen.eigvals(shape)
     if np.all(gram_eigs > CAUSAL_REL) or np.all(gram_eigs < -CAUSAL_REL):

@@ -12,12 +12,22 @@ Both B P^2 = A B A and B P^3 = A B A B A are symmetric, and g has f's degree,
 so f | g exactly when g = 16 lam f for a scalar lam, that is when
 P^3 - tr(P) P^2 = -lam P: on a family member lam = -1, on c times it -c^2.
 Isometries M of the metric (M^T B M = B) act by A -> M^T A M, which
-conjugates P.  The exact characteristic polynomial of P, by
-Faddeev-LeVerrier, is thus an isometry invariant (the "pencil fingerprint")
-that re-identifies members of the ads quadric family after a coordinate
-change.  A family member's pencil is block diagonal, so its fingerprint is
-known in closed form, from the same coefficients `families.pencil_coefficients`
-builds the member with.  All of it is exact and runs on one integer pencil
+conjugates P, so tr(P), lam and the rank r of P are isometry invariants.
+
+An ads(m, n, k) member's pencil is block diagonal, with characteristic
+polynomial (its "fingerprint"; `char_poly_exact`, by Faddeev-LeVerrier)
+(l - y)^(m+1) (l - z)^(n+1) l^k, where (mu, y, z) =
+`families.pencil_coefficients(m, n)`: y + z = -mu, y z = -1, m y + n z = 0.
+A quadric whose identity holds has that fingerprint, with k = nvars - r,
+exactly when lam = -1 and tr(P) = -mu(m, n) with m + n = r - 2:
+(<=) P is a root of l (l^2 + mu l - 1), whose roots 0, y, z are distinct, so
+    P is diagonalisable, with multiplicities a, b and nvars - r; a + b = r
+    and a y + b z = tr(P) = y + z force a = m + 1 and b = n + 1.
+(=>) c_1 = mu gives tr(P) = y + z, and the eigenvalue y satisfies the
+    identity's cubic, so lam = tr(P) y - y^2 = y z = -1; then P is
+    diagonalisable as above, so r = m + n + 2.
+mu(m, n) = (m - n) / sqrt(mn) grows with m at fixed m + n, so at most one
+member matches.  All of it is exact and runs on one integer pencil
 (rows, den, d): P = rows / den, each entry of rows the integer pair (a, b) of
 a + b sqrt(d), read straight from f's integer form.
 """
@@ -30,7 +40,7 @@ from itertools import chain
 
 from .families import pencil_coefficients
 from .poly import Poly
-from .scalars import ONE, ZERO, QuadExtScalar, _normal
+from .scalars import ONE, QuadExtScalar, _normal
 from .zmc import AmbientSig, _check_dims
 
 # (rows, den, d): the matrix rows / den, each entry (a, b) meaning a + b sqrt(d).
@@ -72,12 +82,13 @@ def _supports(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int, in
     return [[(l, a, b) for l, (a, b) in enumerate(row) if a or b] for row in rows]
 
 
-def _residual_divides(pencil: Pencil) -> bool:
-    """Whether f divides its ZMC residual: R = P^3 - tr(P) P^2 is a multiple
-    of P (see the module docstring), checked by cross-multiplication,
-    R_kl P_ij = R_ij P_kl at the first nonzero P_ij.  R scales as den^3, so
-    the integer rows stand for P."""
-    rows, _, d = pencil
+def _residual_divides(pencil: Pencil) -> tuple[QuadExtScalar, QuadExtScalar] | None:
+    """(tr(P), lam) if f divides its ZMC residual, else None: R = P^3 -
+    tr(P) P^2 must be -lam P (see the module docstring), checked by
+    cross-multiplication, R_kl P_ij = R_ij P_kl at the first nonzero P_ij.
+    R scales as den^3, so the integer rows stand for P, and lam is
+    -R_ij / (den^2 P_ij) in their terms."""
+    rows, den, d = pencil
 
     def mul(x, y):
         return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -89,8 +100,10 @@ def _residual_divides(pencil: Pencil) -> bool:
     r = [[(ca - ta * sa - d * tb * sb, cb - ta * sb - tb * sa)
           for (ca, cb), (sa, sb) in zip(c_row, s_row)] for c_row, s_row in zip(cube, square)]
     i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x != (0, 0))
-    return all(mul(x, rows[i][j]) == mul(r[i][j], y)
-               for r_row, p_row in zip(r, rows) for x, y in zip(r_row, p_row))
+    if not all(mul(x, rows[i][j]) == mul(r[i][j], y)
+               for r_row, p_row in zip(r, rows) for x, y in zip(r_row, p_row)):
+        return None
+    return _normal(ta, tb, den, d), -_normal(*r[i][j], den * den, d) / _normal(*rows[i][j], 1, d)
 
 
 def exact_rank(pencil: Pencil) -> int:
@@ -155,18 +168,6 @@ def char_poly_exact(pencil: Pencil) -> tuple[QuadExtScalar, ...]:
     return tuple(coeffs)
 
 
-def _family_fingerprint(m: int, n: int, k: int) -> tuple[QuadExtScalar, ...]:
-    """The ads(m, n, k) fingerprint in closed form, as its pencil is block
-    diagonal: (l^2 + mu l - 1) (l - y)^m (l - z)^n l^k, where the roots y and
-    z are the |y|^2 and |z|^2 coefficients (B = +1 on those blocks) and
-    (mu, y, z) = `families.pencil_coefficients(m, n)`."""
-    mu, y, z = pencil_coefficients(m, n)
-    coeffs = [ONE, mu, -ONE]
-    for root in [y] * m + [z] * n:
-        coeffs = [c - root * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
-    return tuple(coeffs) + (ZERO,) * k
-
-
 @dataclass(frozen=True)
 class ClassifyResult:
     verdict: str  # "matches" | "not in family" | "inconclusive"
@@ -178,12 +179,12 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     """Try to identify a quadric in sig (2,-1) as an ads family member.
 
     Requires the ZMC residual to divide exactly and the form to be
-    irreducible, then seeks an exact pencil-fingerprint match among the
-    members with m+n+k = nvars-2.  A member's fingerprint ends in exactly k
-    zeros and has c_1 = mu, so k is read off the candidate and m alone is
-    scanned, comparing c_1 first.  The fingerprint is a necessary invariant,
-    so "matches" pins the parameters of any true family member (up to
-    isometry); "inconclusive" means no fingerprint agreed.
+    irreducible (rank r >= 3); then, if lam = -1, scans m for
+    tr(P) = -mu(m, r - 2 - m), which is exact fingerprint equality with
+    ads(m, r - 2 - m, nvars - r) (see the module docstring).  The
+    fingerprint is a necessary invariant, so "matches" pins the parameters
+    of any true family member (up to isometry); "inconclusive" means no
+    fingerprint agreed.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")
@@ -191,27 +192,17 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
         raise ValueError("classification is defined for signature (2, -1) only")
     _check_dims(f, sig)
     pencil = _pencil(f, sig)
-    if not _residual_divides(pencil):
-        return ClassifyResult(
-            "not in family", None, "ZMC residual is not a multiple of f"
-        )
-    if exact_rank(pencil) < 3:
-        return ClassifyResult(
-            "not in family", None, "quadratic form is reducible (rank <= 2)"
-        )
-    fingerprint = char_poly_exact(pencil)
-    k = next(i for i, c in enumerate(reversed(fingerprint)) if c)
-    for m in range(1, sig.nvars - 2 - k):
-        n = sig.nvars - 2 - k - m
-        if fingerprint[1] == pencil_coefficients(m, n)[0] and (
-            fingerprint == _family_fingerprint(m, n, k)
-        ):
-            return ClassifyResult(
-                "matches", (m, n, k), "exact pencil fingerprint equality"
-            )
-    return ClassifyResult(
-        "inconclusive",
-        None,
-        "residual divides and the form is irreducible, but no family "
-        "fingerprint matches",
-    )
+    invariants = _residual_divides(pencil)
+    if invariants is None:
+        return ClassifyResult("not in family", None, "ZMC residual is not a multiple of f")
+    rank = exact_rank(pencil)
+    if rank < 3:
+        return ClassifyResult("not in family", None, "quadratic form is reducible (rank <= 2)")
+    trace, lam = invariants
+    if lam == -ONE:
+        for m in range(1, rank - 2):
+            if trace == -pencil_coefficients(m, rank - 2 - m)[0]:
+                return ClassifyResult("matches", (m, rank - 2 - m, sig.nvars - rank),
+                                      "exact pencil fingerprint equality")
+    return ClassifyResult("inconclusive", None, "residual divides and the form is irreducible, "
+                          "but no family fingerprint matches")

@@ -21,8 +21,11 @@ only what the commands run:
 - `exact_rank_reference` and `char_poly_reference`: Bareiss rank and
   Faddeev-LeVerrier in QuadExtScalar arithmetic, the references for
   `quadform`'s integer-coordinate versions;
+- `family_fingerprint`: the characteristic polynomial of an ads member's
+  pencil in closed form;
 - `classify_reference`: `quadform.classify_candidate` through the polynomial
-  ZMC certificate and the QuadExtScalar references above;
+  ZMC certificate, the QuadExtScalar references above and fingerprint
+  equality;
 - `eval_exact`: a polynomial's value at a point, term by term in
   QuadExtScalar arithmetic;
 - `scalar_terms`: a polynomial's coefficients as reduced QuadExtScalars;
@@ -53,7 +56,7 @@ from zmckit.geometry import (
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
 from zmckit.poly import Poly, grlex_key
-from zmckit.quadform import ClassifyResult, _family_fingerprint
+from zmckit.quadform import ClassifyResult
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
 from zmckit.zmc import AmbientSig, _check_dims, conjecture_check, gradient, hessian_float
 
@@ -315,6 +318,18 @@ def char_poly_reference(matrix: list[list[QuadExtScalar]]) -> tuple[QuadExtScala
     return tuple(coeffs)
 
 
+def family_fingerprint(m: int, n: int, k: int) -> tuple[QuadExtScalar, ...]:
+    """The ads(m, n, k) fingerprint in closed form, as its pencil is block
+    diagonal: (l^2 + mu l - 1) (l - y)^m (l - z)^n l^k, where the roots y and
+    z are the |y|^2 and |z|^2 coefficients (B = +1 on those blocks) and
+    (mu, y, z) = `families.pencil_coefficients(m, n)`."""
+    mu, y, z = pencil_coefficients(m, n)
+    coeffs = [ONE, mu, -ONE]
+    for root in [y] * m + [z] * n:
+        coeffs = [c - root * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+    return tuple(coeffs) + (ZERO,) * k
+
+
 def classify_reference(f: Poly, sig: AmbientSig) -> ClassifyResult:
     """`quadform.classify_candidate` as the polynomial certificate decides
     it: `conjecture_check` divides the residual by f, then the rank and the
@@ -340,7 +355,7 @@ def classify_reference(f: Poly, sig: AmbientSig) -> ClassifyResult:
     for m in range(1, sig.nvars - 2 - k):
         n = sig.nvars - 2 - k - m
         if fingerprint[1] == pencil_coefficients(m, n)[0] and (
-            fingerprint == _family_fingerprint(m, n, k)
+            fingerprint == family_fingerprint(m, n, k)
         ):
             return ClassifyResult(
                 "matches", (m, n, k), "exact pencil fingerprint equality"

@@ -263,7 +263,7 @@ def test_criterion_10_fd_shape_operator_oracle():
         for coords in sample_points(spec, 20, seed=5150):
             point = variety_point(f, spec.sig, coords)
             frame = geometry.tangent_frame(point, spec.sig)
-            gram, _ = geometry.induced_metric(frame, spec.sig)
+            gram, _, _ = geometry.induced_metric(frame, spec.sig)
             shape = geometry.shape_operator(point, f, frame, gram)
             analytic = (frame.T @ shape).T
             fd = normal_derivatives_fd(point, f, spec.sig, frame)

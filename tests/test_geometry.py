@@ -29,7 +29,7 @@ ADS_111_POINT = np.array([2.0, 0.0, math.sqrt(1.5), math.sqrt(1.5), 0.0])
 
 def _shape(p, f, sig, frame):
     """The package's shape operator in `frame`, over the frame's induced metric."""
-    gram, _ = geometry.induced_metric(frame, sig)
+    gram, _, _ = geometry.induced_metric(frame, sig)
     return geometry.shape_operator(p, f, frame, gram)
 
 
@@ -107,7 +107,7 @@ def test_induced_metric_signatures():
         coords = sample_points(spec, 1, seed=8)[0]
         p = variety_point(f, spec.sig, coords)
         frame = geometry.tangent_frame(p, spec.sig)
-        _, signature = geometry.induced_metric(frame, spec.sig)
+        _, _, signature = geometry.induced_metric(frame, spec.sig)
         assert signature == want, spec.label
 
 
@@ -143,7 +143,7 @@ def test_induced_metric_on_phi_patch_frame():
     ds = (patch(s + h, t) - patch(s - h, t)) / (2 * h)
     dt = (patch(s, t + h) - patch(s, t - h)) / (2 * h)
     frame = np.vstack([ds, dt])
-    gram, signature = geometry.induced_metric(frame, AmbientSig(2, -1, 4))
+    gram, _, signature = geometry.induced_metric(frame, AmbientSig(2, -1, 4))
     expected_g = 0.5 * (4 + 9 + 5 * math.cosh(2 * s))
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-5)
     assert gram[0, 1] == pytest.approx(0.0, abs=1e-4)
@@ -225,7 +225,7 @@ def test_shape_operator_self_adjoint_and_traceless():
         for coords in sample_points(spec, 6, seed=21):
             p = variety_point(f, spec.sig, coords)
             frame = geometry.tangent_frame(p, spec.sig)
-            gram, _ = geometry.induced_metric(frame, spec.sig)
+            gram, _, _ = geometry.induced_metric(frame, spec.sig)
             s = geometry.shape_operator(p, f, frame, gram)
             h_norm = np.linalg.norm(gram @ s)
             assert np.max(np.abs(gram @ s - s.T @ gram)) < 1e-9 * max(1, h_norm)
@@ -293,7 +293,7 @@ def test_time_like_special_eigenvectors():
 
 def _frame_metric_shape(p, f, sig):
     frame = geometry.tangent_frame(p, sig)
-    gram, signature = geometry.induced_metric(frame, sig)
+    gram, _, signature = geometry.induced_metric(frame, sig)
     return gram, signature, geometry.shape_operator(p, f, frame, gram)
 
 

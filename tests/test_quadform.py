@@ -13,12 +13,13 @@ from oracles import (
     char_poly_reference,
     classify_reference,
     exact_rank_reference,
+    family_fingerprint,
     from_matrix,
     integer_rows,
     pencil_matrix,
     to_matrix,
 )
-from zmckit.families import ads, ds2, make_poly
+from zmckit.families import ads, ds2, make_poly, pencil_coefficients
 from zmckit.isometry import (
     apply_to_poly,
     boost_exact,
@@ -29,7 +30,6 @@ from zmckit.isometry import (
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.quadform import (
-    _family_fingerprint,
     _pencil,
     _residual_divides,
     char_poly_exact,
@@ -228,7 +228,7 @@ def test_closed_form_fingerprint_matches_char_poly():
             for n in range(1, total - m + 1):
                 k = total - m - n
                 spec = ads(m, n, k)
-                key = _family_fingerprint(m, n, k)
+                key = family_fingerprint(m, n, k)
                 assert key == char_poly_exact(_pencil(make_poly(spec), spec.sig)), (m, n, k)
                 assert seen.setdefault(key, (m, n, k)) == (m, n, k)
     assert len(seen) == 84
@@ -426,7 +426,7 @@ def test_divisibility_identity_matches_polynomial_certificate(case):
     `classify_reference` (polynomial certificate, QuadExtScalar rank and
     fingerprint)."""
     f, sig = case
-    assert _residual_divides(_pencil(f, sig)) == conjecture_check(f, sig).divides
+    assert (_residual_divides(_pencil(f, sig)) is not None) == conjecture_check(f, sig).divides
     assert classify_candidate(f, sig) == classify_reference(f, sig)
 
 
@@ -444,6 +444,8 @@ def test_quadric_cases_reach_every_verdict():
         "seventh": (member.scale(Fraction(1, 7)), "inconclusive"),
         # Every entry of P, the pivot included, has a surd part; lam = -(3 + 2 sqrt(2)).
         "surd multiple": (member.scale(QuadExtScalar(1, 1, 2)), "inconclusive"),
+        # tr(P) = 0 = -mu(2, 2), as on ads:2,2,0 itself, but lam = -9.
+        "balanced multiple": (make_poly(ads(2, 2, 0)).scale(3), "inconclusive"),
         "surd square": (parse_poly("(x1 + sqrt(2) x4 - x6)^2", 6), "not in family"),
         "null square": (null_square, "not in family"),
         "rank 2": (parse_poly("x1 x2", 6), "not in family"),
@@ -454,10 +456,11 @@ def test_quadric_cases_reach_every_verdict():
     for name, (f, verdict) in cases.items():
         assert classify_candidate(f, sig).verdict == verdict, name
         assert classify_candidate(f, sig) == classify_reference(f, sig), name
-        assert _residual_divides(_pencil(f, sig)) == conjecture_check(f, sig).divides, name
+        divides = _residual_divides(_pencil(f, sig)) is not None
+        assert divides == conjecture_check(f, sig).divides, name
     assert zmc_residual(null_square, sig).is_zero()
-    assert not _residual_divides(_pencil(cases["no division"][0], sig))
-    assert not _residual_divides(_pencil(cases["no division, x1 absent"][0], sig))
+    assert _residual_divides(_pencil(cases["no division"][0], sig)) is None
+    assert _residual_divides(_pencil(cases["no division, x1 absent"][0], sig)) is None
 
 
 def test_member_multiples_have_lambda_minus_c_squared():
@@ -467,4 +470,34 @@ def test_member_multiples_have_lambda_minus_c_squared():
     for c in [*_SCALES, QuadExtScalar(1, 1, 6)]:
         f = make_poly(spec).scale(c)
         assert zmc_residual(f, spec.sig) == f.scale(-16 * as_scalar(c) ** 2)
-        assert _residual_divides(_pencil(f, spec.sig))
+        _, lam = _residual_divides(_pencil(f, spec.sig))
+        assert lam == -as_scalar(c) ** 2, c
+
+
+def _members(most: int):
+    """(m, n, k) of every ads member with m + n + k <= most."""
+    return [(m, n, k) for m in range(1, most) for n in range(1, most - m + 1)
+            for k in range(most - m - n + 1)]
+
+
+def test_member_invariants_are_lambda_minus_one_and_trace_minus_mu():
+    """Every member with m+n+k <= 8 satisfies the identity with lam = -1 and
+    tr(P) = -mu(m, n), the two scalars classify_candidate reads."""
+    for m, n, k in _members(8):
+        spec = ads(m, n, k)
+        trace, lam = _residual_divides(_pencil(make_poly(spec), spec.sig))
+        assert lam == -ONE, (m, n, k)
+        assert trace == -pencil_coefficients(m, n)[0], (m, n, k)
+
+
+def test_negation_swaps_m_and_n():
+    """-P(m, n, k) has P(n, m, k)'s spectrum, so -ads:m,n,k and the negation of
+    an isometry image of it classify as (n, m, k), for m+n+k <= 5."""
+    rng = np.random.default_rng(9)
+    for m, n, k in _members(5):
+        spec = ads(m, n, k)
+        f = make_poly(spec)
+        image = apply_to_poly(f, random_exact_isometry(spec.sig, rng, steps=3))
+        for g in (f, image):
+            result = classify_candidate(g.scale(-1), spec.sig)
+            assert (result.verdict, result.params) == ("matches", (n, m, k)), (m, n, k)
