@@ -9,9 +9,9 @@ entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 (nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
 works on these integers and returns through one normaliser, `_canonical`;
 `render` and the float view read them too, and nothing here rebuilds the
-coefficients as QuadExtScalars.  The monomial order
-everywhere is graded lexicographic with x1 > x2 > ..., which makes
-single-divisor division deterministic.
+coefficients as QuadExtScalars.  `divide` and `zmc`'s residual run on packed
+monomials (`_layout`).  The monomial order everywhere is graded lexicographic
+with x1 > x2 > ..., which makes single-divisor division deterministic.
 
 Everything is exact.  Instances are immutable and hashable, so derived data
 (gradients, Hessians) can be cached keyed on the polynomial.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm, sqrt
-from operator import add, neg, sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .scalars import as_scalar, coeff_text, lowest_terms
@@ -34,10 +34,6 @@ Monomial = tuple[int, ...]
 def grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
     """Sort key realizing graded lex order with x1 > x2 > ..."""
     return (sum(monomial), monomial)
-
-
-def monomial_divides(divisor: Monomial, multiple: Monomial) -> bool:
-    return all(a <= b for a, b in zip(divisor, multiple))
 
 
 class Poly:
@@ -318,9 +314,27 @@ def _over_lcm(nvars: int, d: int, triples: Mapping) -> Poly:
     })
 
 
-def _heap_item(mono: Monomial) -> tuple[int, Monomial, Monomial]:
-    """Min-heap entry that pops the grlex-largest monomial first."""
-    return (-sum(mono), tuple(map(neg, mono)), mono)
+def _layout(nvars: int, bound: int, graded: bool = False) -> tuple[list[int], int, int]:
+    """Packed monomials for exponents up to `bound` (Monagan & Pearce 2007):
+    the field shifts (x1 highest; with `graded`, a total-degree field above
+    it, so that integer order is grlex order), the field mask and the guard
+    mask.  A field has `bound.bit_length() + 1` bits, the top one a guard bit
+    that exponents up to `bound` leave clear; keys add as their monomials do
+    while no exponent of the sum passes `bound`."""
+    bits = bound.bit_length() + 1
+    shifts = [bits * k for k in reversed(range(nvars + graded))]
+    return shifts, (1 << bits) - 1, sum(1 << (s + bits - 1) for s in shifts)
+
+
+def _pack(mono: Monomial, shifts: list[int]) -> int:
+    """The key of a monomial, its degree first when the layout is graded."""
+    fields = (sum(mono), *mono) if len(shifts) > len(mono) else mono
+    return sum(e << s for e, s in zip(fields, shifts))
+
+
+def _unpack(key: int, shifts: list[int], mask: int) -> Monomial:
+    """The exponents in the fields at `shifts` of a packed key."""
+    return tuple((key >> s) & mask for s in shifts)
 
 
 def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
@@ -328,35 +342,39 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     by the leading monomial of f (graded lex).  Because one polynomial is a
     Groebner basis of the ideal it generates, r == 0 iff f divides g.
 
-    The leading term of the work polynomial comes from a heap keyed on grlex
-    (after Johnson 1974 and Monagan & Pearce 2007); a key whose term has
-    cancelled is skipped when popped.  Work, quotient and remainder
-    coefficients are integer triples (a, b, den), each update reduced once by
-    `lowest_terms`; dividing by lc(f) = (fa + fb sqrt(d)) / den_f multiplies
-    by den_f (fa - fb sqrt(d)) over its norm fa^2 - fb^2 d.
+    Monomials are graded packed keys (`_layout`; no work monomial passes
+    degree deg g), so a heap of negated keys pops the grlex-leading term
+    (after Johnson 1974 and Monagan & Pearce 2007), skipping keys whose term
+    has cancelled; lm(f) divides a key when key + guard - lm(f) keeps every
+    guard bit.  Work, quotient and remainder coefficients are integer triples
+    (a, b, den), each update reduced once by `lowest_terms`; dividing by
+    lc(f) = (fa + fb sqrt(d)) / den_f multiplies by den_f (fa - fb sqrt(d))
+    over its norm fa^2 - fb^2 d.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     d = g._join(f)
-    lm_f = f.leading_monomial()
+    shifts, mask, guard = _layout(g.nvars, max(g.degree(), f.degree()), graded=True)
+    packed = {_pack(m, shifts): ab for m, ab in f.ints.items()}
+    lm_f = max(packed)
+    fa, fb = packed.pop(lm_f)
     den_f = f.den
-    fa, fb = f.ints[lm_f]
     norm = fa * fa - fb * fb * d
-    rest = [(m, a, b) for m, (a, b) in f.ints.items() if m != lm_f]
-    work = {m: (a, b, g.den) for m, (a, b) in g.ints.items()}
-    heap = [_heap_item(m) for m in work]
+    rest = [(m, a, b) for m, (a, b) in packed.items()]
+    work = {_pack(m, shifts): (a, b, g.den) for m, (a, b) in g.ints.items()}
+    heap = [-m for m in work]
     heapify(heap)
-    quotient: dict[Monomial, tuple[int, int, int]] = {}
-    remainder: dict[Monomial, tuple[int, int, int]] = {}
+    quotient: dict[int, tuple[int, int, int]] = {}
+    remainder: dict[int, tuple[int, int, int]] = {}
     while heap:
-        lm = heappop(heap)[2]
+        lm = -heappop(heap)
         coeff = work.pop(lm, None)
         if coeff is None:
             continue
-        if not monomial_divides(lm_f, lm):
+        if (lm + guard - lm_f) & guard != guard:
             remainder[lm] = coeff
             continue
-        qm = tuple(map(sub, lm, lm_f))
+        qm = lm - lm_f
         wa, wb, wden = coeff
         qa, qb, qden = quotient[qm] = lowest_terms(
             den_f * (wa * fa - wb * fb * d), den_f * (wb * fa - wa * fb), wden * norm
@@ -364,13 +382,13 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         # Subtract q * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
         step_den = qden * den_f
         for mono, ra, rb in rest:
-            target = tuple(map(add, qm, mono))
+            target = qm + mono
             pa = qa * ra + qb * rb * d
             pb = qa * rb + qb * ra
             old = work.get(target)
             if old is None:
                 work[target] = lowest_terms(-pa, -pb, step_den)
-                heappush(heap, _heap_item(target))
+                heappush(heap, -target)
                 continue
             oa, ob, oden = old
             na = oa * step_den - pa * oden
@@ -379,4 +397,5 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
                 work[target] = lowest_terms(na, nb, oden * step_den)
             else:
                 del work[target]
-    return _over_lcm(g.nvars, d, quotient), _over_lcm(g.nvars, d, remainder)
+    parts = ({_unpack(m, shifts[1:], mask): t for m, t in p.items()} for p in (quotient, remainder))
+    return tuple(_over_lcm(g.nvars, d, p) for p in parts)

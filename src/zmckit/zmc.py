@@ -9,18 +9,19 @@ For a homogeneous polynomial f the residual
 vanishes on the variety {f = 0} intersected with a pseudo-sphere exactly when
 that hypersurface has zero mean curvature.  `conjecture_check` tests the
 stronger structural property that g is a polynomial multiple of f, which
-certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.
+certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.  w,
+lap(f) and g are sums of products on packed monomials (`poly._layout`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Poly, divide
+from .poly import Poly, _canonical, _layout, _pack, _unpack, divide
 
 
 @dataclass(frozen=True)
@@ -64,30 +65,14 @@ def _diagonal_form(sig: AmbientSig) -> Form:
     return {(i, i): b for i, b in enumerate(sig.b_diag)}
 
 
-def _form_sum(form: Form, nvars: int, term: Callable[[int, int], Poly]) -> Poly:
-    """sum_ij K_ij * term(i, j) over the nonzero entries K_ij of `form`."""
-    scaled = (term(i, j) if k == 1 else term(i, j).scale(k) for (i, j), k in form.items())
-    return sum(scaled, Poly(nvars))
-
-
-def _w(grad: list[Poly], form: Form) -> Poly:
-    return _form_sum(form, grad[0].nvars, lambda i, j: grad[i] * grad[j])
-
-
-def _laplacian(grad: list[Poly], form: Form) -> Poly:
-    return _form_sum(form, grad[0].nvars, lambda i, j: grad[i].diff(j + 1))
-
-
 def laplacian_sig(f: Poly, sig: AmbientSig) -> Poly:
     """Signature Laplacian: second partials weighted by the metric signs."""
-    _check_dims(f, sig)
-    return _laplacian(gradient(f), _diagonal_form(sig))
+    return _residual_parts(f, sig, None, residual=False)[1]
 
 
 def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     """Gradient norm-square in the signature metric: <B grad f, grad f>."""
-    _check_dims(f, sig)
-    return _w(gradient(f), _diagonal_form(sig))
+    return _residual_parts(f, sig, None, residual=False)[0]
 
 
 # Most polynomials whose derivative term tables stay cached; a float batch
@@ -158,18 +143,54 @@ def derivatives(f: Poly) -> Derivatives:
     return Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars))
 
 
-def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None) -> tuple[Poly, Poly, Poly]:
-    """w, lap(f) and the residual of homogeneous f, all from one gradient,
-    in the metric `form` (B of `sig` when None)."""
+def _diff_packed(p: Mapping[int, Sequence[int]], shift: int, mask: int) -> dict:
+    """d/dx of a packed dict {key: (a, b)}, x the variable at `shift`."""
+    one = 1 << shift
+    return {m - one: (a * e, b * e) for m, (a, b) in p.items() if (e := (m >> shift) & mask)}
+
+
+def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
+    """out += k p q on packed dicts {key: (a, b)} of (a + b sqrt(d)), `out`'s
+    values lists [a, b]; when d == 1 every b is 0 and stays unread."""
+    get = out.get
+    for m1, (a1, b1) in p.items():
+        a1, b1 = k * a1, k * b1
+        for m2, (a2, b2) in q.items():
+            if (acc := get(m1 + m2)) is None:
+                acc = out[m1 + m2] = [0, 0]
+            if d == 1:
+                acc[0] += a1 * a2
+            else:
+                acc[0] += a1 * a2 + b1 * b2 * d
+                acc[1] += a1 * b2 + a2 * b1
+
+
+def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool = True):
+    """w, lap(f) and the residual of homogeneous f (0 unless `residual`), all
+    from one gradient in the metric `form` (B of `sig` when None), on packed
+    monomials with integer pairs over f's den: grad f and lap f over den, w
+    over den^2 and g over den^3, each accumulated in one dict."""
     _check_dims(f, sig)
-    if not f.is_homogeneous():
+    if residual and not f.is_homogeneous():
         raise ValueError("zmc residual requires a homogeneous polynomial")
     form = _diagonal_form(sig) if form is None else form
-    grad = gradient(f)
-    w = _w(grad, form)
-    lap = _laplacian(grad, form)
-    cross = _form_sum(form, f.nvars, lambda i, j: w.diff(i + 1) * grad[j])
-    return w, lap, (w * lap).scale(2) - cross
+    n, d, den = f.nvars, f.d, f.den
+    # No exponent here passes deg g = 3 deg f - 4, nor deg w = 2 deg f - 2.
+    shifts, mask, _ = _layout(n, 3 * max(f.degree(), 0))
+    packed = {_pack(m, shifts): ab for m, ab in f.ints.items()}
+    grad = [_diff_packed(packed, s, mask) for s in shifts]
+    w, lap, g = {}, {}, {}
+    for (i, j), k in form.items():
+        if i <= j:  # K is symmetric: each off-diagonal pair once, doubled
+            k = k if i == j else 2 * k
+            _mul_into(w, grad[i], grad[j], k, d)
+            _mul_into(lap, _diff_packed(grad[i], shifts[j], mask), {0: (1, 0)}, k, d)
+    if residual:
+        _mul_into(g, w, lap, 2, d)
+        for (i, j), k in form.items():
+            _mul_into(g, _diff_packed(w, shifts[i], mask), grad[j], -k, d)
+    return tuple(_canonical(n, d, den**e, {_unpack(m, shifts, mask): ab for m, ab in p.items()})
+                 for p, e in ((w, 2), (lap, 1), (g, 3)))
 
 
 def zmc_residual(f: Poly, sig: AmbientSig, form: Form | None = None) -> Poly:

@@ -33,7 +33,11 @@ only what the commands run:
   each coefficient printed by the Fraction-pair reference scalar;
 - `value_and_gradient_loops` and `hessian_loops`: f, its gradient and its
   full Hessian at a float point, one `Poly.eval_float` per derivative
-  polynomial, the loops that `zmc`'s term tables must match bit for bit.
+  polynomial, the loops that `zmc`'s term tables must match bit for bit;
+- `residual_parts_reference` and `divide_reference`: w, lap_K f and the ZMC
+  residual from `Poly` products, and single-divisor heap division, both on
+  exponent tuples, the code that `zmc`'s and `poly.divide`'s packed
+  monomials replaced; `monomial_divides` is the tuple divisibility test.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -55,10 +61,17 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
-from zmckit.poly import Poly, grlex_key
+from zmckit.poly import Poly, _over_lcm, grlex_key
 from zmckit.quadform import ClassifyResult
-from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar
-from zmckit.zmc import AmbientSig, _check_dims, conjecture_check, gradient, hessian_float
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
+from zmckit.zmc import (
+    AmbientSig,
+    _check_dims,
+    _diagonal_form,
+    conjecture_check,
+    gradient,
+    hessian_float,
+)
 
 
 # -- lawson coordinate patches ------------------------------------------------
@@ -386,6 +399,85 @@ def eval_exact(f: Poly, point) -> QuadExtScalar:
                 term = term * value**e
         total = total + term
     return total
+
+
+# -- the exact certificate on exponent tuples ----------------------------------------
+
+
+def monomial_divides(divisor: tuple[int, ...], multiple: tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(divisor, multiple))
+
+
+def _form_sum(form, nvars: int, term) -> Poly:
+    """sum_ij K_ij * term(i, j) over the nonzero entries K_ij of `form`."""
+    scaled = (term(i, j) if k == 1 else term(i, j).scale(k) for (i, j), k in form.items())
+    return sum(scaled, Poly(nvars))
+
+
+def residual_parts_reference(f: Poly, sig: AmbientSig, form=None) -> tuple[Poly, Poly, Poly]:
+    """w = <K grad f, grad f>, lap_K f and g = 2 w lap_K f - <grad w, K grad f>
+    from `Poly` products, sums and `scale` (K = B of `sig` when `form` is
+    None), for any f, homogeneous or not."""
+    _check_dims(f, sig)
+    form = _diagonal_form(sig) if form is None else form
+    grad = gradient(f)
+    w = _form_sum(form, f.nvars, lambda i, j: grad[i] * grad[j])
+    lap = _form_sum(form, f.nvars, lambda i, j: grad[i].diff(j + 1))
+    cross = _form_sum(form, f.nvars, lambda i, j: w.diff(i + 1) * grad[j])
+    return w, lap, (w * lap).scale(2) - cross
+
+
+def _heap_item(mono: tuple[int, ...]) -> tuple:
+    """Min-heap entry that pops the grlex-largest monomial first."""
+    return (-sum(mono), tuple(map(neg, mono)), mono)
+
+
+def divide_reference(g: Poly, f: Poly) -> tuple[Poly, Poly]:
+    """Single-divisor heap division on exponent tuples: the heap holds
+    (-degree, negated exponents, monomial), lm(f) divides a monomial when
+    every exponent is at least its own, and the coefficients are the reduced
+    integer triples that `poly.divide` keeps too."""
+    d = g._join(f)
+    lm_f = f.leading_monomial()
+    den_f = f.den
+    fa, fb = f.ints[lm_f]
+    norm = fa * fa - fb * fb * d
+    rest = [(m, a, b) for m, (a, b) in f.ints.items() if m != lm_f]
+    work = {m: (a, b, g.den) for m, (a, b) in g.ints.items()}
+    heap = [_heap_item(m) for m in work]
+    heapify(heap)
+    quotient, remainder = {}, {}
+    while heap:
+        lm = heappop(heap)[2]
+        coeff = work.pop(lm, None)
+        if coeff is None:
+            continue
+        if not monomial_divides(lm_f, lm):
+            remainder[lm] = coeff
+            continue
+        qm = tuple(map(sub, lm, lm_f))
+        wa, wb, wden = coeff
+        qa, qb, qden = quotient[qm] = lowest_terms(
+            den_f * (wa * fa - wb * fb * d), den_f * (wb * fa - wa * fb), wden * norm
+        )
+        step_den = qden * den_f
+        for mono, ra, rb in rest:
+            target = tuple(map(add, qm, mono))
+            pa = qa * ra + qb * rb * d
+            pb = qa * rb + qb * ra
+            old = work.get(target)
+            if old is None:
+                work[target] = lowest_terms(-pa, -pb, step_den)
+                heappush(heap, _heap_item(target))
+                continue
+            oa, ob, oden = old
+            na = oa * step_den - pa * oden
+            nb = ob * step_den - pb * oden
+            if na or nb:
+                work[target] = lowest_terms(na, nb, oden * step_den)
+            else:
+                del work[target]
+    return _over_lcm(g.nvars, d, quotient), _over_lcm(g.nvars, d, remainder)
 
 
 # -- rendering --------------------------------------------------------------------

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from oracles import eval_exact, render_via_terms, scalar_terms
+from oracles import divide_reference, eval_exact, monomial_divides, render_via_terms, scalar_terms
 from zmckit.parser import parse_poly
-from zmckit.poly import Poly, divide, grlex_key, monomial_divides
+from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar
 
 
@@ -272,6 +272,68 @@ def test_mul_and_divide_match_scalar_reference(polys):
             assert [list(scalar_terms(x).items()) for x in got] == [
                 list(scalar_terms(x).items()) for x in want
             ]
+
+
+def test_guard_bits_decide_divisibility_field_by_field():
+    """lm(f) divides a packed key when key + guard - lm(f) borrows from no
+    guard bit: exactly the exponent-by-exponent test on every pair of
+    monomials in two variables up to a bound 2^k - 1, the field's top value
+    below its guard bit; and through `divide`, x1^2 x2 does not divide x1^3
+    but divides itself."""
+    for bound in (1, 3, 7):
+        shifts, _, guard = _layout(2, bound, graded=True)
+        monos = [(i, j) for i in range(bound + 1) for j in range(bound + 1 - i)]
+        for a in monos:
+            for b in monos:
+                packed = (_pack(b, shifts) + guard - _pack(a, shifts)) & guard == guard
+                assert packed == monomial_divides(a, b), (bound, a, b)
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    assert divide(x1**3, x1**2 * x2) == (Poly(2), x1**3)
+    assert divide(x1**2 * x2, x1**2 * x2) == (Poly.constant(2, 1), Poly(2))
+
+
+# Exponents 2^k - 1 fill a packed field up to its guard bit when they are
+# the degree bound; 2^k needs one more bit.
+_edge_exponents = st.sampled_from((1, 2, 3, 4, 7, 8, 15))
+
+
+@st.composite
+def _sparse_polys(draw, d, nvars, max_terms=5):
+    """Up to `max_terms` terms over Q or Q(sqrt(d)), each with at most three
+    nonzero exponents drawn from `_edge_exponents`; not homogeneous."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = [0] * nvars
+        for j in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            mono[j] = draw(_edge_exponents)
+        terms[tuple(mono)] = draw(_coeffs(d))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def _division_cases(draw):
+    """f, q and r in 1, 2, 3 or 60 variables over one field Q(sqrt(d)),
+    d in {1, 2, 3}, each operand rational or not."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    nvars = draw(st.sampled_from((1, 2, 3, 60)))
+    return [draw(_sparse_polys(draw(st.sampled_from((1, d))), nvars)) for _ in range(3)]
+
+
+@given(_division_cases())
+@example([P("x1^7 + x2", 2), P("x1^7", 2), P("x1^6 x2 + 3", 2)])
+@example([P("sqrt(3) x1^15 - x1 x2^3", 2), P("x2^15", 2), P("sqrt(3) x1^15", 2)])
+@example([P("x1^3 + 1", 1), P("(1 + sqrt(2)) x1^4", 1), P("x1^2 - sqrt(2)", 1)])
+@settings(max_examples=80, deadline=None)
+def test_packed_divide_matches_the_tuple_loop(case):
+    """`divide` on packed keys returns what the tuple-keyed heap loop
+    returns, term for term in the same order, for a zero dividend, exact
+    multiples, non-homogeneous and non-dividing ones."""
+    f, q, r = case
+    assume(not f.is_zero())
+    for g in (Poly(f.nvars), r, q * f, q * f + r):
+        got, want = divide(g, f), divide_reference(g, f)
+        assert got == want
+        assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
 
 
 def _assert_canonical(f: Poly) -> None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zmckit import zmc
 from zmckit.families import (
@@ -13,15 +13,18 @@ from zmckit.families import (
     ds1,
     ds2,
     lawson,
+    lawson_light_cone,
     make_poly,
     parse_family,
     sample_points,
 )
 from oracles import (
+    divide_reference,
     eval_exact,
     hessian_loops,
     laplacian_in_basis,
     random_orthonormal_basis,
+    residual_parts_reference,
     value_and_gradient_loops,
 )
 from zmckit.isometry import apply_to_poly, random_exact_isometry
@@ -348,6 +351,79 @@ def test_conjecture_check_reports_its_w_laplacian_and_residual(label):
     assert report.w == w_poly(f, spec.sig)
     assert report.laplacian == laplacian_sig(f, spec.sig)
     assert report.quotient * f + report.remainder == zmc_residual(f, spec.sig)
+
+
+# -- the packed kernel against Poly products on exponent tuples -------------------
+
+
+@st.composite
+def _kernel_cases(draw, nvars_choices=(1, 2, 3, 4, 60, 64)):
+    """f over Q, Q(sqrt(2)) or Q(sqrt(3)) with up to four terms, each on at
+    most three variables: homogeneous of degree 1-4, 7 or 15 (2^k - 1 is the
+    top of a packed field), or of mixed degrees; with a signature."""
+    nvars = draw(st.sampled_from(nvars_choices))
+    d = draw(st.sampled_from((1, 2, 3)))
+    degrees = st.sampled_from((1, 2, 3, 4, 7, 15))
+    degree = draw(degrees) if draw(st.booleans()) else None
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        total = draw(degrees) if degree is None else degree
+        cuts = sorted(draw(st.integers(0, total)) for _ in range(2))
+        mono = [0] * nvars
+        for j, e in zip(draw(st.lists(st.integers(0, nvars - 1), min_size=3, max_size=3)),
+                        (cuts[0], cuts[1] - cuts[0], total - cuts[1])):
+            mono[j] += e
+        surd = Fraction(draw(_small), draw(st.integers(1, 4))) if d > 1 else 0
+        terms[tuple(mono)] = QuadExtScalar(Fraction(draw(_small), draw(st.integers(1, 4))), surd, d)
+    return Poly(nvars, terms), AmbientSig(draw(st.integers(0, nvars - 1)), 1, nvars)
+
+
+@given(_kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_packed_kernel_matches_the_poly_product_reference(case):
+    """w_poly, laplacian_sig and (for homogeneous f) zmc_residual equal w,
+    lap f and g from `Poly` products, in 1 to 64 variables."""
+    f, sig = case
+    w, lap, g = residual_parts_reference(f, sig)
+    assert w_poly(f, sig) == w
+    assert laplacian_sig(f, sig) == lap
+    if f.is_homogeneous():
+        assert zmc_residual(f, sig) == g
+
+
+@given(_kernel_cases(nvars_choices=(4,)))
+@settings(max_examples=60, deadline=None)
+def test_packed_kernel_matches_the_reference_in_the_light_cone_form(case):
+    """The off-diagonal form K = L B L^T of the lawson light-cone route:
+    w, lap_K F, the residual and its division agree with the references."""
+    F, _ = case
+    assume(F.is_homogeneous() and F.degree() >= 1)
+    _, form, _ = lawson_light_cone(2, 3)
+    sig = lawson(2, 3).sig
+    w, lap, g = residual_parts_reference(F, sig, form)
+    report = conjecture_check(F, sig, form)
+    assert (report.w, report.laplacian, zmc_residual(F, sig, form)) == (w, lap, g)
+    assert (report.quotient, report.remainder) == divide_reference(g, F)
+
+
+@pytest.mark.parametrize(
+    "label", ["ads:2,3,1", "ds1:1,2", "ds2:3", "clifford:2,3", "lawson:2,3", "lawson:4,5"]
+)
+def test_packed_kernel_matches_the_reference_on_families(label):
+    """Family members, a seeded isometry image of each, and for lawson the
+    light-cone F in its form K."""
+    spec = parse_family(label)
+    f = make_poly(spec)
+    image = apply_to_poly(f, random_exact_isometry(spec.sig, np.random.default_rng(5), steps=2))
+    cases = [(f, None), (image, None)]
+    if spec.kind == "lawson":
+        F, form, _ = lawson_light_cone(*spec.params)
+        cases.append((F, form))
+    for p, form in cases:
+        w, lap, g = residual_parts_reference(p, spec.sig, form)
+        report = conjecture_check(p, spec.sig, form)
+        assert (report.w, report.laplacian, zmc_residual(p, spec.sig, form)) == (w, lap, g)
+        assert (report.quotient, report.remainder) == divide_reference(g, p)
 
 
 # -- float evaluation from term tables ------------------------------------------
