@@ -9,9 +9,9 @@ entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 (nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
 works on these integers and returns through one normaliser, `_canonical`;
 `render` and the float view read them too, and nothing here rebuilds the
-coefficients as QuadExtScalars.  `divide` and `zmc`'s residual run on packed
-monomials (`_layout`).  The monomial order everywhere is graded lexicographic
-with x1 > x2 > ..., which makes single-divisor division deterministic.
+coefficients as QuadExtScalars.  `divide`, `substitute` and `zmc`'s residual
+run on packed monomials (`_layout`); the last two multiply with `_mul_into`.
+The order is graded lex with x1 > x2 > ..., so that division is deterministic.
 
 Everything is exact.  Instances are immutable and hashable, so derived data
 (gradients, Hessians) can be cached keyed on the polynomial.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm, sqrt
-from operator import add
+from operator import add, lshift
 from typing import Mapping, Sequence
 
 from .scalars import as_scalar, coeff_text, lowest_terms
@@ -215,7 +215,10 @@ class Poly:
     # -- substitution -----------------------------------------------------------------
 
     def substitute(self, replacements: Sequence["Poly"]) -> "Poly":
-        """Substitute x_i -> replacements[i-1]; all replacements share one nvars."""
+        """Substitute x_i -> replacements[i-1]; all replacements share one nvars.
+
+        On packed monomials, the used replacements over L = lcm of their dens and
+        a term of degree e scaled by L^(deg f - e): all over den * L^deg f."""
         if len(replacements) != self.nvars:
             raise ValueError(
                 f"need {self.nvars} replacement polynomials, got {len(replacements)}"
@@ -227,22 +230,40 @@ class Poly:
             raise ValueError("replacement polynomials disagree on nvars")
         # Power tables avoid recomputing r_i^e across monomials.
         max_exp = [max(column) for column in zip(*self.ints)]
-        origin = (0,) * out_nvars
-        powers: list[list[Poly]] = []
+        used = [r for r, top in zip(replacements, max_exp) if top]
+        # f and the replacements it uses share one surd; an unused replacement
+        # is never multiplied, so its surd cannot clash.
+        surds = sorted({self.d, *(r.d for r in used)} - {1})
+        if len(surds) > 1:
+            raise ValueError(f"incompatible surds: sqrt({surds[0]}) vs sqrt({surds[1]})")
+        d, top_deg = max(surds, default=1), max(self.degree(), 0)
+        # No exponent passes deg f times the top degree of a used replacement.
+        bound = top_deg * max((r.degree() for r in used), default=0)
+        shifts, mask, _ = _layout(out_nvars, max(bound, 1))
+        den = lcm(*(r.den for r in used))
+        powers: list[list[dict]] = []
         for r, top in zip(replacements, max_exp):
-            row = [_canonical(out_nvars, 1, 1, {origin: (1, 0)})]
-            for _ in range(top):
-                row.append(row[-1] * r)
+            k, row = den // r.den, [{0: (1, 0)}]
+            if top:  # r^1 is r itself, over L
+                row.append({_pack(m, shifts): (a * k, b * k) for m, (a, b) in r.ints.items()})
+            for _ in range(top - 1):
+                row.append(_product(row[-1], row[1], d))
             powers.append(row)
-        total = Poly(out_nvars)
+        total: dict[int, list[int]] = {}
         for mono, coeff in self.ints.items():
             factors = [powers[i][e] for i, e in enumerate(mono) if e] or [powers[0][0]]
-            factors[0] = _canonical(out_nvars, self.d, self.den, {origin: coeff}) * factors[0]
+            factors[0] = _product({0: coeff}, factors[0], d, den ** (top_deg - sum(mono)))
             while len(factors) > 1:  # neighbours pair up: a product tree, not a left fold
                 pairs = zip(factors[::2], factors[1::2])
-                factors = [f * g for f, g in pairs] + factors[len(factors) & ~1 :]
-            total = total + factors[0]
-        return total
+                factors = [_product(p, q, d) for p, q in pairs] + factors[len(factors) & ~1 :]
+            for m, (a, b) in factors[0].items():
+                acc = total.setdefault(m, [0, 0])
+                acc[0] += a
+                acc[1] += b
+                if not (acc[0] or acc[1]):  # cancelled: a later term re-enters at the end
+                    del total[m]
+        total = {_unpack(m, shifts, mask): ab for m, ab in total.items()}
+        return _canonical(out_nvars, d, self.den * den**top_deg, total)
 
     # -- rendering -----------------------------------------------------------------
 
@@ -329,12 +350,35 @@ def _layout(nvars: int, bound: int, graded: bool = False) -> tuple[list[int], in
 def _pack(mono: Monomial, shifts: list[int]) -> int:
     """The key of a monomial, its degree first when the layout is graded."""
     fields = (sum(mono), *mono) if len(shifts) > len(mono) else mono
-    return sum(e << s for e, s in zip(fields, shifts))
+    return sum(map(lshift, fields, shifts))
 
 
 def _unpack(key: int, shifts: list[int], mask: int) -> Monomial:
     """The exponents in the fields at `shifts` of a packed key."""
     return tuple((key >> s) & mask for s in shifts)
+
+
+def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
+    """out += k p q on packed dicts {key: (a, b)} of (a + b sqrt(d)), `out`'s
+    values lists [a, b]; when d == 1 every b is 0 and stays unread."""
+    get = out.get
+    for m1, (a1, b1) in p.items():
+        a1, b1 = k * a1, k * b1
+        for m2, (a2, b2) in q.items():
+            if (acc := get(m1 + m2)) is None:
+                acc = out[m1 + m2] = [0, 0]
+            if d == 1:
+                acc[0] += a1 * a2
+            else:
+                acc[0] += a1 * a2 + b1 * b2 * d
+                acc[1] += a1 * b2 + a2 * b1
+
+
+def _product(p: Mapping, q: Mapping, d: int, k: int = 1) -> dict:
+    """k p q on packed dicts less its cancelled terms, as `Poly.__mul__` keeps it."""
+    out: dict = {}
+    _mul_into(out, p, q, k, d)
+    return {m: ab for m, ab in out.items() if ab[0] or ab[1]}
 
 
 def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:

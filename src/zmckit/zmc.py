@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Poly, _canonical, _layout, _pack, _unpack, divide
+from .poly import Poly, _canonical, _layout, _mul_into, _pack, _unpack, divide
 
 
 @dataclass(frozen=True)
@@ -147,22 +147,6 @@ def _diff_packed(p: Mapping[int, Sequence[int]], shift: int, mask: int) -> dict:
     """d/dx of a packed dict {key: (a, b)}, x the variable at `shift`."""
     one = 1 << shift
     return {m - one: (a * e, b * e) for m, (a, b) in p.items() if (e := (m >> shift) & mask)}
-
-
-def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
-    """out += k p q on packed dicts {key: (a, b)} of (a + b sqrt(d)), `out`'s
-    values lists [a, b]; when d == 1 every b is 0 and stays unread."""
-    get = out.get
-    for m1, (a1, b1) in p.items():
-        a1, b1 = k * a1, k * b1
-        for m2, (a2, b2) in q.items():
-            if (acc := get(m1 + m2)) is None:
-                acc = out[m1 + m2] = [0, 0]
-            if d == 1:
-                acc[0] += a1 * a2
-            else:
-                acc[0] += a1 * a2 + b1 * b2 * d
-                acc[1] += a1 * b2 + a2 * b1
 
 
 def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool = True):

@@ -37,7 +37,9 @@ only what the commands run:
 - `residual_parts_reference` and `divide_reference`: w, lap_K f and the ZMC
   residual from `Poly` products, and single-divisor heap division, both on
   exponent tuples, the code that `zmc`'s and `poly.divide`'s packed
-  monomials replaced; `monomial_divides` is the tuple divisibility test.
+  monomials replaced; `monomial_divides` is the tuple divisibility test;
+- `substitute_reference`: `Poly.substitute` from `Poly` products and sums on
+  exponent tuples, the loop its packed monomials replaced.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
-from zmckit.poly import Poly, _over_lcm, grlex_key
+from zmckit.poly import Poly, _canonical, _over_lcm, grlex_key
 from zmckit.quadform import ClassifyResult
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
 from zmckit.zmc import (
@@ -478,6 +480,35 @@ def divide_reference(g: Poly, f: Poly) -> tuple[Poly, Poly]:
             else:
                 del work[target]
     return _over_lcm(g.nvars, d, quotient), _over_lcm(g.nvars, d, remainder)
+
+
+def substitute_reference(f: Poly, replacements) -> Poly:
+    """f(replacements) from `Poly` products and sums on exponent tuples: a
+    power table per variable, each term's factors multiplied in a product
+    tree of neighbours and added to the total, the loop that
+    `Poly.substitute`'s packed monomials replaced."""
+    if len(replacements) != f.nvars:
+        raise ValueError(f"need {f.nvars} replacement polynomials, got {len(replacements)}")
+    out_nvars = replacements[0].nvars
+    if any(r.nvars != out_nvars for r in replacements):
+        raise ValueError("replacement polynomials disagree on nvars")
+    max_exp = [max(column) for column in zip(*f.ints)]
+    origin = (0,) * out_nvars
+    powers = []
+    for r, top in zip(replacements, max_exp):
+        row = [Poly.constant(out_nvars, 1)]
+        for _ in range(top):
+            row.append(row[-1] * r)
+        powers.append(row)
+    total = Poly(out_nvars)
+    for mono, coeff in f.ints.items():
+        factors = [powers[i][e] for i, e in enumerate(mono) if e] or [powers[0][0]]
+        factors[0] = _canonical(out_nvars, f.d, f.den, {origin: coeff}) * factors[0]
+        while len(factors) > 1:
+            pairs = zip(factors[::2], factors[1::2])
+            factors = [p * q for p, q in pairs] + factors[len(factors) & ~1 :]
+        total = total + factors[0]
+    return total
 
 
 # -- rendering --------------------------------------------------------------------

@@ -755,7 +755,7 @@ def test_sample_csv_format(capsys):
 
 
 # sha256 of the stdout of exact commands, which pins every h, w, Laplacian,
-# remainder term count and classification they print.
+# remainder term count and classification they print, and of one spectrum.
 EXACT_OUTPUT_SHA256 = [
     ("verify --family ads:2,3,1", 0,
      "983a7c74f5daf8dde3e9436dac5e48f43886f620615bde7c153479907f2d1eed"),
@@ -790,6 +790,9 @@ EXACT_OUTPUT_SHA256 = [
     ('verify --poly "(1/2 + 3 sqrt(2)) x1^2 - x2^2 + 2/3 x3^2 - sqrt(2) x4^2"'
      " --nvars 4 --sig 1,1", 1,
      "0fa85b2b2dd1d05f78f1c47470ab76536f8aa4cab4287a99df8427d126f1179a"),
+    # Float output that sums lawson's terms in `Poly.substitute`'s storage order.
+    ("spectrum --family lawson:4,5 --count 100 --seed 3", 0,
+     "0f40208aa0242655f0977e0f9881054717e97845b63d6a8f8a53f686cb642a8a"),
 ]
 
 

@@ -28,6 +28,7 @@ from oracles import (
     scalar_terms,
     variety_point,
 )
+from zmckit.isometry import apply_to_poly, random_exact_isometry
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.scalars import QuadExtScalar
@@ -134,12 +135,23 @@ POLY_SHA256 = [
     ("clifford:2,3", "1612405f2b8c9316cf8d7c21de9a45c6af3f5d652ecfb4b14ed3153d270a6f57"),
     ("clifford:10,10", "789bd1d430e87efeb3e5428a689a99af2fca74e6bb363d34326dac9c0f10fd7a"),
     ("lawson:8,9", "eb122f8d677a5385f8ea62d1c201226b3b38852aa72c3c3bf68a6cd127d88918"),
+    # lawson members are `F.substitute(rows)`, so these pin substitution's
+    # term order, which the float view sums in.
+    ("lawson:2,3", "54a0b9744b8ab423b8e1ad0dbdbd0eea5cb0471027fb7966fa7f2233c512e75f"),
+    ("lawson:4,5", "3bd5b5b950b5cdda2bd22fac5cad6d048ba92527b5c437271af85569a834c3cc"),
+    ("lawson:30,31", "43081df7944eb3c18811b04c06744ef7e47e38600b5531b80dc702aab938187e"),
+    # "label@seed": the member's image under 3 plane steps of default_rng(seed).
+    ("ads:2,3,1@5", "b286f66cece2b6c1967a607e6fb483300f313bc24a8fa42de1bc1a3d10e5a0fd"),
 ]
 
 
 @pytest.mark.parametrize("label,digest", POLY_SHA256)
 def test_family_polynomials_keep_their_storage_order(label, digest):
-    f = make_poly(parse_family(label))
+    label, _, seed = label.partition("@")
+    spec = parse_family(label)
+    f = make_poly(spec)
+    if seed:
+        f = apply_to_poly(f, random_exact_isometry(spec.sig, np.random.default_rng(int(seed)), steps=3))
     stored = repr((f.d, f.den, list(f.ints.items())))
     assert hashlib.sha256(stored.encode()).hexdigest() == digest
 

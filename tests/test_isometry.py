@@ -9,11 +9,13 @@ from oracles import is_exact_isometry
 from zmckit.isometry import (
     apply_to_poly,
     boost_exact,
+    linear_forms,
     matmul_exact,
     random_exact_isometry,
     rotation_exact,
 )
 from zmckit.parser import parse_poly
+from zmckit.poly import Poly
 from zmckit.scalars import ZERO, QuadExtScalar
 from zmckit.zmc import AmbientSig
 
@@ -82,6 +84,26 @@ def test_apply_to_poly_euclidean_rotation():
     m = rotation_exact(sig, 1, 2, Fraction(1, 2))  # cos 3/5, sin 4/5
     f = parse_poly("x1^2 + x2^2", 2)
     assert apply_to_poly(f, m) == f
+
+
+def test_linear_forms_equal_the_rows_built_term_by_term():
+    """Each form is the Poly that the constructor builds from the row, in the
+    same term order, over Q or Q(sqrt(2)) with zeros and mixed dens; a row
+    with two surds is rejected as the constructor rejects it."""
+    root2 = QuadExtScalar.sqrt(2)
+    matrix = [
+        [QuadExtScalar(Fraction(1, 3)), ZERO, root2 * Fraction(-2, 5)],
+        [ZERO, ZERO, ZERO],
+        [QuadExtScalar(Fraction(3, 4), Fraction(1, 6), 2), 2, Fraction(-7, 2)],
+    ]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    before = [Poly(3, dict(zip(units, row))) for row in matrix]
+    forms = linear_forms(matrix)
+    assert list(forms) == before
+    assert [list(p.ints.items()) for p in forms] == [list(p.ints.items()) for p in before]
+    mixed = [[root2, QuadExtScalar.sqrt(3)], [ZERO, ZERO]]
+    with pytest.raises(ValueError, match=r"mixed surds in one polynomial: sqrt\(2\) and sqrt\(3\)"):
+        linear_forms(mixed)
 
 
 def test_float_view_is_orthonormal_numerically():

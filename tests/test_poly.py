@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from oracles import divide_reference, eval_exact, monomial_divides, render_via_terms, scalar_terms
+from oracles import (
+    divide_reference,
+    eval_exact,
+    monomial_divides,
+    render_via_terms,
+    scalar_terms,
+    substitute_reference,
+)
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar
@@ -334,6 +341,64 @@ def test_packed_divide_matches_the_tuple_loop(case):
         got, want = divide(g, f), divide_reference(g, f)
         assert got == want
         assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+
+
+@st.composite
+def _substitution_cases(draw):
+    """f in 1-4 variables (non-homogeneous, exponents from `_edge_exponents`)
+    and one replacement per variable in 1-3 variables, over one field
+    Q(sqrt(d)), d in {1, 2, 3}, each operand rational or not; a replacement
+    is a form of degree 0-3 plus up to two terms of degree at most 1, with
+    dens up to 4, and f or a replacement may be 0."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    nvars, out_nvars = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    f = draw(_sparse_polys(draw(st.sampled_from((1, d))), nvars, max_terms=4))
+    replacements = []
+    for _ in range(nvars):
+        e = draw(st.sampled_from((1, d)))
+        form = draw(_homogeneous_polys(d=e, nvars=out_nvars, degree=draw(st.integers(0, 3))))
+        replacements.append(form + draw(_polys(d=e, nvars=out_nvars, max_terms=2, max_exp=1)))
+    return f, replacements
+
+
+@given(_substitution_cases())
+@example((P("x1^2 + sqrt(3) x2", 2), [P("sqrt(3) x1 + 1/2", 2), P("x1 - 1/3 x2^3", 2)]))
+@example((P("x1^2 - x2^2 + x1 x3", 3), [P("x1 + x2", 3), P("x1 + x2", 3), P("x3", 3)]))
+# x1^2, x1 x2 and x2^2 cancel at the third term and come back at the fifth
+# (parse_poly stores terms in the order written).
+@example((P("x1^2 + x3^2 - x2^2 + x1 x3 + x1 x2", 3), [P("x1 + x2", 3), P("x1 + x2", 3),
+                                                     P("x3", 3)]))
+# Four factors: (r1 r2)(r3 r4) stores its terms in another order than ((r1 r2) r3) r4.
+@example((P("x1 x2 x3 x4", 4), [P("x2^2 - 1", 2), P("2 x1 - 1", 2), P("2 x1 - x2^2", 2),
+                                P("x1 - x2^2", 2)]))
+# x1 x2 cancels in (x1 + x2)(x1 - x2), the first product of the tree.
+@example((P("x1 x2 x3", 3), [P("x1 + x2", 2), P("x1 - x2", 2), P("x2 + x1", 2)]))
+@example((P("x1^7 + 2 x2^8 - x1 x2 + 1", 2), [P("x1 + 1", 3), P("x3 - 2/3", 3)]))
+# x2^15 fills the four value bits below a field's guard bit; x2^21 needs six.
+@example((P("x2^5 + x1 x2^2", 2), [P("x1 - 1", 2), P("x2^3 + 1/2 x1 x2", 2)]))
+@example((P("x2^7 + x1", 2), [P("x1 - 1", 2), P("x2^3 + x1 x2", 2)]))
+@example((P("x1^5 x2^15 - sqrt(2)", 2), [P("x1^3 - 1/2", 1), P("sqrt(2) x1 + 3", 1)]))
+@example((P("(1 + sqrt(2)) x1^3 - x2^2 + 2", 2), [P("x1^2 + x1 x2 + 1/3", 2), P("0", 2)]))
+@example((P("x1^2 x2 - x2^3 + x1", 2), [P("2/3", 2), P("x1 - sqrt(2)", 2)]))
+@example((P("0", 2), [P("x1 + x2", 2), P("sqrt(3) x2", 2)]))
+@example((P("x1^2 + sqrt(2) x2", 3), [P("x1", 2), P("x2 - 1", 2), P("sqrt(3) x1", 2)]))
+@settings(max_examples=80, deadline=None)
+def test_packed_substitute_matches_the_tuple_loop(case):
+    """`substitute` on packed keys returns what the tuple-keyed product tree
+    returns, term for term in the same order, even when a term cancels and
+    comes back; a replacement whose variable f does not use is never
+    multiplied, so its surd does not meet f's."""
+    f, replacements = case
+    got, want = f.substitute(replacements), substitute_reference(f, replacements)
+    assert got == want
+    assert list(got.ints.items()) == list(want.ints.items())
+
+
+def test_substitute_rejects_incompatible_surds_it_multiplies():
+    f, replacements = P("x1 + x2", 2), [P("sqrt(2) x1", 2), P("sqrt(3) x2", 2)]
+    for substitute in (Poly.substitute, substitute_reference):
+        with pytest.raises(ValueError, match="incompatible surds"):
+            substitute(f, replacements)
 
 
 def _assert_canonical(f: Poly) -> None:
