@@ -49,7 +49,7 @@ from .families import (
     MAX_QUADRIC_NVARS, FamilySpec, SurfacePatch, lawson_light_cone, make_poly, parse_family,
     sample_points, spectrum_oracle
 )
-from .parser import ParseError, parse_poly
+from .parser import parse_poly
 from .poly import Poly
 from .quadform import classify_candidate
 from .zmc import AmbientSig, ZmcReport, conjecture_check
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except (ValueError, ParseError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

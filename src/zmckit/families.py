@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,28 @@ from .poly import Poly
 from .scalars import QuadExtScalar
 from .zmc import AmbientSig, Form
 
-FAMILY_KINDS = ("ads", "lawson", "ds1", "ds2", "clifford")
+
+class _Kind(NamedTuple):
+    """A family kind's parameter lower bounds (their count is the arity), the
+    phrase its ValueError uses for them, and its variable count, ambient
+    (s, eps) and degree, each read off the parameters."""
+
+    bounds: tuple[int, ...]
+    needs: str
+    nvars: Callable[[tuple[int, ...]], int]
+    sig: Callable[[tuple[int, ...]], tuple[int, int]]
+    degree: Callable[[tuple[int, ...]], int] = lambda p: 2
+
+
+_KINDS = {
+    "ads": _Kind((1, 1, 0), "m >= 1, n >= 1, k >= 0", lambda p: 2 + sum(p), lambda p: (2, -1)),
+    "lawson": _Kind((1, 1), "positive integers k, n", lambda p: 4,
+                    lambda p: (2, -1 if p[0] < p[1] else 1), sum),
+    "ds1": _Kind((1, 1), "positive integers m, n", lambda p: 3 + sum(p), lambda p: (1, 1)),
+    "ds2": _Kind((1,), "one positive integer m", lambda p: 3 + sum(p), lambda p: (1, 1)),
+    "clifford": _Kind((1, 1), "positive integers p, q", lambda p: 2 + sum(p), lambda p: (0, 1)),
+}
+FAMILY_KINDS = tuple(_KINDS)
 
 # Hyperbolic-function arguments past this magnitude would overflow doubles
 # once products of cosh/sinh terms are formed.
@@ -67,66 +88,37 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if self.kind not in FAMILY_KINDS:
+        p = tuple(int(v) for v in self.params)
+        object.__setattr__(self, "params", p)
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        p = self.params
-        if self.kind == "ads":
-            if len(p) != 3 or p[0] < 1 or p[1] < 1 or p[2] < 0:
-                raise ValueError("ads family needs m >= 1, n >= 1, k >= 0")
-        elif self.kind == "lawson":
-            if len(p) != 2 or p[0] < 1 or p[1] < 1:
-                raise ValueError("lawson family needs positive integers k, n")
+        kind = _KINDS[self.kind]
+        if len(p) != len(kind.bounds) or any(v < b for v, b in zip(p, kind.bounds)):
+            raise ValueError(f"{self.kind} family needs {kind.needs}")
+        if self.kind == "lawson":
             k, n = p
             if n % 2 == 0:
                 raise ValueError(f"lawson family needs odd n, got n={n}")
             if math.gcd(k, n) != 1:
                 raise ValueError(f"lawson family needs coprime (k, n), got {p}")
-        elif self.kind == "ds1":
-            if len(p) != 2 or min(p) < 1:
-                raise ValueError("ds1 family needs positive integers m, n")
-        elif self.kind == "ds2":
-            if len(p) != 1 or p[0] < 1:
-                raise ValueError("ds2 family needs one positive integer m")
-        elif self.kind == "clifford":
-            if len(p) != 2 or min(p) < 1:
-                raise ValueError("clifford family needs positive integers p, q")
-        if self.kind == "lawson" and sum(p) > MAX_LAWSON_ORDER:
-            raise ValueError(f"lawson order k+n = {sum(p)} exceeds the cap {MAX_LAWSON_ORDER}")
-        if self.kind != "lawson" and self.nvars > MAX_QUADRIC_NVARS:
+            if k + n > MAX_LAWSON_ORDER:
+                raise ValueError(f"lawson order k+n = {k + n} exceeds the cap {MAX_LAWSON_ORDER}")
+        elif self.nvars > MAX_QUADRIC_NVARS:
             raise ValueError(
                 f"{self.kind} family has {self.nvars} variables, above the cap {MAX_QUADRIC_NVARS}"
             )
 
     @property
     def nvars(self) -> int:
-        p = self.params
-        if self.kind == "ads":
-            return 2 + p[0] + p[1] + p[2]
-        if self.kind == "lawson":
-            return 4
-        if self.kind == "ds1":
-            return 3 + p[0] + p[1]
-        if self.kind == "ds2":
-            return 3 + p[0]
-        return p[0] + p[1] + 2
+        return _KINDS[self.kind].nvars(self.params)
 
     @property
     def sig(self) -> AmbientSig:
-        if self.kind == "ads":
-            return AmbientSig(2, -1, self.nvars)
-        if self.kind == "lawson":
-            k, n = self.params
-            return AmbientSig(2, -1 if k < n else 1, 4)
-        if self.kind in ("ds1", "ds2"):
-            return AmbientSig(1, 1, self.nvars)
-        return AmbientSig(0, 1, self.nvars)
+        return AmbientSig(*_KINDS[self.kind].sig(self.params), self.nvars)
 
     @property
     def degree(self) -> int:
-        if self.kind == "lawson":
-            return sum(self.params)
-        return 2
+        return _KINDS[self.kind].degree(self.params)
 
     @property
     def label(self) -> str:

@@ -9,10 +9,10 @@ Grammar (whitespace-insensitive, implicit multiplication by juxtaposition):
     var      := 'x' posint
     rational := posint ('/' posint)?
 
-The exponent on a parenthesized group is a convenience extension beyond the
-core grammar.  sqrt radicands normalize on construction (sqrt(8) -> 2 sqrt(2))
-and are at most `scalars.MAX_RADICAND`; mixing e.g. sqrt(2) and sqrt(3) in one
-polynomial raises ValueError.
+Numbers and variable indices are ASCII decimal digits.  sqrt radicands
+normalize on construction (sqrt(8) -> 2 sqrt(2)) and are at most
+`scalars.MAX_RADICAND`; mixing e.g. sqrt(2) and sqrt(3) in one polynomial
+raises ValueError.
 
 Every intermediate result is bounded by MAX_POLY_TERMS terms, degree
 MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, and one
@@ -23,6 +23,7 @@ or power is checked on a bound of its size before it is built, so
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -59,7 +60,16 @@ _TOK_NUM = "num"
 _TOK_VAR = "var"
 _TOK_SQRT = "sqrt"
 _TOK_EOF = "eof"
-_PUNCT = set("+-*/^()")
+# One token after optional whitespace, or the end of the text after it; the
+# num, var and sqrt groups are named after their token kinds.  Every
+# non-space character starts some alternative (`other` takes any `\S`) and
+# `\Z` takes the end, so `\s*` never gives a character back and a run of
+# whitespace is read once (without `\Z`, a trailing run is rescanned from
+# each of its positions, quadratic in its length).  A bare 'x' is an error
+# unless a decimal digit follows it; when that digit is non-ASCII (`\d` but
+# not `[0-9]`), the 'x' is passed over and the error names the digit.
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<var>x[0-9]+)|(?P<sqrt>sqrt)|(?P<punct>[-+*/^()])"
+                    r"|(?P<x>x)(?!\d)|x?(?P<other>\S)|\Z)")
 
 
 def _bits(f: Poly) -> int:
@@ -82,38 +92,22 @@ def _integer(text: str, start: int, end: int) -> int:
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # trailing whitespace, or empty text
             continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append((_TOK_NUM, _integer(text, i, j), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable must be 'x' followed by digits", i)
-            tokens.append((_TOK_VAR, _integer(text, i + 1, j), i))
-            i = j
-            continue
-        if text.startswith("sqrt", i):
-            tokens.append((_TOK_SQRT, "sqrt", i))
-            i += 4
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOK_EOF, None, n))
+        start, end = match.span(kind)
+        if kind == _TOK_NUM:
+            tokens.append((kind, _integer(text, start, end), start))
+        elif kind == _TOK_VAR:
+            tokens.append((kind, _integer(text, start + 1, end), start))
+        elif kind == "x":
+            raise ParseError("variable must be 'x' followed by digits", start)
+        elif kind == "other":
+            raise ParseError(f"unexpected character {match[kind]!r}", start)
+        else:
+            tokens.append((match[kind], match[kind], start))
+    tokens.append((_TOK_EOF, None, len(text)))
     return tokens
 
 

@@ -216,6 +216,8 @@ class Poly:
 
     def substitute(self, replacements: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> replacements[i-1]; all replacements share one nvars.
+        f and the replacements it uses share one surd; an unused one may carry
+        another, so (sqrt(2) x1, sqrt(3) x2) into x1^2 + x2^2 is refused.
 
         On packed monomials, the used replacements over L = lcm of their dens and
         a term of degree e scaled by L^(deg f - e): all over den * L^deg f."""
@@ -231,8 +233,7 @@ class Poly:
         # Power tables avoid recomputing r_i^e across monomials.
         max_exp = [max(column) for column in zip(*self.ints)]
         used = [r for r, top in zip(replacements, max_exp) if top]
-        # f and the replacements it uses share one surd; an unused replacement
-        # is never multiplied, so its surd cannot clash.
+        # An unused replacement is never multiplied, so its surd cannot clash.
         surds = sorted({self.d, *(r.d for r in used)} - {1})
         if len(surds) > 1:
             raise ValueError(f"incompatible surds: sqrt({surds[0]}) vs sqrt({surds[1]})")
@@ -355,7 +356,7 @@ def _pack(mono: Monomial, shifts: list[int]) -> int:
 
 def _unpack(key: int, shifts: list[int], mask: int) -> Monomial:
     """The exponents in the fields at `shifts` of a packed key."""
-    return tuple((key >> s) & mask for s in shifts)
+    return tuple([(key >> s) & mask for s in shifts])
 
 
 def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:

@@ -39,7 +39,10 @@ only what the commands run:
   exponent tuples, the code that `zmc`'s and `poly.divide`'s packed
   monomials replaced; `monomial_divides` is the tuple divisibility test;
 - `substitute_reference`: `Poly.substitute` from `Poly` products and sums on
-  exponent tuples, the loop its packed monomials replaced.
+  exponent tuples, the loop its packed monomials replaced;
+- `tokenize_reference`: `parser._tokenize` as a character loop, the code its
+  token pattern replaced; on ASCII text the two agree token for token and
+  error for error.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
+from zmckit.parser import ParseError, _integer
 from zmckit.poly import Poly, _canonical, _over_lcm, grlex_key
 from zmckit.quadform import ClassifyResult
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
@@ -568,3 +572,46 @@ def hessian_loops(f: Poly, point) -> np.ndarray:
     """Every entry of Hess f at a float point, both triangles evaluated."""
     _, hess = _derivative_polys(f)
     return np.array([[h.eval_float(point) for h in row] for row in hess], dtype=float)
+
+
+# -- polynomial text ---------------------------------------------------------------
+
+
+def tokenize_reference(text: str) -> list[tuple[str, object, int]]:
+    """The (kind, value, position) tokens of polynomial text, one character at
+    a time.  Digits are `str.isdecimal`, so unlike `parser._tokenize` this
+    loop reads non-ASCII decimal digits as digits."""
+    tokens: list[tuple[str, object, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("num", _integer(text, i, j), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j == i + 1:
+                raise ParseError("variable must be 'x' followed by digits", i)
+            tokens.append(("var", _integer(text, i + 1, j), i))
+            i = j
+            continue
+        if text.startswith("sqrt", i):
+            tokens.append(("sqrt", "sqrt", i))
+            i += 4
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("eof", None, n))
+    return tokens

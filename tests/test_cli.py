@@ -453,6 +453,15 @@ def test_superscript_digit_is_a_syntax_error_with_its_position(capsys):
     assert err.splitlines() == ["error: unexpected character '²' (at position 2)"]
 
 
+def test_non_ascii_decimal_digit_is_a_syntax_error_with_its_position(capsys):
+    # Arabic-Indic x1^2 - x2^2: decimal digits to str.isdecimal() and int(),
+    # but not the grammar's ASCII ones.
+    code, out, err = run(capsys, "verify", "--poly", "x١^٢ - x2^2",
+                         "--nvars", "2", "--sig", "0,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: unexpected character '١' (at position 1)"]
+
+
 def test_poly_above_the_work_cap_is_usage_error(capsys, monkeypatch):
     for name in ("conjecture_check", "classify_candidate"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("residual was computed"))
@@ -511,7 +520,7 @@ def _poly_arguments(node) -> list[tuple[str, int]]:
 # --poly inputs in tests/ that are rejected on purpose.
 REJECTED_POLY_INPUTS = {
     ("x1 +", 2), ("x1²", 2), ("x1^2", 101), ("(x1+x2+x3+x4)^17", 4),
-    ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3),
+    ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("x١^٢ - x2^2", 2),
 }
 
 

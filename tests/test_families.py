@@ -61,6 +61,72 @@ def test_parse_family_strings():
         parse_family("ads:x,y")
 
 
+# For each kind: every parameter at its lower bound and one below it, a wrong
+# arity, and the size caps at and one past their limit; for lawson also an
+# even n, a non-coprime pair and both orientations (k < n, k > n).  Each
+# selector maps to (nvars, s, eps, degree, label) or its ValueError message.
+SELECTOR_GRID = [
+    ("ads:1,1,0", (4, 2, -1, 2, "ads:1,1,0")),
+    ("ads:0,1,0", "ads family needs m >= 1, n >= 1, k >= 0"),
+    ("ads:1,0,0", "ads family needs m >= 1, n >= 1, k >= 0"),
+    ("ads:1,1,-1", "ads family needs m >= 1, n >= 1, k >= 0"),
+    ("ads:1,1", "ads family needs m >= 1, n >= 1, k >= 0"),
+    ("ads:1,1,0,0", "ads family needs m >= 1, n >= 1, k >= 0"),
+    ("ads:49,49,0", (100, 2, -1, 2, "ads:49,49,0")),
+    ("ads:49,49,1", "ads family has 101 variables, above the cap 100"),
+    ("ads:1,1,98", "ads family has 102 variables, above the cap 100"),
+    ("lawson:1,1", (4, 2, 1, 2, "lawson:1,1")),
+    ("lawson:0,1", "lawson family needs positive integers k, n"),
+    ("lawson:1,0", "lawson family needs positive integers k, n"),
+    ("lawson:1", "lawson family needs positive integers k, n"),
+    ("lawson:1,1,1", "lawson family needs positive integers k, n"),
+    ("lawson:2,4", "lawson family needs odd n, got n=4"),
+    ("lawson:3,2", "lawson family needs odd n, got n=2"),
+    ("lawson:101,100", "lawson family needs odd n, got n=100"),
+    ("lawson:3,9", "lawson family needs coprime (k, n), got (3, 9)"),
+    ("lawson:2,3", (4, 2, -1, 5, "lawson:2,3")),
+    ("lawson:4,3", (4, 2, 1, 7, "lawson:4,3")),
+    ("lawson:100,101", (4, 2, -1, 201, "lawson:100,101")),
+    ("lawson:200,1", (4, 2, 1, 201, "lawson:200,1")),
+    ("lawson:99,103", "lawson order k+n = 202 exceeds the cap 201"),
+    ("lawson:201,1", "lawson order k+n = 202 exceeds the cap 201"),
+    ("ds1:1,1", (5, 1, 1, 2, "ds1:1,1")),
+    ("ds1:0,1", "ds1 family needs positive integers m, n"),
+    ("ds1:1,0", "ds1 family needs positive integers m, n"),
+    ("ds1:1", "ds1 family needs positive integers m, n"),
+    ("ds1:1,1,1", "ds1 family needs positive integers m, n"),
+    ("ds1:48,49", (100, 1, 1, 2, "ds1:48,49")),
+    ("ds1:49,49", "ds1 family has 101 variables, above the cap 100"),
+    ("ds2:1", (4, 1, 1, 2, "ds2:1")),
+    ("ds2:0", "ds2 family needs one positive integer m"),
+    ("ds2:1,1", "ds2 family needs one positive integer m"),
+    ("ds2:97", (100, 1, 1, 2, "ds2:97")),
+    ("ds2:98", "ds2 family has 101 variables, above the cap 100"),
+    ("clifford:1,1", (4, 0, 1, 2, "clifford:1,1")),
+    ("clifford:0,1", "clifford family needs positive integers p, q"),
+    ("clifford:1,0", "clifford family needs positive integers p, q"),
+    ("clifford:1", "clifford family needs positive integers p, q"),
+    ("clifford:1,1,1", "clifford family needs positive integers p, q"),
+    ("clifford:49,49", (100, 0, 1, 2, "clifford:49,49")),
+    ("clifford:49,50", "clifford family has 101 variables, above the cap 100"),
+    ("torus:1,2", "bad family selector 'torus:1,2'; expected kind:params"),
+    ("ads", "bad family selector 'ads'; expected kind:params"),
+    ("ads:x,y", "bad family parameters in 'ads:x,y'"),
+]
+
+
+@pytest.mark.parametrize("selector, expected", SELECTOR_GRID)
+def test_selector_grid_is_pinned(selector, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            parse_family(selector)
+        assert str(err.value) == expected
+        return
+    spec = parse_family(selector)
+    assert (spec.nvars, spec.sig.s, spec.sig.epsilon, spec.degree, spec.label) == expected
+    assert spec.sig.nvars == spec.nvars
+
+
 def test_derived_shape_data():
     spec = ads(2, 3, 1)
     assert spec.nvars == 8

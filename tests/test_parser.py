@@ -1,13 +1,14 @@
 """Polynomial text grammar: parsing, errors, and render round trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import scalar_terms
+from oracles import scalar_terms, tokenize_reference
 from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly
-from zmckit.parser import ParseError, parse_poly
+from zmckit.parser import ParseError, _tokenize, parse_poly
 from zmckit.poly import Poly
 from zmckit.scalars import QuadExtScalar
 
@@ -59,14 +60,36 @@ def test_syntax_error_reports_position():
 
 
 def test_non_ascii_digits_are_a_syntax_error_with_a_position():
-    # '²' is a digit to str.isdigit but not to int(); the tokenizer reads
-    # decimal digits only.
-    with pytest.raises(ParseError) as err:
-        parse_poly("x1²", 2)
-    assert err.value.position == 2
-    with pytest.raises(ParseError) as err:
-        parse_poly("x1^²", 2)
-    assert err.value.position == 3
+    # '²' is a digit to str.isdigit but not to int(); the Arabic-Indic and
+    # fullwidth digits are decimal to str.isdecimal() and int().  The grammar
+    # reads ASCII digits only, and the error names the first other one.
+    for text, position in [
+        ("x1²", 2), ("x1^²", 3),
+        ("x\u0661^\u0662 + \u0663 x2", 1),  # Arabic-Indic x1^2 + 3 x2
+        ("\uff13 x1", 0),  # fullwidth 3
+        ("x\u0661", 1), ("x1\u0661", 2), ("2\u0661 x1", 1),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 2)
+        assert err.value.position == position
+        assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_long_whitespace_runs_tokenize_in_linear_time():
+    # A token pattern that opens with `\s*` and has no alternative for the end
+    # of the text backs off through a trailing run of whitespace at every
+    # start position, quadratic in the run's length: 8,000 spaces took about
+    # 5 s and 400,000 would take hours.  Read once, 100,000 characters take
+    # under a millisecond.  The short run comes first, so a quadratic
+    # tokenizer fails in seconds rather than hanging on the long one.
+    for size in (12_000, 400_000):
+        run = (" \t\n" * size)[:size]
+        for text in ["x1^2 - x2^2" + run, run + "x1^2 - x2^2", "x1^2" + run + "- x2^2", run]:
+            started = time.perf_counter()
+            tokens = _tokenize(text)
+            assert time.perf_counter() - started < 1.0
+            assert tokens == tokenize_reference(text)
+    assert parse_poly("x1^2 - x2^2" + run, 2) == parse_poly("x1^2 - x2^2", 2)
 
 
 def test_variable_out_of_range():
@@ -141,3 +164,30 @@ def _random_polys(draw):
 @settings(max_examples=80)
 def test_parse_render_round_trip(p):
     assert parse_poly(p.render(), p.nvars) == p
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# The grammar's ASCII alphabet, whole tokens of it, spaces, and stray
+# characters (non-ASCII ones included, but no non-ASCII decimal digit).
+_TOKEN_PIECES = list("0123456789x+-*/^() sqrt") + [
+    "x", "sqrt", "sqr", "12", "x10", "007", " ", "\t", "\n", "\u00a0", "@", ".", "y",
+    "\u00b2", "\u00e9", "X",
+]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_TOKEN_PIECES), max_size=30).map("".join),
+    st.text(alphabet="0123456789xsqrt+-*/^() \t@.y\u00b2", max_size=30),
+))
+@example("1" * 5000 + " x1")
+@example("x" + "9" * 5000)
+@example("  x1 sqrt(2)  ")
+@settings(max_examples=300)
+def test_tokenize_matches_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_reference, text)
