@@ -9,8 +9,8 @@ the rotation and boost one-parameter groups come from the parametrizations
 so random words in these generators stay inside Q and compositions with
 polynomials remain exact.  `apply_to_poly` is the coordinate change f(M x)
 that `classify` sees through, `Poly.substitute` on the rows of `linear_forms`
-(each built at once from integers); `matmul_exact` multiplies `QuadExtScalar`
-matrices.  The isometry check M^T B M == B is a test oracle (`tests/oracles.py`).
+(one `Poly` per row); `matmul_exact` multiplies `QuadExtScalar` matrices, and
+the isometry check M^T B M == B is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Poly, _over_lcm
+from .poly import Poly
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from .zmc import AmbientSig
 
@@ -106,15 +106,7 @@ def linear_forms(m) -> tuple[Poly, ...]:
     """The forms x_i -> sum_j m[i][j] x_j of a square matrix, one Poly per row."""
     n = len(m)
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    forms = []
-    for row in m:
-        row = [as_scalar(x) for x in row]
-        surds = list(dict.fromkeys(x.d for x in row if x.d != 1))
-        if len(surds) > 1:
-            raise ValueError(f"mixed surds in one polynomial: sqrt({surds[0]}) and sqrt({surds[1]})")
-        triples = {u: (x.a, x.b, x.den) for u, x in zip(units, row) if x.a or x.b}
-        forms.append(_over_lcm(n, max(surds, default=1), triples))
-    return tuple(forms)
+    return tuple(Poly(n, dict(zip(units, row))) for row in m)
 
 
 def apply_to_poly(f: Poly, m: ExactMatrix) -> Poly:

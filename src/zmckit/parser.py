@@ -11,8 +11,8 @@ Grammar (whitespace-insensitive, implicit multiplication by juxtaposition):
 
 Numbers and variable indices are ASCII decimal digits.  sqrt radicands
 normalize on construction (sqrt(8) -> 2 sqrt(2)) and are at most
-`scalars.MAX_RADICAND`; mixing e.g. sqrt(2) and sqrt(3) in one polynomial
-raises ValueError.
+`scalars.MAX_RADICAND`; surds mix only as `scalars.shared_surd` allows, so
+sqrt(2) x1 + sqrt(3) x2 raises its ValueError.
 
 Every intermediate result is bounded by MAX_POLY_TERMS terms, degree
 MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, and one

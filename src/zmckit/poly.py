@@ -6,10 +6,11 @@ a dict `ints` mapping exponent tuples (one entry per variable; variables are
 coefficient (a + b sqrt(d)) / den.  The form is canonical: no (0, 0)
 entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 (1 for purely rational polynomials), so equality and hashing compare
-(nvars, d, den, ints).  Every kernel (+, -, *, diff, substitute, divide)
-works on these integers and returns through one normaliser, `_canonical`;
-`render` and the float view read them too, and nothing here rebuilds the
-coefficients as QuadExtScalars.  `divide`, `substitute` and `zmc`'s residual
+(nvars, d, den, ints).  Every kernel (+, *, diff, substitute, divide) works
+on these integers and returns through one normaliser, `_canonical`, and
+negation keeps them canonical; `render` and the float view read them too,
+nothing here rebuilds the coefficients as QuadExtScalars, and surds mix as
+`scalars.shared_surd` allows.  `divide`, `substitute` and `zmc`'s residual
 run on packed monomials (`_layout`); the last two multiply with `_mul_into`.
 The order is graded lex with x1 > x2 > ..., so that division is deterministic.
 
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, lcm, sqrt
+from math import gcd, lcm
 from operator import add, lshift
 from typing import Mapping, Sequence
 
-from .scalars import as_scalar, coeff_text, lowest_terms
+from .scalars import as_scalar, coeff_float, coeff_text, lowest_terms, shared_surd
 
 # Exponent tuple, one non-negative int per variable.
 Monomial = tuple[int, ...]
@@ -44,26 +45,18 @@ class Poly:
     def __new__(cls, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
             raise ValueError(f"nvars must be positive, got {nvars}")
-        clean: dict[Monomial, tuple[int, int, int]] = {}
-        d = 1
+        triples, tags = {}, []
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
-            if any(e < 0 for e in mono):
+            if min(mono) < 0:
                 raise ValueError(f"negative exponent in monomial {mono}")
             coeff = as_scalar(coeff)
-            if coeff.is_zero():
-                continue
-            if coeff.d != 1:
-                if d == 1:
-                    d = coeff.d
-                elif d != coeff.d:
-                    raise ValueError(
-                        f"mixed surds in one polynomial: sqrt({d}) and sqrt({coeff.d})"
-                    )
-            clean[mono] = (coeff.a, coeff.b, coeff.den)
-        return _over_lcm(nvars, d, clean)
+            if coeff.a or coeff.b:
+                triples[mono] = (coeff.a, coeff.b, coeff.den)
+                tags.append(coeff.d)
+        return _over_lcm(nvars, shared_surd(tags), triples)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly instances are immutable")
@@ -110,9 +103,7 @@ class Poly:
         their variable counts or surds differ."""
         if self.nvars != other.nvars:
             raise ValueError(f"dimension mismatch: {self.nvars} vs {other.nvars} variables")
-        if self.d != 1 and other.d != 1 and self.d != other.d:
-            raise ValueError(f"incompatible surds: sqrt({self.d}) vs sqrt({other.d})")
-        return self.d if self.d != 1 else other.d
+        return shared_surd((self.d, other.d))
 
     # -- ring arithmetic --------------------------------------------------------
 
@@ -129,7 +120,9 @@ class Poly:
         return _canonical(self.nvars, d, den, out)
 
     def __neg__(self):
-        return self.scale(-1)
+        # Negation keeps the denominator and the gcd: the pairs stay canonical.
+        negated = {m: (-a, -b) for m, (a, b) in self.ints.items()}
+        return _built(self.nvars, self.d, self.den, negated)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -191,10 +184,9 @@ class Poly:
     # -- evaluation ----------------------------------------------------------------
 
     def _float_view(self) -> list[tuple[float, Monomial]]:
-        """(float coefficient, monomial) pairs in storage order; int / int rounds
-        correctly, so each equals float() of the reduced scalar bit for bit."""
-        den, root = self.den, sqrt(self.d)
-        return [(a / den + b / den * root if b else a / den, m) for m, (a, b) in self.ints.items()]
+        """(float coefficient, monomial) pairs in storage order, by `coeff_float`."""
+        den, d = self.den, self.d
+        return [(coeff_float(a, b, den, d), m) for m, (a, b) in self.ints.items()]
 
     def eval_float(self, point: Sequence[float]) -> float:
         if len(point) != self.nvars:
@@ -216,8 +208,8 @@ class Poly:
 
     def substitute(self, replacements: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> replacements[i-1]; all replacements share one nvars.
-        f and the replacements it uses share one surd; an unused one may carry
-        another, so (sqrt(2) x1, sqrt(3) x2) into x1^2 + x2^2 is refused.
+        `shared_surd` joins f and the replacements it uses (an unused one may
+        carry another surd): (sqrt(2) x1, sqrt(3) x2) into x1^2 + x2^2 raises.
 
         On packed monomials, the used replacements over L = lcm of their dens and
         a term of degree e scaled by L^(deg f - e): all over den * L^deg f."""
@@ -234,10 +226,7 @@ class Poly:
         max_exp = [max(column) for column in zip(*self.ints)]
         used = [r for r, top in zip(replacements, max_exp) if top]
         # An unused replacement is never multiplied, so its surd cannot clash.
-        surds = sorted({self.d, *(r.d for r in used)} - {1})
-        if len(surds) > 1:
-            raise ValueError(f"incompatible surds: sqrt({surds[0]}) vs sqrt({surds[1]})")
-        d, top_deg = max(surds, default=1), max(self.degree(), 0)
+        d, top_deg = shared_surd([self.d, *(r.d for r in used)]), max(self.degree(), 0)
         # No exponent passes deg f times the top degree of a used replacement.
         bound = top_deg * max((r.degree() for r in used), default=0)
         shifts, mask, _ = _layout(out_nvars, max(bound, 1))
@@ -321,8 +310,13 @@ def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:
     ints = {m: (a // g, b // g) for m, (a, b) in ints.items() if a or b}
     if not any(b for _, b in ints.values()):
         d = 1
+    return _built(nvars, d, den // g, ints)
+
+
+def _built(nvars: int, d: int, den: int, ints: dict) -> Poly:
+    """The Poly with exactly these fields, which the caller keeps canonical."""
     out = object.__new__(Poly)
-    for name, value in zip(Poly.__slots__, (nvars, d, den // g, ints, None)):
+    for name, value in zip(Poly.__slots__, (nvars, d, den, ints, None)):
         object.__setattr__(out, name, value)
     return out
 

@@ -181,10 +181,10 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     Requires the ZMC residual to divide exactly and the form to be
     irreducible (rank r >= 3); then, if lam = -1, scans m for
     tr(P) = -mu(m, r - 2 - m), which is exact fingerprint equality with
-    ads(m, r - 2 - m, nvars - r) (see the module docstring).  The
-    fingerprint is a necessary invariant, so "matches" pins the parameters
-    of any true family member (up to isometry); "inconclusive" means no
-    fingerprint agreed.
+    ads(m, r - 2 - m, nvars - r) (see the module docstring).  "matches"
+    means the pencil's invariants (tr P, lam, rank) equal a member's: an
+    isometry image of it needs that, but a quadric can match and not be one;
+    "inconclusive" means no fingerprint agreed.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")

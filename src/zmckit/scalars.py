@@ -5,9 +5,9 @@ a square-free integer d >= 1: integer coordinates over one common
 denominator, the usual storage of number-field elements (Cohen, A Course in
 Computational Algebraic Number Theory, 4.2).  Every scalar is in lowest
 terms: den > 0, gcd(a, b, den) = 1, and d = 1 exactly when b = 0, so equality
-is structural.  Scalars over different d never mix, except that plain
-rationals are compatible with every d and adopt it on contact.  All
-arithmetic is exact: no floating point is involved until `float()` is called
+is structural.  `shared_surd` is the one surd rule: rationals go with every
+d and adopt it, and two different surds never mix.  All arithmetic is exact:
+no floating point is involved until `float()` (`coeff_float`) is called
 explicitly.  `lowest_terms` is the one reducer of an integer triple
 (a, b, den); the scalar arithmetic here and `poly.divide`'s work
 coefficients both go through it.
@@ -104,16 +104,7 @@ class QuadExtScalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    # -- field-tag plumbing -------------------------------------------------
-
-    def _join_d(self, other: "QuadExtScalar") -> int:
-        if self.d == other.d or not other.b:
-            return self.d
-        if not self.b:
-            return other.d
-        raise ValueError(
-            f"incompatible surds: sqrt({self.d}) cannot mix with sqrt({other.d})"
-        )
+    # -- coercion ------------------------------------------------------------
 
     @staticmethod
     def _coerce(value) -> "QuadExtScalar":
@@ -129,7 +120,7 @@ class QuadExtScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._join_d(other)
+        d = shared_surd((self.d, other.d))
         n1, n2 = self.den, other.den
         return _normal(self.a * n2 + other.a * n1, self.b * n2 + other.b * n1, n1 * n2, d)
 
@@ -151,7 +142,7 @@ class QuadExtScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._join_d(other)
+        d = shared_surd((self.d, other.d))
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return _normal(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, self.den * other.den, d)
 
@@ -209,10 +200,7 @@ class QuadExtScalar:
         return not self.is_zero()
 
     def __float__(self):
-        value = self.a / self.den
-        if self.b:
-            value += self.b / self.den * math.sqrt(self.d)
-        return value
+        return coeff_float(self.a, self.b, self.den, self.d)
 
     def __str__(self):
         return coeff_text(self.a, self.b, self.den, self.d)
@@ -239,6 +227,25 @@ def coeff_text(a: int, b: int, den: int, d: int) -> str:
     if not a:
         return surd_txt if b > 0 else f"-{surd_txt}"
     return f"{_ratio_text(a, den)} {'+' if b > 0 else '-'} {surd_txt}"
+
+
+def coeff_float(a: int, b: int, den: int, d: int) -> float:
+    """float() of the scalar (a + b sqrt(d)) / den, as a/den + b/den*sqrt(d);
+    int / int rounds correctly, so it is the same float in any terms."""
+    return a / den + b / den * math.sqrt(d) if b else a / den
+
+
+def shared_surd(tags) -> int:
+    """The one field tag d > 1 among `tags`, or 1 when there is none: the
+    package's one surd rule.  Rationals (d = 1) go with every d, and two
+    different surds never mix; ValueError names the first two that differ."""
+    shared = 1
+    for d in tags:
+        if d != 1 and d != shared:
+            if shared != 1:
+                raise ValueError(f"incompatible surds: sqrt({shared}) vs sqrt({d})")
+            shared = d
+    return shared
 
 
 def lowest_terms(a: int, b: int, den: int) -> tuple[int, int, int]:

@@ -521,6 +521,7 @@ def _poly_arguments(node) -> list[tuple[str, int]]:
 REJECTED_POLY_INPUTS = {
     ("x1 +", 2), ("x1²", 2), ("x1^2", 101), ("(x1+x2+x3+x4)^17", 4),
     ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("x١^٢ - x2^2", 2),
+    ("sqrt(2) x1 + sqrt(3) x2", 2),
 }
 
 

@@ -102,7 +102,7 @@ def test_linear_forms_equal_the_rows_built_term_by_term():
     assert list(forms) == before
     assert [list(p.ints.items()) for p in forms] == [list(p.ints.items()) for p in before]
     mixed = [[root2, QuadExtScalar.sqrt(3)], [ZERO, ZERO]]
-    with pytest.raises(ValueError, match=r"mixed surds in one polynomial: sqrt\(2\) and sqrt\(3\)"):
+    with pytest.raises(ValueError, match=r"incompatible surds: sqrt\(2\) vs sqrt\(3\)"):
         linear_forms(mixed)
 
 

@@ -72,6 +72,21 @@ def test_light_cone_report_matches_the_x_form(spec):
     assert _summary(cli._certify(spec)) == _x_summary(spec)
 
 
+@pytest.mark.parametrize("spec", _lawson_specs(MAX_ORACLE_ORDER), ids=lambda spec: spec.label)
+def test_w_factors_in_light_cone_variables(spec):
+    """The paper's first result: for F = 2(a^k c^n + p^k q^n) in the metric K,
+    W = -16 s^(k-1) t^(n-1) (n^2 s + k^2 t) with s = a p and t = c q, and
+    the factor with k and n swapped is wrong unless k = n."""
+    k, n = spec.params
+    F, form, _ = lawson_light_cone(k, n)
+    w = conjecture_check(F, spec.sig, form).w
+    a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
+    s, t = a * p, c * q
+    head = (s ** (k - 1) * t ** (n - 1)).scale(-16)
+    assert w == head * (s.scale(n * n) + t.scale(k * k))
+    assert (w == head * (s.scale(k * k) + t.scale(n * n))) == (k == n)
+
+
 def _mutated(mutation):
     """lawson_light_cone with one sign flipped: K_ap, or F's p^k q^n term."""
 

@@ -14,6 +14,8 @@ from oracles import (
     scalar_terms,
     substitute_reference,
 )
+from zmckit.cli import main
+from zmckit.isometry import linear_forms
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar
@@ -399,6 +401,41 @@ def test_substitute_rejects_incompatible_surds_it_multiplies():
     for substitute in (Poly.substitute, substitute_reference):
         with pytest.raises(ValueError, match="incompatible surds"):
             substitute(f, replacements)
+
+
+_ROOT2, _ROOT3 = QuadExtScalar.sqrt(2), QuadExtScalar.sqrt(3)
+_SURD_MIXES = {
+    "scalar +": lambda: _ROOT2 + _ROOT3,
+    "scalar *": lambda: _ROOT2 * _ROOT3,
+    "scalar /": lambda: _ROOT2 / _ROOT3,
+    "Poly(...)": lambda: Poly(2, {(1, 0): _ROOT2, (0, 1): _ROOT3}),
+    "Poly +": lambda: P("sqrt(2) x1", 2) + P("sqrt(3) x2", 2),
+    "Poly *": lambda: P("sqrt(2) x1", 2) * P("sqrt(3) x2", 2),
+    "divide": lambda: divide(P("sqrt(2) x1^2", 2), P("sqrt(3) x1", 2)),
+    "substitute": lambda: P("x1^2 + x2^2", 2).substitute([P("sqrt(2) x1", 2), P("sqrt(3) x2", 2)]),
+    "linear_forms": lambda: linear_forms([[_ROOT2, _ROOT3], [ZERO, ZERO]]),
+    "parse_poly": lambda: P("sqrt(2) x1 + sqrt(3) x2", 2),
+}
+
+
+@pytest.mark.parametrize("entry", _SURD_MIXES)
+def test_every_entry_point_refuses_mixed_surds_with_one_message(entry):
+    """`scalars.shared_surd` decides every mix of field tags."""
+    with pytest.raises(ValueError, match=r"^incompatible surds: sqrt\(2\) vs sqrt\(3\)$"):
+        _SURD_MIXES[entry]()
+
+
+def test_verify_reports_mixed_surds_in_one_line(capsys):
+    code = main(["verify", "--poly", "sqrt(2) x1 + sqrt(3) x2", "--nvars", "2", "--sig", "1,1"])
+    assert (code, capsys.readouterr().err) == (2, "error: incompatible surds: sqrt(2) vs sqrt(3)\n")
+
+
+@pytest.mark.parametrize("text", ["x1^2 - 2 x2 x3 + 5", "-1/3 x1 + (1 - 2/5 sqrt(7)) x2^3", "0"])
+def test_negation_keeps_the_terms_of_scale_minus_one(text):
+    f = P(text, 3)
+    assert list((-f).ints.items()) == list(f.scale(-1).ints.items())
+    assert (-f).den == f.den and (-f).d == f.d
+    assert -(-f) == f and (f - f).is_zero()
 
 
 def _assert_canonical(f: Poly) -> None:

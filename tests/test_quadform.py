@@ -20,6 +20,7 @@ from oracles import (
     to_matrix,
 )
 from zmckit.families import ads, ds2, make_poly, pencil_coefficients
+from zmckit.geometry import curvature_spectrum, newton_project
 from zmckit.isometry import (
     apply_to_poly,
     boost_exact,
@@ -212,6 +213,31 @@ def test_classify_scalar_multiple_is_inconclusive():
     assert result.verdict == "inconclusive"
 
 
+# A ZMC quadric whose pencil has the invariants of ads:1,2,1 (ROADMAP, "Known
+# defects"), yet its zero set on AdS_5 is Lorentzian, where the member's is
+# space-like; isometries keep the causal type, so it is no image of the member.
+LORENTZIAN_QUADRIC = ("-sqrt(2) x2^2 + sqrt(2) x3^2 - 1/2 sqrt(2) x4^2"
+                      " - 1/2 sqrt(2) x5^2 - 1/2 sqrt(2) x6^2")
+
+
+def test_lorentzian_quadric_is_zmc_with_a_lorentzian_zero_set():
+    f, sig = parse_poly(LORENTZIAN_QUADRIC, 6), AmbientSig(2, -1, 6)
+    assert conjecture_check(f, sig).divides
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        p = newton_project(f, sig, rng.normal(size=6))
+        spectrum = curvature_spectrum(p, f, sig)
+        assert spectrum.metric_signature == (1, 3)
+        assert abs(spectrum.mean_curvature) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="matching pencil invariants are necessary, not sufficient "
+                                       "(ROADMAP item 9)")
+def test_lorentzian_quadric_does_not_match_a_space_like_member():
+    result = classify_candidate(parse_poly(LORENTZIAN_QUADRIC, 6), AmbientSig(2, -1, 6))
+    assert result.verdict != "matches", result
+
+
 def test_classify_wrong_inputs():
     with pytest.raises(ValueError, match="degree-2"):
         classify_candidate(parse_poly("x1^3", 4), SIG4)
@@ -367,7 +393,7 @@ def test_mixed_surds_raise():
     for fn in (integer_rows, exact_rank_reference, char_poly_reference):
         with pytest.raises(ValueError, match="incompatible surds"):
             fn(matrix)
-    with pytest.raises(ValueError, match="mixed surds"):
+    with pytest.raises(ValueError, match=r"incompatible surds: sqrt\(2\) vs sqrt\(3\)"):
         Poly(2, {(2, 0): root2, (0, 2): root3})
 
 
