@@ -74,9 +74,10 @@ HYPERBOLIC_ARG_LIMIT = 300.0
 
 # Caps on family size, checked before anything is built.  At the caps, on a
 # 2-core machine (3 runs each, start-up included): `report --family
-# lawson:100,101 --count 10` 1.0-1.6 s, `verify --family lawson:100,101`
-# 0.6-0.9 s (3.9 MB of output), `classify --family ads:49,49,0`
-# (100 variables) 0.4-0.5 s.
+# lawson:100,101 --count 10` 1.0-1.6 s to its exit 1 (its spectrum entry
+# stops at Newton's Jacobian rank floor, a known defect), `verify --family
+# lawson:100,101` 0.6-0.9 s (3.9 MB of output), `classify --family
+# ads:49,49,0` (100 variables) 0.4-0.5 s.
 MAX_LAWSON_ORDER = 201  # k + n
 MAX_QUADRIC_NVARS = 100
 

@@ -23,7 +23,9 @@ matched up to a global sign flip (see `match_spectrum`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,9 +96,17 @@ class CurvatureSpectrum:
 # -- point construction -------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _b_float(sig: AmbientSig) -> np.ndarray:
+    """B's diagonal as a read-only float array, built once per signature."""
+    b = np.asarray(sig.b_diag, dtype=float)
+    b.flags.writeable = False
+    return b
+
+
 def _point(f: Poly, sig: AmbientSig, x: np.ndarray) -> VarietyPoint:
     """x with its residuals and w = <B grad f, grad f> from the float gradient."""
-    b = np.asarray(sig.b_diag, dtype=float)
+    b = _b_float(sig)
     fval, grad = value_and_gradient(f, x)
     cres = float(x @ (b * x)) - sig.epsilon
     return VarietyPoint(x, fval, cres, float(grad @ (b * grad)), grad)
@@ -110,7 +120,7 @@ def _residual_scales(norm: float, degree: int) -> tuple[float, float]:
 def check_residuals(p: VarietyPoint, degree: int, bound: float) -> None:
     """Raise ValueError unless |f| <= bound (1 + |x|^degree) and
     |<Bx,x> - eps| <= bound (1 + |x|^2) at p."""
-    f_scale, c_scale = _residual_scales(float(np.linalg.norm(p.coords)), degree)
+    f_scale, c_scale = _residual_scales(math.sqrt(p.coords @ p.coords), degree)
     if abs(p.f_residual) > bound * f_scale:
         raise ValueError(
             f"projected point violates |f| <= {bound:g} (scaled): "
@@ -154,19 +164,20 @@ def newton_project(
     x = np.asarray(seed, dtype=float).copy()
     if x.shape != (sig.nvars,):
         raise ValueError(f"seed must have {sig.nvars} coordinates")
-    b = np.asarray(sig.b_diag, dtype=float)
+    b = _b_float(sig)
     deg = max(f.degree(), 0)
     # Once the scale-adjusted residual bounds hold, a couple of extra steps
     # shave the positional error down to the evaluation noise floor, which
     # matters for finite-difference work at high degree.
     polish_left = 2
+    jac = np.empty((2, sig.nvars))
     for _ in range(NEWTON_MAX_ITER):
-        norm = float(np.linalg.norm(x))
-        fres, grad = value_and_gradient(f, x)
+        norm = math.sqrt(x @ x)  # np.linalg.norm(x): the same dot product
+        fres, jac[0] = value_and_gradient(f, x)
         cres = float(x @ (b * x)) - sig.epsilon
         f_scale, c_scale = _residual_scales(norm, deg)
         converged = abs(fres) <= tol * f_scale and abs(cres) <= tol * c_scale
-        jac = np.vstack([grad, 2.0 * b * x])
+        jac[1] = 2.0 * b * x
         gram = jac @ jac.T
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):
@@ -177,7 +188,7 @@ def newton_project(
         x = x + step
         if converged:
             polish_left -= 1
-            if polish_left == 0 or float(np.linalg.norm(step)) <= 1e-15 * (1.0 + norm):
+            if polish_left == 0 or math.sqrt(step @ step) <= 1e-15 * (1.0 + norm):
                 return _point(f, sig, x)
     raise ProjectionError(f"no convergence within {NEWTON_MAX_ITER} Newton iterations")
 
@@ -191,8 +202,7 @@ def tangent_frame(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
     The tangent space is the Euclidean null space of the two rows grad f(p)
     and B p; an SVD supplies a stable basis of it.
     """
-    b = np.asarray(sig.b_diag, dtype=float)
-    rows = np.vstack([_regular_grad(p), b * p.coords])
+    rows = np.vstack([_regular_grad(p), _b_float(sig) * p.coords])
     u, sv, vt = np.linalg.svd(rows)
     if sv[1] <= 1e-10 * max(sv[0], 1.0):
         raise ValueError(
@@ -212,13 +222,13 @@ def induced_metric(
     hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
     eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
     """
-    b = np.asarray(sig.b_diag, dtype=float)
-    gram = frame @ (b[:, None] * frame.T)
+    gram = frame @ (_b_float(sig)[:, None] * frame.T)
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
     if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
         raise ValueError("induced metric is degenerate at this point")
-    return gram, eigs, (int(np.sum(eigs < 0)), int(np.sum(eigs > 0)))
+    ascending = eigs.tolist()
+    return gram, eigs, (sum(e < 0 for e in ascending), sum(e > 0 for e in ascending))
 
 
 def shape_operator(
@@ -230,7 +240,7 @@ def shape_operator(
     S = G^{-1} H with H_ij = <Hess f(p) v_i, v_j> / sqrt(|w|); S is
     self-adjoint with respect to G, i.e. G S = S^T G up to roundoff.
     """
-    h = frame @ hessian_float(f, p.coords) @ frame.T / np.sqrt(abs(p.w_value))
+    h = frame @ hessian_float(f, p.coords) @ frame.T / math.sqrt(abs(p.w_value))
     h = 0.5 * (h + h.T)
     return np.linalg.solve(gram, h)
 
@@ -241,19 +251,19 @@ def shape_operator(
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, list[int]]]:
     """Group eigenvalues by real part; neighbors within the merge tolerance
     (max of CLUSTER_REL * spread and CLUSTER_FLOOR) fall into one cluster."""
-    order = np.argsort(values.real)
-    spread = float(values.real.max() - values.real.min()) if len(values) else 0.0
-    tol = max(CLUSTER_REL * spread, CLUSTER_FLOOR)
-    groups: list[tuple[float, list[int]]] = []
-    current: list[int] = []
-    for idx in order:
-        if current and values.real[idx] - values.real[current[-1]] > tol:
-            groups.append((float(np.mean(values.real[current])), current))
-            current = []
-        current.append(int(idx))
-    if current:
-        groups.append((float(np.mean(values.real[current])), current))
-    return groups
+    real = values.real.tolist()
+    tol = max(CLUSTER_REL * (max(real) - min(real) if real else 0.0), CLUSTER_FLOOR)
+    runs: list[list[int]] = []
+    for idx in np.argsort(values.real).tolist():
+        if runs and real[idx] - real[runs[-1][-1]] <= tol:
+            runs[-1].append(idx)
+        else:
+            runs.append([idx])
+    # Each mean is np.mean's, bit for bit: numpy sums fewer than 8 floats in a
+    # plain loop from +0.0, as `sum` does, and more pairwise.
+    means = [sum(xs) / len(xs) if len(xs) < 8 else float(np.mean(xs))
+             for xs in ([real[i] for i in run] for run in runs)]
+    return list(zip(means, runs))
 
 
 def _causal_type(vectors: np.ndarray, gram: np.ndarray) -> str:
@@ -278,11 +288,10 @@ def _eigenvector_clusters(
     eigenvectors, and whether S looks defective: `curvature_spectrum` at an
     indefinite induced metric G.
 
-    The vectors are SVD null spaces of S - lambda I per cluster.  One
-    `np.linalg.eig` call is not used for them: S = G^{-1} H is not symmetric,
-    so a repeated eigenvalue can split into a conjugate pair with ~1e-17
-    imaginary parts whose eigenvectors come back genuinely complex, which
-    would tag real clusters as "complex".
+    The vectors are SVD null spaces of S - lambda I per cluster, not eig's:
+    S = G^{-1} H is not symmetric, so a repeated eigenvalue can split into a
+    conjugate pair with ~1e-17 imaginary parts whose eigenvectors come back
+    genuinely complex, which would tag real clusters as "complex".
     """
     dim = shape.shape[0]
     scale = max(float(np.max(np.abs(values))), 1.0)
@@ -305,6 +314,34 @@ def _eigenvector_clusters(
     return clusters, bool(defective)
 
 
+def _lorentzian_clusters(
+    shape: np.ndarray, gram: np.ndarray, values: np.ndarray, groups: list
+) -> tuple[list[Cluster], bool] | None:
+    """`_eigenvector_clusters`' answer from one `np.linalg.eig` at a G of
+    index 1, or None where this argument does not apply: the spectrum is real
+    and one cluster is simple with a time-like eigenvector v (v^T G v <
+    -CAUSAL_REL |v|^2).  S is G-self-adjoint, so it maps v's G-orthogonal
+    complement into itself (G(S w, v) = G(w, S v) = lambda G(w, v) = 0), and
+    G, of index 1 and negative on v, is positive definite there; so S is
+    diagonalisable, every other cluster is "space-like" and the flag False.
+    eig's unit columns of the other clusters must also clear CAUSAL_REL, as
+    the SVD bases would.  Column j is `values[j]`'s only when eig's values
+    are `values` bit for bit (dgeev runs one QR with or without vectors).
+    """
+    if values.dtype.kind == "c":
+        return None
+    eig_values, vectors = np.linalg.eig(shape)
+    if not np.array_equal(eig_values, values):
+        return None
+    norm2 = np.sum(vectors * (gram @ vectors), axis=0).tolist()
+    time_like = [j for j, q in enumerate(norm2) if q < -CAUSAL_REL]
+    space_like = sum(q > CAUSAL_REL for q in norm2)
+    if space_like != len(norm2) - 1 or not any(idx == time_like for _, idx in groups):
+        return None
+    return [Cluster(rep, len(idx), "time-like" if idx == time_like else "space-like")
+            for rep, idx in groups], False
+
+
 def curvature_spectrum(
     p: VarietyPoint, f: Poly, sig: AmbientSig
 ) -> CurvatureSpectrum:
@@ -321,21 +358,23 @@ def curvature_spectrum(
     orthonormal and |B| = 1, so |lambda(G)| <= 1; a real v has
     |v^T G v| > CAUSAL_REL |v|^2 with G's sign; and the per-cluster null
     bases X are G-orthogonal, so cond(X) <= kappa(G) < 1 / CAUSAL_REL =
-    DEFECTIVE_COND_LIMIT.  Only an indefinite G allows complex or
-    non-diagonalisable shape operators (Magid, Pacific J. Math. 118, 1985),
-    and only there do tags and flag come from eigenvectors
-    (`_eigenvector_clusters`).
+    DEFECTIVE_COND_LIMIT.  Where G has index 1, one eig settles the common
+    case (`_lorentzian_clusters`).  The rest (complex pairs, a repeated or
+    null time-like direction, index >= 2: Magid, Pacific J. Math. 118, 1985)
+    take per-cluster SVD null spaces (`_eigenvector_clusters`).
     """
     frame = tangent_frame(p, sig)
     gram, gram_eigs, signature = induced_metric(frame, sig)
     shape = shape_operator(p, f, frame, gram)
     values = eigen.eigvals(shape)
-    if np.all(gram_eigs > CAUSAL_REL) or np.all(gram_eigs < -CAUSAL_REL):
+    groups = cluster_eigenvalues(values)
+    if gram_eigs[0] > CAUSAL_REL or gram_eigs[-1] < -CAUSAL_REL:  # eigs ascend
         causal = "space-like" if gram_eigs[0] > 0 else "time-like"
-        clusters = [Cluster(rep, len(idx), causal) for rep, idx in cluster_eigenvalues(values)]
+        clusters = [Cluster(rep, len(idx), causal) for rep, idx in groups]
         defective = False
     else:
-        clusters, defective = _eigenvector_clusters(shape, gram, values)
+        lorentzian = signature[0] == 1 and _lorentzian_clusters(shape, gram, values, groups)
+        clusters, defective = lorentzian or _eigenvector_clusters(shape, gram, values)
     return CurvatureSpectrum(
         clusters=tuple(clusters),
         metric_signature=signature,

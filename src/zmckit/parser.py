@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
-from .poly import Poly
-from .scalars import MAX_RADICAND, QuadExtScalar
+from .poly import Poly, _canonical
+from .scalars import MAX_RADICAND, QuadExtScalar, shared_surd
 
 
 class ParseError(ValueError):
@@ -111,6 +111,45 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+class _Sum:
+    """A sum of terms in one dict of rational pairs (p, q), p + q sqrt(d) at
+    each monomial, in `Poly.__add__`'s order, so that a term costs its own
+    size.  The lcm of the denominators and the largest |p| + |q| root, which
+    give `_bits` of the sum, are kept up as new monomials append, and
+    recounted after a term changed an existing one (`top` is None)."""
+
+    def __init__(self, nvars: int):
+        self.nvars, self.d, self.coeffs = nvars, 1, {}
+        self.den, self.top = 1, Fraction(0)
+
+    def add(self, term: Poly) -> None:
+        self.d = shared_surd((self.d, term.d))
+        for mono, (a, b) in term.ints.items():
+            p, q = Fraction(a, term.den), Fraction(b, term.den)
+            if mono in self.coeffs:
+                p0, q0 = self.coeffs[mono]
+                p, q, self.top = p + p0, q + q0, None
+            if p or q:
+                self.coeffs[mono] = (p, q)  # an existing monomial keeps its place
+            else:
+                del self.coeffs[mono]
+            if self.top is not None:
+                self.den = lcm(self.den, p.denominator, q.denominator)
+                self.top = max(self.top, abs(p) + abs(q) * (isqrt(self.d) + 1))
+        if self.top is None:
+            pairs = self.coeffs.values()
+            self.d = self.d if any(q for _, q in pairs) else 1
+            self.den = lcm(*(x.denominator for pair in pairs for x in pair))
+            self.top = max((abs(p) + abs(q) * (isqrt(self.d) + 1) for p, q in pairs), default=0)
+
+    def bits(self) -> int:
+        return max(self.den, int(self.top * self.den)).bit_length()
+
+    def poly(self) -> Poly:
+        return _canonical(self.nvars, self.d, self.den, {
+            m: (int(p * self.den), int(q * self.den)) for m, (p, q) in self.coeffs.items()})
+
+
 class _Parser:
     def __init__(self, tokens, nvars: int):
         self.tokens = tokens
@@ -166,16 +205,16 @@ class _Parser:
         if self.current[0] in ("+", "-"):
             if self.advance()[0] == "-":
                 sign = -1
-        total = self.parse_term()
-        if sign < 0:
-            total = -total
+        first = self.parse_term()
+        total = _Sum(self.nvars)
+        total.add(-first if sign < 0 else first)
         while self.current[0] in ("+", "-"):
             op, _, pos = self.advance()
             term = self.parse_term()
-            total = total - term if op == "-" else total + term
-            self._bound(total.num_terms(), 0, pos)  # each summand's degree is bounded
-            self._check_bits(_bits(total), pos)
-        return total
+            total.add(-term if op == "-" else term)
+            self._bound(len(total.coeffs), 0, pos)  # each summand's degree is bounded
+            self._check_bits(total.bits(), pos)
+        return total.poly()
 
     def parse_term(self) -> Poly:
         product = self.parse_factor()

@@ -9,6 +9,9 @@ only what the commands run:
   central differences of the patch in 60-digit `decimal` arithmetic;
 - `variety_point`: given coordinates as a `geometry.VarietyPoint`, checked
   against the residual bounds without a Newton step;
+- `cluster_eigenvalues_reference`: `geometry.cluster_eigenvalues` on numpy
+  arrays, each cluster's mean by `np.mean`, the code its Python floats
+  replaced;
 - `gauss_map` and `normal_derivatives_fd`: the unit normal, and its
   derivatives by finite differences, a check of `geometry.shape_operator`;
 - `laplacian_in_basis`: the signature Laplacian in a pseudo-orthonormal basis,
@@ -42,7 +45,10 @@ only what the commands run:
   exponent tuples, the loop its packed monomials replaced;
 - `tokenize_reference`: `parser._tokenize` as a character loop, the code its
   token pattern replaced; on ASCII text the two agree token for token and
-  error for error.
+  error for error;
+- `parse_poly_reference`: `parser.parse_poly` with each sum rebuilt by
+  `Poly.__add__` and measured by `_bits` after every term, the loop its one
+  running dict replaced.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ import numpy as np
 from reference_scalars import QuadExtScalar as RefScalar
 from zmckit.families import SurfacePatch, pencil_coefficients
 from zmckit.geometry import (
+    CLUSTER_FLOOR,
+    CLUSTER_REL,
     RESIDUAL_BOUND,
     VarietyPoint,
     _point,
@@ -66,7 +74,7 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
-from zmckit.parser import ParseError, _integer
+from zmckit.parser import ParseError, _bits, _integer, _Parser, _tokenize, _TOK_EOF
 from zmckit.poly import Poly, _canonical, _over_lcm, grlex_key
 from zmckit.quadform import ClassifyResult
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
@@ -152,6 +160,24 @@ def variety_point(f: Poly, sig: AmbientSig, coords) -> VarietyPoint:
     p = _point(f, sig, np.asarray(coords, dtype=float))
     check_residuals(p, max(f.degree(), 0), RESIDUAL_BOUND)
     return p
+
+
+def cluster_eigenvalues_reference(values: np.ndarray) -> list[tuple[float, list[int]]]:
+    """Eigenvalues grouped by real part as `geometry.cluster_eigenvalues`
+    groups them, in numpy arithmetic."""
+    order = np.argsort(values.real)
+    spread = float(values.real.max() - values.real.min()) if len(values) else 0.0
+    tol = max(CLUSTER_REL * spread, CLUSTER_FLOOR)
+    groups: list[tuple[float, list[int]]] = []
+    current: list[int] = []
+    for idx in order:
+        if current and values.real[idx] - values.real[current[-1]] > tol:
+            groups.append((float(np.mean(values.real[current])), current))
+            current = []
+        current.append(int(idx))
+    if current:
+        groups.append((float(np.mean(values.real[current])), current))
+    return groups
 
 
 def gauss_map(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
@@ -615,3 +641,31 @@ def tokenize_reference(text: str) -> list[tuple[str, object, int]]:
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("eof", None, n))
     return tokens
+
+
+class _ReferenceParser(_Parser):
+    def parse_poly(self) -> Poly:
+        sign = 1
+        if self.current[0] in ("+", "-"):
+            if self.advance()[0] == "-":
+                sign = -1
+        total = self.parse_term()
+        if sign < 0:
+            total = -total
+        while self.current[0] in ("+", "-"):
+            op, _, pos = self.advance()
+            term = self.parse_term()
+            total = total - term if op == "-" else total + term
+            self._bound(total.num_terms(), 0, pos)
+            self._check_bits(_bits(total), pos)
+        return total
+
+
+def parse_poly_reference(text: str, nvars: int) -> Poly:
+    """`parser.parse_poly`, each sum rebuilt term by term with `Poly.__add__`."""
+    parser = _ReferenceParser(_tokenize(text), nvars)
+    result = parser.parse_poly()
+    kind, _, pos = parser.current
+    if kind != _TOK_EOF:
+        raise ParseError(f"unexpected trailing input {kind!r}", pos)
+    return result

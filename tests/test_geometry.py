@@ -1,12 +1,20 @@
 """Newton projection, frames, Gauss map, shape operator, and spectra."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import eval_exact, gauss_map, normal_derivatives_fd, variety_point
+from oracles import (
+    cluster_eigenvalues_reference,
+    eval_exact,
+    gauss_map,
+    normal_derivatives_fd,
+    variety_point,
+)
 from zmckit import eigen, geometry, zmc
 from zmckit.families import (
     ads,
@@ -15,6 +23,7 @@ from zmckit.families import (
     ds2,
     lawson,
     make_poly,
+    parse_family,
     sample_points,
     spectrum_oracle,
 )
@@ -318,20 +327,99 @@ def test_definite_metric_tags_equal_the_eigenvector_path(spec):
 
 
 def test_eigenvectors_are_computed_only_at_an_indefinite_metric(monkeypatch):
-    calls = []
-    indefinite = geometry._eigenvector_clusters
+    """No eigenvector is computed at a definite G.  At ds1:1,2 and ds2:4 (G
+    of index 1, one simple time-like cluster) one eig settles each point
+    whose spectrum is real; a point whose repeated cluster comes back as a
+    ~1e-17 complex pair takes the per-cluster SVD path instead."""
+    paths = []
+    lorentzian, per_cluster = geometry._lorentzian_clusters, geometry._eigenvector_clusters
 
-    def counted(*args):
-        calls.append(args)
-        return indefinite(*args)
+    def fast(shape, gram, values, groups):
+        result = lorentzian(shape, gram, values, groups)
+        paths.append(("eig" if result else "svd", values.dtype.kind))
+        return result
 
-    monkeypatch.setattr(geometry, "_eigenvector_clusters", counted)
-    for spec, want in [(ads(2, 3, 1), 0), (clifford(2, 3), 0), (ds1(1, 2), 3), (ds2(4), 3)]:
-        calls.clear()
+    def slow(*args):
+        assert paths and paths[-1][0] == "svd"
+        return per_cluster(*args)
+
+    monkeypatch.setattr(geometry, "_lorentzian_clusters", fast)
+    monkeypatch.setattr(geometry, "_eigenvector_clusters", slow)
+    for spec, indefinite in [(ads(2, 3, 1), False), (clifford(2, 3), False),
+                             (ds1(1, 2), True), (ds2(4), True)]:
+        paths.clear()
         f = make_poly(spec)
-        for coords in sample_points(spec, 3, seed=9):
+        for coords in sample_points(spec, 40, seed=9):
             geometry.curvature_spectrum(variety_point(f, spec.sig, coords), f, spec.sig)
-        assert len(calls) == want, spec.label
+        # Here 1 of ds1:1,2's points and 2 of ds2:4's come back complex; how
+        # many do depends on LAPACK's rounding, the path for each does not.
+        counts = Counter(paths)
+        assert set(counts) <= {("eig", "f"), ("svd", "c")}, spec.label
+        assert len(paths) == 40 * indefinite and counts[("eig", "f")] >= 36 * indefinite
+
+
+@lru_cache(maxsize=None)
+def _lorentzian_operators(label):
+    """f, its signature and (point, G, S) at 200 sampled points of a
+    Lorentzian family for each seed 0-3."""
+    spec = parse_family(label)
+    f = make_poly(spec)
+    out = []
+    for seed in range(4):
+        for coords in sample_points(spec, 200, seed=seed):
+            p = variety_point(f, spec.sig, coords)
+            gram, signature, shape = _frame_metric_shape(p, f, spec.sig)
+            assert signature == (1, spec.nvars - 3)
+            out.append((p, gram, shape))
+    return f, spec.sig, out
+
+
+LORENTZIAN = ["ds1:1,1", "ds1:2,3", "ds2:1", "ds2:4"]
+
+
+def _hex_clusters(clusters):
+    return [(c.value.hex(), c.multiplicity, c.causal) for c in clusters]
+
+
+@pytest.mark.parametrize("label", LORENTZIAN)
+def test_lorentzian_clusters_equal_the_eigenvector_path(label):
+    """Each point's clusters and flag, from one eig or from the SVD path,
+    are the SVD path's, value for value in hex."""
+    f, sig, points = _lorentzian_operators(label)
+    for p, gram, shape in points:
+        spectrum = geometry.curvature_spectrum(p, f, sig)
+        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        assert _hex_clusters(spectrum.clusters) == _hex_clusters(clusters)
+        assert spectrum.defective_flag is defective is False
+
+
+@pytest.mark.parametrize("label", LORENTZIAN)
+def test_eig_values_are_eigvals_bit_for_bit(label):
+    """`_lorentzian_clusters` pairs eig's columns with `eigen.eigvals`' values
+    only when the two arrays are equal; on these points they always are."""
+    for _, _, shape in _lorentzian_operators(label)[2]:
+        values = eigen.eigvals(shape)
+        assert np.linalg.eig(shape)[0].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_cluster_eigenvalues_equal_the_numpy_reference(size):
+    """Python-float means equal `np.mean` bit for bit on either side of its
+    switch from a plain loop to pairwise sums at 8 terms, signed zeros too."""
+    rng = np.random.default_rng(size)
+    for trial in range(300):
+        center = rng.normal() * 10.0 ** rng.integers(-3, 4)
+        cluster = center * (1.0 + 1e-9 * rng.normal(size=size))
+        if trial % 10 == 0:
+            cluster = np.full(size, -0.0 if trial % 20 else 0.0)
+        values = np.concatenate([cluster, rng.normal(size=3) * 50.0])
+        values = values[rng.permutation(len(values))]
+        if trial % 3 == 0:
+            values = values + 0j
+        got = geometry.cluster_eigenvalues(values)
+        want = cluster_eigenvalues_reference(values)
+        assert [(m.hex(), idx) for m, idx in got] == [(m.hex(), idx) for m, idx in want]
+        assert size in [len(idx) for _, idx in got]
 
 
 def test_negative_definite_metric_tags_time_like():
@@ -367,6 +455,20 @@ def test_eigenvector_path_on_hand_built_self_adjoint_operators():
         clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
         assert [(c.value, c.multiplicity, c.causal) for c in clusters] == want
         assert defective is want_defective
+
+
+@pytest.mark.parametrize("faint, want", [(0.5, "space-like"), (5e-9, "null")])
+def test_lorentzian_path_declines_a_direction_the_svd_path_calls_null(faint, want):
+    """G = diag(-1, 1, faint), S = diag(1, 2, 3): e3 lies in the time-like
+    e1's G-orthogonal complement, so it is space-like, but with vᵀGv below
+    CAUSAL_REL the SVD path tags it "null"; the eig path then returns None
+    rather than disagree, and otherwise gives the SVD path's answer."""
+    gram, shape = np.diag([-1.0, 1.0, faint]), np.diag([1.0, 2.0, 3.0])
+    values = eigen.eigvals(shape)
+    clusters, defective = geometry._eigenvector_clusters(shape, gram, values)
+    assert [c.causal for c in clusters] == ["time-like", "space-like", want]
+    fast = geometry._lorentzian_clusters(shape, gram, values, geometry.cluster_eigenvalues(values))
+    assert fast == ((clusters, defective) if want == "space-like" else None)
 
 
 def test_match_spectrum_allows_global_flip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import scalar_terms, tokenize_reference
+from oracles import parse_poly_reference, scalar_terms, tokenize_reference
 from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly
 from zmckit.parser import ParseError, _tokenize, parse_poly
 from zmckit.poly import Poly
@@ -191,3 +191,51 @@ _TOKEN_PIECES = list("0123456789x+-*/^() sqrt") + [
 @settings(max_examples=300)
 def test_tokenize_matches_the_character_loop(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_reference, text)
+
+
+def _parsed_or_error(parse, text, nvars):
+    """A parse's fields, term order included, or its error and position."""
+    try:
+        f = parse(text, nvars)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return f.nvars, f.d, f.den, list(f.ints.items())
+
+
+# A 4095-bit integer prime to 3 and 5: two of them fill the bit cap, three
+# or a denominator 3 or 5 beside them pass it.
+_WIDE = str(2**4095 - 1)
+SUM_TEXTS = [
+    ("x1 + x2 - x1 + x1", 2), ("x2 + (x1 - x2) + x2", 2), ("x1 - x1", 1),
+    ("sqrt(2) x1 - sqrt(2) x1 + sqrt(3) x2", 2), ("sqrt(2) x1 + sqrt(3) x2", 2),
+    ("1/2 x1 + 1/3 x2 - 1/2 x1 + 1/6 x2", 2), ("sqrt(5) x1 + 1/7 - sqrt(5) x1", 1),
+    (f"{_WIDE} x1 + {_WIDE} x1", 1), (f"{_WIDE} x1 + {_WIDE} x1 + {_WIDE} x1", 1),
+    (f"{_WIDE} x1 - {_WIDE} x1 + {_WIDE} x1", 1), (f"{_WIDE}/5 x1 + 1/3 x2", 2),
+    (f"1/3 x1 + x2 - 1/3 x1 + {_WIDE} x2", 2), (f"1/3 x1 + x2 + {_WIDE} x2", 2),
+    (" + ".join(f"x1^{e}" for e in range(1, 202)), 1),
+    (" + ".join(f"x1^{i} x2^{j}" for i in range(1, 46) for j in range(1, 46)), 2),
+    ("x1 +", 2), ("x1 + @", 2), ("(x1+x2+x3+x4)^17", 4),
+    ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("2 x1 x2 + x3^2 - x4^2 + 1/2 sqrt(2) x1^2", 4),
+]
+
+
+@pytest.mark.parametrize("text, nvars", SUM_TEXTS, ids=lambda value: str(value)[:40])
+def test_sums_equal_the_poly_add_reference(text, nvars):
+    """One running dict gives `Poly.__add__`'s sum term for term, in its
+    order, and every cap or surd error at the same position."""
+    assert _parsed_or_error(parse_poly, text, nvars) == _parsed_or_error(
+        parse_poly_reference, text, nvars)
+
+
+_SUMMANDS = st.sampled_from([
+    "x1", "x2", "2 x1", "1/3 x1 x2", "sqrt(2) x2", "sqrt(3) x1", "(x1 - x2)", "7",
+    "1/2 sqrt(2)", "(x1 + sqrt(2) x2)^2", "5/6 x2^2",
+])
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-*"), _SUMMANDS), min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_random_sums_equal_the_poly_add_reference(summands):
+    text = "".join(f" {op} {term}" for op, term in summands)
+    assert _parsed_or_error(parse_poly, text, 2) == _parsed_or_error(
+        parse_poly_reference, text, 2)
