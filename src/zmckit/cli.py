@@ -16,10 +16,13 @@ command takes one input, `--family` or (`verify`, `classify`) `--poly`; only
 `--poly` and exit 2 beside `--family`; `classify` reads `--poly` in
 signature (2,-1), the only one it classifies in, and has no `--sig`.
 
-The numeric gates are fixed: the residual bounds `geometry.RESIDUAL_BOUND`
-on projected points, Newton's stopping tolerance `geometry.NEWTON_TOL`, the
+The numeric gates are fixed: the residual bounds `families.RESIDUAL_BOUND`
+on projected points, Newton's stopping tolerance `families.NEWTON_TOL`, the
 mean-curvature gate `DEFAULT_MEAN_CURV_TOL` and the cluster match
-`geometry.SPECTRUM_RTOL` against the closed-form oracle.
+`families.SPECTRUM_RTOL` against the closed-form oracle.
+
+`verify` and `classify` are exact and load no numpy: `spectrum`, `sample`
+and `report` import the float layer (`geometry`, with numpy) when they run.
 
 Input sizes are capped: `--count` at MAX_COUNT, a family's size at
 `families.MAX_LAWSON_ORDER` and `families.MAX_QUADRIC_NVARS`, `--nvars` at
@@ -39,15 +42,13 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 
-import numpy as np
-
-from . import geometry
 from .families import (
-    MAX_QUADRIC_NVARS, FamilySpec, SurfacePatch, lawson_light_cone, make_poly, parse_family,
-    sample_points, spectrum_oracle
+    MAX_QUADRIC_NVARS, NEWTON_TOL, RESIDUAL_BOUND, SPECTRUM_RTOL, FamilySpec, ProjectionError,
+    SurfacePatch, lawson_light_cone, make_poly, parse_family, sample_points, spectrum_oracle
 )
 from .parser import parse_poly
 from .poly import Poly
@@ -63,12 +64,12 @@ EXIT_NUMERIC = 3
 # overflow is an ArithmeticError; LinAlgError and the residual and regularity
 # checks raise ValueErrors).  Raised after the input is validated, they fail
 # the run, not the mathematics.
-NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, geometry.ProjectionError)
+NUMERICAL_BREAKDOWN = (ValueError, ArithmeticError, ProjectionError)
 
 # The benchmark in perfbench/ reads the gates under these names.
-DEFAULT_TOL_SPECTRUM = geometry.SPECTRUM_RTOL
-DEFAULT_TOL_NEWTON = geometry.NEWTON_TOL
-DEFAULT_TOL_RESIDUAL = geometry.RESIDUAL_BOUND
+DEFAULT_TOL_SPECTRUM = SPECTRUM_RTOL
+DEFAULT_TOL_NEWTON = NEWTON_TOL
+DEFAULT_TOL_RESIDUAL = RESIDUAL_BOUND
 DEFAULT_MEAN_CURV_TOL = 1e-8
 
 # Cap on --count: `sample --family clifford:2,3 --count 10000` takes 3 s.
@@ -97,9 +98,10 @@ def _render_json(value, indent: int = 0) -> str:
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer and float scalar types with these ABCs.
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return format(float(value), ".17g")
     return json.dumps(value)
 
@@ -230,6 +232,8 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
 
 def _projected_points(f: Poly, spec: FamilySpec, seed: int, count: int):
     """Sampled points Newton-projected onto f = 0, within the residual bounds."""
+    from . import geometry  # the float layer, and numpy with it
+
     for coords in sample_points(spec, count, seed):
         point = geometry.newton_project(f, spec.sig, coords)
         geometry.check_residuals(point, spec.degree, DEFAULT_TOL_RESIDUAL)
@@ -240,6 +244,8 @@ def _spectrum_rows(f: Poly, spec: FamilySpec, seed: int, count: int):
     """Per-point geometry of one family member, gated as it is built: one row
     dict per sample and the first gate miss in point order (None when every
     point passes).  Families without an oracle gate mean curvature only."""
+    from . import geometry
+
     try:
         oracle = spectrum_oracle(spec)
     except ValueError:
@@ -324,10 +330,7 @@ def cmd_spectrum(args) -> int:
         "failure": failure,
         "points": rows,
     }
-    if args.format == "csv":
-        _write_output(_spectrum_csv(rows), args.out)
-    else:
-        _write_output(_render_json(doc), args.out)
+    _write_output(_spectrum_csv(rows) if args.format == "csv" else _render_json(doc), args.out)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return EXIT_FAIL

@@ -36,9 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from .isometry import linear_forms
 from .poly import Poly
@@ -80,6 +78,18 @@ HYPERBOLIC_ARG_LIMIT = 300.0
 # ads:49,49,0` (100 variables) 0.4-0.5 s.
 MAX_LAWSON_ORDER = 201  # k + n
 MAX_QUADRIC_NVARS = 100
+
+# The gates of the float pipeline (sample a family, project the points with
+# Newton in `geometry`, match their spectra against the oracle) and the error
+# its projection raises.  They live here so that `cli` reads them without
+# loading numpy.
+RESIDUAL_BOUND = 1e-10
+NEWTON_TOL = 1e-12
+SPECTRUM_RTOL = 1e-6
+
+
+class ProjectionError(RuntimeError):
+    """Newton projection failed (no convergence or rank-deficient Jacobian)."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ def _quadric(nvars: int, entries) -> Poly:
     """sum of c x_i x_j over the (i, j, c) entries, 1-based.
 
     The terms are stored in the order the entries are listed.  The float
-    evaluators (`Poly.eval_float` and the term tables of `zmc.derivatives`)
+    evaluators (`Poly.eval_float` and the term tables of `geometry.derivatives`)
     sum in storage order, so this order fixes every float that `spectrum` and
     `sample` print: keep it.
     """
@@ -267,7 +277,9 @@ class SurfacePatch:
         if self.k == self.n:
             raise ValueError("no patch available for k == n")
 
-    def __call__(self, s: float, t: float) -> np.ndarray:
+    def __call__(self, s: float, t: float):
+        import numpy as np
+
         k, n = self.k, self.n
         _check_hyperbolic_args(s, n * t, k * t)
         if k < n:
@@ -294,21 +306,21 @@ class SurfacePatch:
 # ---------------------------------------------------------------------------
 
 
-def _random_sign(rng: np.random.Generator) -> float:
+def _random_sign(rng) -> float:
     return 1.0 if rng.random() < 0.5 else -1.0
 
 
-def _unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_vector(dim: int, rng):
     v = rng.normal(size=dim)
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(v @ v)  # np.linalg.norm(v): the same dot product
     while norm < 1e-12:
         v = rng.normal(size=dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)
     return v / norm
 
 
-def _quadric_point(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
-    """One point of {f = 0} on the pseudo-sphere of a quadric family.
+def _quadric_blocks(spec: FamilySpec, rng) -> tuple:
+    """One point of {f = 0} on a quadric family's pseudo-sphere, in blocks.
 
     The free coordinates (ads: x1, x2, u; ds1: x1, x2, x3; ds2: x2, x3;
     clifford: none) are drawn strictly inside the bounds that keep every
@@ -330,7 +342,7 @@ def _quadric_point(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
         z2 = ((math.sqrt(m) * x2 + math.sqrt(n) * x1) ** 2 - n * (1 + u2)) / (m + n)
         y = math.sqrt(y2) * _unit_vector(m, rng)
         z = math.sqrt(z2) * _unit_vector(n, rng)
-        return np.concatenate(([x1, x2], y, z, u))
+        return [x1, x2], y, z, u
     if spec.kind == "ds1":
         m, n = spec.params
         x1 = float(rng.normal(0.0, 1.0))
@@ -343,7 +355,7 @@ def _quadric_point(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
         z2 = (n * (1 + x1 * x1) - (math.sqrt(m) * x2 - math.sqrt(n) * x3) ** 2) / (m + n)
         y = math.sqrt(y2) * _unit_vector(m, rng)
         z = math.sqrt(z2) * _unit_vector(n, rng)
-        return np.concatenate(([x1, x2, x3], y, z))
+        return [x1, x2, x3], y, z
     if spec.kind == "ds2":
         (m,) = spec.params
         # a = sqrt(m) x3 - x2 and b = sqrt(m) x2 + x3: |a| > 1 keeps x1^2
@@ -356,20 +368,22 @@ def _quadric_point(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
         y2 = (m - (math.sqrt(m) * x2 + x3) ** 2) / (m + 1)
         x1 = _random_sign(rng) * math.sqrt(x1sq)
         y = math.sqrt(y2) * _unit_vector(m, rng)
-        return np.concatenate(([x1, x2, x3], y))
+        return [x1, x2, x3], y
     p, q = spec.params
     y = math.sqrt(p / (p + q)) * _unit_vector(p + 1, rng)
     z = math.sqrt(q / (p + q)) * _unit_vector(q + 1, rng)
-    return np.concatenate((y, z))
+    return y, z
 
 
-def sample_points(spec: FamilySpec, count: int, seed: int) -> list[np.ndarray]:
-    """Deterministic batch of on-variety points for any family."""
+def sample_points(spec: FamilySpec, count: int, seed: int) -> list:
+    """Deterministic batch of on-variety points (float arrays) for any family."""
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
+    import numpy as np  # the exact commands never sample
+
     rng = np.random.default_rng(seed)
     if spec.kind != "lawson":
-        return [_quadric_point(spec, rng) for _ in range(count)]
+        return [np.concatenate(_quadric_blocks(spec, rng)) for _ in range(count)]
     # The variety has a singular curve at patch parameter s = 0 (all partials
     # of f carry powers of the vanishing factors), so keep |s| bounded away
     # from it.  |t| is capped so that cosh(max(k,n) t) stays moderate: far
@@ -393,8 +407,8 @@ def sample_points(spec: FamilySpec, count: int, seed: int) -> list[np.ndarray]:
 class SpectrumOracle:
     """Expected principal curvature multiset and `w` value at an on-variety point."""
 
-    spectrum: Callable[[np.ndarray], list[tuple[float, int]]]
-    expected_w: Callable[[np.ndarray], float]
+    spectrum: Callable[[Sequence[float]], list[tuple[float, int]]]
+    expected_w: Callable[[Sequence[float]], float]
 
 
 def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
@@ -411,7 +425,7 @@ def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
             k, w_sign = 1, 4.0
             flat_norm2 = lambda p: float(p[0]) ** 2
 
-        def spectrum(point: np.ndarray) -> list[tuple[float, int]]:
+        def spectrum(point: Sequence[float]) -> list[tuple[float, int]]:
             t = flat_norm2(point)
             vals = [(-math.sqrt(n / (m * (1 + t))), m),
                     (math.sqrt(m / (n * (1 + t))), n)]

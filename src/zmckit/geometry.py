@@ -9,7 +9,7 @@ Where G is definite every principal direction has G's causal type and the
 shape operator is diagonalisable, so the tags come from G alone; only where G
 is indefinite are eigenvectors computed (see `curvature_spectrum`).  Each
 polynomial's float terms are compiled once into term tables
-(`zmc.derivatives`): one for f with its gradient, one for the Hessian, so a
+(`derivatives`): one for f with its gradient, one for the Hessian, so a
 Newton step reads f and grad f from one evaluation and batch runs over many
 points reuse the tables.  The float w at a point comes from
 the float gradient there, w = <B g, g>, rather than from evaluating the
@@ -26,18 +26,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import eigen
+from .families import NEWTON_TOL, SPECTRUM_RTOL, ProjectionError
 from .poly import Poly
-from .zmc import AmbientSig, hessian_float, value_and_gradient
+from .zmc import AmbientSig, gradient
 
 # |w| below this scale-adjusted threshold marks a point as non-regular.
 REGULARITY_COEFF = 1e-8
-RESIDUAL_BOUND = 1e-10
-NEWTON_TOL = 1e-12
-SPECTRUM_RTOL = 1e-6
 NEWTON_MAX_ITER = 50
 CLUSTER_REL = 1e-6
 CLUSTER_FLOOR = 1e-9
@@ -46,10 +45,6 @@ DEFECTIVE_COND_LIMIT = 1e8
 # Relative size below which v^T G v (against |v|^2) counts as null, or a
 # vector's imaginary part (against its largest entry) as zero.
 CAUSAL_REL = 1e-8
-
-
-class ProjectionError(RuntimeError):
-    """Newton projection failed (no convergence or rank-deficient Jacobian)."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +86,92 @@ class CurvatureSpectrum:
 
     def cluster_pairs(self) -> list[tuple[float, int]]:
         return sorted((c.value, c.multiplicity) for c in self.clusters)
+
+
+# -- float derivatives ---------------------------------------------------------
+
+
+# Most polynomials whose derivative term tables stay cached; a float batch
+# works on one polynomial per family.
+DERIVATIVE_CACHE_SIZE = 64
+
+
+class TermTable(NamedTuple):
+    """The float terms of several polynomials, compiled for `_evaluate`.
+
+    Each factor indexes the vector [coeffs, x, x_j**e for (j, e) in powers]:
+    per term its coefficient, then its powers of x in variable order."""
+
+    coeffs: np.ndarray  # polynomial by polynomial, each in storage order
+    powers: tuple[tuple[int, int], ...]  # the (j, e), e >= 2, that terms read
+    factors: np.ndarray
+    starts: np.ndarray  # each term's first position in `factors`
+    slots: np.ndarray  # each term's polynomial
+    size: int
+
+
+def _compile(polys: Sequence[Poly]) -> TermTable:
+    """The term table of polynomials that share one nvars."""
+    terms = [(slot, c, m) for slot, p in enumerate(polys) for c, m in p._float_view()]
+    x_at = len(terms)
+    powers_at = x_at + polys[0].nvars
+    powers: dict[tuple[int, int], int] = {}
+    factors, starts = [], []
+    for t, (_, _, mono) in enumerate(terms):
+        starts.append(len(factors))
+        factors.append(t)
+        for j, e in enumerate(mono):
+            if e == 1:
+                factors.append(x_at + j)
+            elif e:
+                factors.append(powers_at + powers.setdefault((j, e), len(powers)))
+    coeffs = np.array([c for _, c, _ in terms], dtype=float)
+    slots = np.array([slot for slot, _, _ in terms], dtype=np.intp)
+    factors, starts = np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
+    return TermTable(coeffs, tuple(powers), factors, starts, slots, len(polys))
+
+
+def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
+    """Every polynomial of the table at a point, bit for bit as
+    `Poly.eval_float`: scalar x_j**e (numpy's array power may differ in the
+    last bit), each term multiplied left to right, each polynomial summed from
+    0.0 in storage order."""
+    powers = [point[j] ** e for j, e in table.powers]
+    values = np.concatenate((table.coeffs, point, powers))
+    products = np.multiply.reduceat(values[table.factors], table.starts)
+    sums = np.bincount(table.slots, weights=products, minlength=table.size)
+    return sums.astype(float, copy=False)  # ints when the table has no terms
+
+
+class Derivatives(NamedTuple):
+    first: TermTable  # f, then df/dx_1 .. df/dx_n
+    second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
+    upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
+
+
+@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
+def derivatives(f: Poly) -> Derivatives:
+    """Term tables of f with its gradient, and of its upper-triangular
+    Hessian with that triangle's index pair, cached per polynomial; the exact
+    derivatives are not kept."""
+    grad = gradient(f)
+    hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
+    return Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars))
+
+
+
+def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarray]:
+    """f and its gradient at a float point, from one table evaluation."""
+    out = _evaluate(derivatives(f).first, point)
+    return float(out[0]), out[1:]
+
+
+def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
+    """Second-derivative matrix of f evaluated at a float point."""
+    _, second, (rows, cols) = derivatives(f)
+    out = np.empty((f.nvars, f.nvars))
+    out[rows, cols] = out[cols, rows] = _evaluate(second, point)
+    return out
 
 
 # -- point construction -------------------------------------------------------
@@ -282,11 +363,11 @@ def _causal_type(vectors: np.ndarray, gram: np.ndarray) -> str:
 
 
 def _eigenvector_clusters(
-    shape: np.ndarray, gram: np.ndarray, values: np.ndarray
+    shape: np.ndarray, gram: np.ndarray, values: np.ndarray, groups: list
 ) -> tuple[list[Cluster], bool]:
-    """The clusters of S's eigenvalues `values`, tagged from their
-    eigenvectors, and whether S looks defective: `curvature_spectrum` at an
-    indefinite induced metric G.
+    """The clusters `groups` of S's eigenvalues `values` (`cluster_eigenvalues`),
+    tagged from their eigenvectors, and whether S looks defective:
+    `curvature_spectrum` at an indefinite induced metric G.
 
     The vectors are SVD null spaces of S - lambda I per cluster, not eig's:
     S = G^{-1} H is not symmetric, so a repeated eigenvalue can split into a
@@ -298,7 +379,7 @@ def _eigenvector_clusters(
     clusters = []
     vec_blocks = []
     defective = False
-    for rep, indices in cluster_eigenvalues(values):
+    for rep, indices in groups:
         mult = len(indices)
         center = complex(np.mean(values[indices]))
         shifted = shape.astype(complex) - center * np.eye(dim)
@@ -374,7 +455,7 @@ def curvature_spectrum(
         defective = False
     else:
         lorentzian = signature[0] == 1 and _lorentzian_clusters(shape, gram, values, groups)
-        clusters, defective = lorentzian or _eigenvector_clusters(shape, gram, values)
+        clusters, defective = lorentzian or _eigenvector_clusters(shape, gram, values, groups)
     return CurvatureSpectrum(
         clusters=tuple(clusters),
         metric_signature=signature,

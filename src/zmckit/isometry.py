@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .poly import Poly
 from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
 from .zmc import AmbientSig
@@ -85,8 +83,9 @@ def boost_exact(sig: AmbientSig, i: int, j: int, t: Fraction) -> ExactMatrix:
     return _plane_matrix(sig, i, j, t, rotation=False)
 
 
-def random_exact_isometry(sig: AmbientSig, rng: np.random.Generator, steps: int = 4) -> ExactMatrix:
-    """Random word in rational rotations and boosts preserving the metric."""
+def random_exact_isometry(sig: AmbientSig, rng, steps: int = 4) -> ExactMatrix:
+    """Random word in rational rotations and boosts preserving the metric;
+    `rng` is read through its `choice` and `integers` (a numpy Generator)."""
     n = sig.nvars
     out = identity_exact(n)
     for _ in range(steps):

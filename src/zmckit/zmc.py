@@ -16,10 +16,7 @@ lap(f) and g are sums of products on packed monomials (`poly._layout`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .poly import Poly, _canonical, _layout, _mul_into, _pack, _unpack, divide
 
@@ -73,74 +70,6 @@ def laplacian_sig(f: Poly, sig: AmbientSig) -> Poly:
 def w_poly(f: Poly, sig: AmbientSig) -> Poly:
     """Gradient norm-square in the signature metric: <B grad f, grad f>."""
     return _residual_parts(f, sig, None, residual=False)[0]
-
-
-# Most polynomials whose derivative term tables stay cached; a float batch
-# works on one polynomial per family.
-DERIVATIVE_CACHE_SIZE = 64
-
-
-class TermTable(NamedTuple):
-    """The float terms of several polynomials, compiled for `_evaluate`.
-
-    Each factor indexes the vector [coeffs, x, x_j**e for (j, e) in powers]:
-    per term its coefficient, then its powers of x in variable order."""
-
-    coeffs: np.ndarray  # polynomial by polynomial, each in storage order
-    powers: tuple[tuple[int, int], ...]  # the (j, e), e >= 2, that terms read
-    factors: np.ndarray
-    starts: np.ndarray  # each term's first position in `factors`
-    slots: np.ndarray  # each term's polynomial
-    size: int
-
-
-def _compile(polys: Sequence[Poly]) -> TermTable:
-    """The term table of polynomials that share one nvars."""
-    terms = [(slot, c, m) for slot, p in enumerate(polys) for c, m in p._float_view()]
-    x_at = len(terms)
-    powers_at = x_at + polys[0].nvars
-    powers: dict[tuple[int, int], int] = {}
-    factors, starts = [], []
-    for t, (_, _, mono) in enumerate(terms):
-        starts.append(len(factors))
-        factors.append(t)
-        for j, e in enumerate(mono):
-            if e == 1:
-                factors.append(x_at + j)
-            elif e:
-                factors.append(powers_at + powers.setdefault((j, e), len(powers)))
-    coeffs = np.array([c for _, c, _ in terms], dtype=float)
-    slots = np.array([slot for slot, _, _ in terms], dtype=np.intp)
-    factors, starts = np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
-    return TermTable(coeffs, tuple(powers), factors, starts, slots, len(polys))
-
-
-def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
-    """Every polynomial of the table at a point, bit for bit as
-    `Poly.eval_float`: scalar x_j**e (numpy's array power may differ in the
-    last bit), each term multiplied left to right, each polynomial summed from
-    0.0 in storage order."""
-    powers = [point[j] ** e for j, e in table.powers]
-    values = np.concatenate((table.coeffs, point, powers))
-    products = np.multiply.reduceat(values[table.factors], table.starts)
-    sums = np.bincount(table.slots, weights=products, minlength=table.size)
-    return sums.astype(float, copy=False)  # ints when the table has no terms
-
-
-class Derivatives(NamedTuple):
-    first: TermTable  # f, then df/dx_1 .. df/dx_n
-    second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
-    upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
-
-
-@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
-def derivatives(f: Poly) -> Derivatives:
-    """Term tables of f with its gradient, and of its upper-triangular
-    Hessian with that triangle's index pair, cached per polynomial; the exact
-    derivatives are not kept."""
-    grad = gradient(f)
-    hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
-    return Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars))
 
 
 def _diff_packed(p: Mapping[int, Sequence[int]], shift: int, mask: int) -> dict:
@@ -211,7 +140,7 @@ class ZmcReport:
     def to_dict(self, family: str | None, params, sig: AmbientSig, degree: int) -> dict:
         """JSON-ready report document; family and params are None for a
         polynomial given as text."""
-        doc = {
+        return {
             "family": family,
             "params": list(params) if params is not None else None,
             "s": sig.s,
@@ -223,7 +152,6 @@ class ZmcReport:
             "w": self.w.render(),
             "laplacian": self.laplacian.render(),
         }
-        return doc
 
 
 def conjecture_check(f: Poly, sig: AmbientSig, form: Form | None = None) -> ZmcReport:
@@ -247,17 +175,3 @@ def conjecture_check(f: Poly, sig: AmbientSig, form: Form | None = None) -> ZmcR
         w=w,
         laplacian=lap,
     )
-
-
-def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarray]:
-    """f and its gradient at a float point, from one table evaluation."""
-    out = _evaluate(derivatives(f).first, point)
-    return float(out[0]), out[1:]
-
-
-def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
-    """Second-derivative matrix of f evaluated at a float point."""
-    _, second, (rows, cols) = derivatives(f)
-    out = np.empty((f.nvars, f.nvars))
-    out[rows, cols] = out[cols, rows] = _evaluate(second, point)
-    return out

@@ -62,15 +62,15 @@ from operator import add, neg, sub
 import numpy as np
 
 from reference_scalars import QuadExtScalar as RefScalar
-from zmckit.families import SurfacePatch, pencil_coefficients
+from zmckit.families import RESIDUAL_BOUND, SurfacePatch, pencil_coefficients
 from zmckit.geometry import (
     CLUSTER_FLOOR,
     CLUSTER_REL,
-    RESIDUAL_BOUND,
     VarietyPoint,
     _point,
     _regular_grad,
     check_residuals,
+    hessian_float,
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
@@ -84,7 +84,6 @@ from zmckit.zmc import (
     _diagonal_form,
     conjecture_check,
     gradient,
-    hessian_float,
 )
 
 

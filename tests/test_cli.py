@@ -244,6 +244,30 @@ def test_float_rendering_17_digits(capsys):
     assert any(abs(c) > 1 for c in coords)
 
 
+_NESTED = {"coords": [np.float64(1.25), -0.0], "metric_signature": [np.intp(1), np.int64(2)],
+           "defective": False, "failure": None, "empty": {}, "none": []}
+
+
+@pytest.mark.parametrize("value,text", [
+    (np.int64(-7), "-7"),
+    (np.intp(3), "3"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.float64(-2.5e-300), "-2.5e-300"),
+    (2**70, "1180591620717411303424"),
+    (-12, "-12"),
+    (1 / 3, "0.33333333333333331"),
+    (1e22, "1e+22"),
+    (True, "true"),
+    (False, "false"),
+    (None, "null"),
+    ("x", '"x"'),
+    (_NESTED, '{\n  "coords": [\n    1.25,\n    -0\n  ],\n  "metric_signature": [\n    1,\n    2\n'
+              '  ],\n  "defective": false,\n  "failure": null,\n  "empty": {},\n  "none": []\n}'),
+], ids=repr)
+def test_render_json_on_the_scalars_the_float_commands_emit(value, text):
+    assert cli._render_json(value) == text
+
+
 def test_unknown_command_usage(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -739,6 +763,31 @@ def test_closed_stdout_is_usage_error(argv):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(zmckit.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_importing_zmckit_and_its_cli_loads_no_numpy():
+    proc = _python("import sys, zmckit, zmckit.cli; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "--family", "ads:2,3,1"), 0),
+    (("verify", "--poly", "x1^2 + 2 x2^2 - x3^2", "--nvars", "3", "--sig", "2,-1"), 1),
+    (("classify", "--family", "ads:2,3,1"), 0),
+    (("classify", "--poly", "2 x1 x2 + x3^2 - x4^2", "--nvars", "4"), 0),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_exact_commands_run_with_numpy_unimportable(argv, code):
+    run_main = "import sys; from zmckit.cli import main; sys.exit(main(sys.argv[1:]))"
+    normal = _python(run_main, *argv)
+    blocked = _python("import sys; sys.modules['numpy'] = None; " + run_main, *argv)
+    assert (normal.returncode, normal.stderr) == (code, "")
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (code, normal.stdout, "")
 
 
 def test_cone_quadric_actually_divides(capsys):

@@ -15,7 +15,7 @@ from oracles import (
     normal_derivatives_fd,
     variety_point,
 )
-from zmckit import eigen, geometry, zmc
+from zmckit import eigen, geometry
 from zmckit.families import (
     ads,
     clifford,
@@ -306,6 +306,12 @@ def _frame_metric_shape(p, f, sig):
     return gram, signature, geometry.shape_operator(p, f, frame, gram)
 
 
+def _per_cluster(shape, gram):
+    """`_eigenvector_clusters` on S's eigenvalues, clustered."""
+    values = eigen.eigvals(shape)
+    return geometry._eigenvector_clusters(shape, gram, values, geometry.cluster_eigenvalues(values))
+
+
 @pytest.mark.parametrize(
     "spec",
     [ads(1, 1, 1), ads(3, 3, 2), clifford(2, 3), lawson(2, 3), lawson(4, 5)],
@@ -320,7 +326,7 @@ def test_definite_metric_tags_equal_the_eigenvector_path(spec):
         gram, signature, shape = _frame_metric_shape(p, f, spec.sig)
         assert signature == (0, spec.nvars - 2)
         spectrum = geometry.curvature_spectrum(p, f, spec.sig)
-        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        clusters, defective = _per_cluster(shape, gram)
         assert spectrum.clusters == tuple(clusters)
         assert spectrum.defective_flag == defective
         assert {c.causal for c in clusters} == {"space-like"}
@@ -388,7 +394,7 @@ def test_lorentzian_clusters_equal_the_eigenvector_path(label):
     f, sig, points = _lorentzian_operators(label)
     for p, gram, shape in points:
         spectrum = geometry.curvature_spectrum(p, f, sig)
-        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        clusters, defective = _per_cluster(shape, gram)
         assert _hex_clusters(spectrum.clusters) == _hex_clusters(clusters)
         assert spectrum.defective_flag is defective is False
 
@@ -435,7 +441,7 @@ def test_negative_definite_metric_tags_time_like():
     assert spectrum.cluster_pairs() == [(-2.0, 1), (2.0, 1)]
     assert [c.causal for c in spectrum.clusters] == ["time-like", "time-like"]
     assert not spectrum.defective_flag
-    clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+    clusters, defective = _per_cluster(shape, gram)
     assert (tuple(clusters), defective) == (spectrum.clusters, False)
 
 
@@ -452,7 +458,7 @@ def test_eigenvector_path_on_hand_built_self_adjoint_operators():
     ]
     for gram, shape, want, want_defective in cases:
         assert np.array_equal(gram @ shape, (gram @ shape).T)
-        clusters, defective = geometry._eigenvector_clusters(shape, gram, eigen.eigvals(shape))
+        clusters, defective = _per_cluster(shape, gram)
         assert [(c.value, c.multiplicity, c.causal) for c in clusters] == want
         assert defective is want_defective
 
@@ -465,9 +471,10 @@ def test_lorentzian_path_declines_a_direction_the_svd_path_calls_null(faint, wan
     rather than disagree, and otherwise gives the SVD path's answer."""
     gram, shape = np.diag([-1.0, 1.0, faint]), np.diag([1.0, 2.0, 3.0])
     values = eigen.eigvals(shape)
-    clusters, defective = geometry._eigenvector_clusters(shape, gram, values)
+    groups = geometry.cluster_eigenvalues(values)
+    clusters, defective = geometry._eigenvector_clusters(shape, gram, values, groups)
     assert [c.causal for c in clusters] == ["time-like", "space-like", want]
-    fast = geometry._lorentzian_clusters(shape, gram, values, geometry.cluster_eigenvalues(values))
+    fast = geometry._lorentzian_clusters(shape, gram, values, groups)
     assert fast == ((clusters, defective) if want == "space-like" else None)
 
 
@@ -519,9 +526,9 @@ def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
     spec = lawson(2, 3)
     f = make_poly(spec)
     p = geometry.newton_project(f, spec.sig, sample_points(spec, 1, seed=7)[0])
-    assert np.array_equal(p.grad, zmc.value_and_gradient(f, p.coords)[1])
-    first = zmc.derivatives(f).first
-    evaluate = zmc._evaluate
+    assert np.array_equal(p.grad, geometry.value_and_gradient(f, p.coords)[1])
+    first = geometry.derivatives(f).first
+    evaluate = geometry._evaluate
 
     def no_gradient(*args):
         raise AssertionError("grad f evaluated again")
@@ -532,8 +539,7 @@ def test_frame_and_spectrum_reuse_the_projected_gradient(monkeypatch):
         return evaluate(table, point)
 
     monkeypatch.setattr(geometry, "value_and_gradient", no_gradient)
-    monkeypatch.setattr(zmc, "value_and_gradient", no_gradient)
-    monkeypatch.setattr(zmc, "_evaluate", only_second_order)
+    monkeypatch.setattr(geometry, "_evaluate", only_second_order)
     geometry.tangent_frame(p, spec.sig)
     geometry.curvature_spectrum(p, f, spec.sig)
 
