@@ -22,7 +22,8 @@ mean-curvature gate `DEFAULT_MEAN_CURV_TOL` and the cluster match
 `families.SPECTRUM_RTOL` against the closed-form oracle.
 
 `verify` and `classify` are exact and load no numpy: `spectrum`, `sample`
-and `report` import the float layer (`geometry`, with numpy) when they run.
+and `report` import the float layer (`geometry`, with numpy) when they run,
+and exit 2 with one line where numpy cannot be imported.
 
 Input sizes are capped: `--count` at MAX_COUNT, a family's size at
 `families.MAX_LAWSON_ORDER` and `families.MAX_QUADRIC_NVARS`, `--nvars` at
@@ -212,8 +213,9 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
     """Parse and check the families and --count of a sampling command.
 
     A missing --family, a family without a sampler (lawson:k,k), a count
-    outside 1..MAX_COUNT and a negative seed are config errors (exit 2),
-    raised before anything is sampled, not numerical breakdowns (3).
+    outside 1..MAX_COUNT, a negative seed and a numpy that cannot be
+    imported are config errors (exit 2), raised before anything is sampled,
+    not numerical breakdowns (3).
     """
     if not labels:
         raise ValueError(f"{args.command} requires --family")
@@ -227,6 +229,12 @@ def _sampled_families(args, labels: list[str]) -> list[FamilySpec]:
         raise ValueError(f"--count must be <= {MAX_COUNT}")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    try:
+        from . import geometry  # numpy loads with the float layer
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ValueError(f"{args.command} needs numpy, which cannot be imported") from exc
     return specs
 
 

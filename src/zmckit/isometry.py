@@ -9,16 +9,17 @@ the rotation and boost one-parameter groups come from the parametrizations
 so random words in these generators stay inside Q and compositions with
 polynomials remain exact.  `apply_to_poly` is the coordinate change f(M x)
 that `classify` sees through, `Poly.substitute` on the rows of `linear_forms`
-(one `Poly` per row); `matmul_exact` multiplies `QuadExtScalar` matrices, and
-the isometry check M^T B M == B is a test oracle (`tests/oracles.py`).
+(each built at once from its entries' integers); `matmul_exact` multiplies
+`QuadExtScalar` matrices, and the isometry check M^T B M == B is a test
+oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
-from .scalars import ONE, ZERO, QuadExtScalar, as_scalar
+from .poly import Poly, _over_lcm
+from .scalars import ONE, ZERO, QuadExtScalar, as_scalar, shared_surd
 from .zmc import AmbientSig
 
 ExactMatrix = list[list[QuadExtScalar]]
@@ -102,10 +103,16 @@ def random_exact_isometry(sig: AmbientSig, rng, steps: int = 4) -> ExactMatrix:
 
 
 def linear_forms(m) -> tuple[Poly, ...]:
-    """The forms x_i -> sum_j m[i][j] x_j of a square matrix, one Poly per row."""
+    """The forms x_i -> sum_j m[i][j] x_j of a square matrix, one Poly per
+    row, each built at once from its entries' integers (a, b, den, d)."""
     n = len(m)
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return tuple(Poly(n, dict(zip(units, row))) for row in m)
+    forms = []
+    for row in m:
+        row = [as_scalar(x) for x in row]
+        triples = {u: (x.a, x.b, x.den) for u, x in zip(units, row) if x.a or x.b}
+        forms.append(_over_lcm(n, shared_surd(x.d for x in row), triples))
+    return tuple(forms)
 
 
 def apply_to_poly(f: Poly, m: ExactMatrix) -> Poly:

@@ -12,7 +12,24 @@ Both B P^2 = A B A and B P^3 = A B A B A are symmetric, and g has f's degree,
 so f | g exactly when g = 16 lam f for a scalar lam, that is when
 P^3 - tr(P) P^2 = -lam P: on a family member lam = -1, on c times it -c^2.
 Isometries M of the metric (M^T B M = B) act by A -> M^T A M, which
-conjugates P, so tr(P), lam and the rank r of P are isometry invariants.
+conjugates P, so t = tr(P), lam and the rank r of P are isometry invariants.
+
+Half the identity.  With B = diag(b_i), B X symmetric means
+X_ji = b_i b_j X_ij.  That holds for X = P, P^2 and P^3, so also for
+R = P^3 - t P^2 and for R + lam P: R = -lam P holds once it holds on the
+triangle j >= i, and only that triangle of P^3 is built.  lam is read at the first nonzero P_ij in
+row-major order, which lies in the triangle: an entry left of the diagonal
+has a nonzero mirror P_ji = +-P_ij in an earlier row.
+
+Rank from traces.  If the identity holds with lam != 0, then
+P (P^2 - t P + lam I) = 0 and 0 is no root of the quadratic factor, so 0 is
+a simple root of P's minimal polynomial: ker P is P's whole generalised
+0-eigenspace, and r counts the nonzero eigenvalues e over C, with
+multiplicity.  Each satisfies e^2 = t e - lam, so tr(P^2) = t tr(P) - lam r:
+
+    r = (t^2 - tr(P^2)) / lam.
+
+Only lam = 0 needs an elimination (`exact_rank`, Bareiss).
 
 An ads(m, n, k) member's pencil is block diagonal, with characteristic
 polynomial (its "fingerprint"; `char_poly_exact`, by Faddeev-LeVerrier)
@@ -27,8 +44,21 @@ exactly when lam = -1 and tr(P) = -mu(m, n) with m + n = r - 2:
     identity's cubic, so lam = tr(P) y - y^2 = y z = -1; then P is
     diagonalisable as above, so r = m + n + 2.
 mu(m, n) = (m - n) / sqrt(mn) grows with m at fixed m + n, so at most one
-member matches.  All of it is exact and runs on one integer pencil
-(rows, den, d): P = rows / den, each entry of rows the integer pair (a, b) of
+member matches.
+
+Scale.  Under f -> c f, (t, lam, tr(P^2)) -> (c t, c^2 lam, c^2 tr(P^2)), so
+r does not move.  For lam < 0, P / sqrt(-lam) has lam = -1 and trace
+t / sqrt(-lam), so it has ads(m, n, k)'s fingerprint exactly when
+t^2 = -lam (m - n)^2 / (m n) and sign(t) = sign(n - m), with t = 0 when
+m = n: no square root is taken.  -P has the spectrum of ads(n, m, k)'s
+pencil, so c times a member matches (m, n, k) for c > 0 and (n, m, k) for
+c < 0.  Conversely, for lam < 0 the nonzero roots y > 0 > z have
+y z = lam, and their multiplicities a, b satisfy a y + b z = t = y + z, so
+(a - 1) y + (b - 1) z = 0: once r >= 3, a and b are at least 2 and the scan
+finds m = a - 1, n = b - 1.  "inconclusive" therefore means lam >= 0.
+
+All of it is exact and runs on one integer pencil (rows, den, d):
+P = rows / den, each entry of rows the integer pair (a, b) of
 a + b sqrt(d), read straight from f's integer form.
 """
 
@@ -38,7 +68,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .families import pencil_coefficients
 from .poly import Poly
 from .scalars import ONE, QuadExtScalar, _normal
 from .zmc import AmbientSig, _check_dims
@@ -60,13 +89,15 @@ def _pencil(f: Poly, sig: AmbientSig) -> Pencil:
     return rows, 2 * f.den // g, f.d
 
 
-def _times(supports: list[list[tuple[int, int, int]]], q: list, d: int) -> list[list[tuple]]:
-    """P Q in Z[sqrt(d)], P given by each row's nonzero entries (l, a, b)."""
+def _times(supports: list[list[tuple[int, int, int]]], q: list, d: int,
+           upper: bool = False) -> list[list[tuple]]:
+    """P Q in Z[sqrt(d)], P given by each row's nonzero entries (l, a, b);
+    with `upper`, row i holds only the columns j >= i."""
     cols = list(zip(*q))
     prod = []
-    for support in supports:
+    for i, support in enumerate(supports):
         out = []
-        for col in cols:
+        for col in cols[i:] if upper else cols:
             sa = sb = 0
             for l, a, b in support:
                 ya, yb = col[l]
@@ -82,12 +113,12 @@ def _supports(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int, in
     return [[(l, a, b) for l, (a, b) in enumerate(row) if a or b] for row in rows]
 
 
-def _residual_divides(pencil: Pencil) -> tuple[QuadExtScalar, QuadExtScalar] | None:
-    """(tr(P), lam) if f divides its ZMC residual, else None: R = P^3 -
-    tr(P) P^2 must be -lam P (see the module docstring), checked by
-    cross-multiplication, R_kl P_ij = R_ij P_kl at the first nonzero P_ij.
-    R scales as den^3, so the integer rows stand for P, and lam is
-    -R_ij / (den^2 P_ij) in their terms."""
+def _residual_divides(pencil: Pencil) -> tuple[QuadExtScalar, QuadExtScalar, QuadExtScalar] | None:
+    """(tr(P), lam, tr(P^2)) if f divides its ZMC residual, else None: R =
+    P^3 - tr(P) P^2 must be -lam P (see the module docstring), checked by
+    cross-multiplication, R_kl P_ij = R_ij P_kl at the first nonzero P_ij,
+    on the triangle l >= k only.  R scales as den^3, so the integer rows
+    stand for P, and lam is -R_ij / (den^2 P_ij) in their terms."""
     rows, den, d = pencil
 
     def mul(x, y):
@@ -95,15 +126,20 @@ def _residual_divides(pencil: Pencil) -> tuple[QuadExtScalar, QuadExtScalar] | N
 
     supports = _supports(rows)
     square = _times(supports, rows, d)
-    cube = _times(supports, square, d)
+    cube = _times(supports, square, d, upper=True)
     ta, tb = map(sum, zip(*(row[i] for i, row in enumerate(rows))))
-    r = [[(ca - ta * sa - d * tb * sb, cb - ta * sb - tb * sa)
-          for (ca, cb), (sa, sb) in zip(c_row, s_row)] for c_row, s_row in zip(cube, square)]
-    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x != (0, 0))
-    if not all(mul(x, rows[i][j]) == mul(r[i][j], y)
-               for r_row, p_row in zip(r, rows) for x, y in zip(r_row, p_row)):
+    sa, sb = map(sum, zip(*(row[i] for i, row in enumerate(square))))
+    # Row k of r and of upper holds the columns l >= k.
+    r = [[(ca - ta * qa - d * tb * qb, cb - ta * qb - tb * qa)
+          for (ca, cb), (qa, qb) in zip(c_row, s_row[k:])]
+         for k, (c_row, s_row) in enumerate(zip(cube, square))]
+    upper = [row[k:] for k, row in enumerate(rows)]
+    i, j = next((i, j) for i, row in enumerate(upper) for j, x in enumerate(row) if x != (0, 0))
+    if not all(mul(x, upper[i][j]) == mul(r[i][j], y)
+               for r_row, p_row in zip(r, upper) for x, y in zip(r_row, p_row)):
         return None
-    return _normal(ta, tb, den, d), -_normal(*r[i][j], den * den, d) / _normal(*rows[i][j], 1, d)
+    lam = -_normal(*r[i][j], den * den, d) / _normal(*upper[i][j], 1, d)
+    return _normal(ta, tb, den, d), lam, _normal(sa, sb, den * den, d)
 
 
 def exact_rank(pencil: Pencil) -> int:
@@ -175,16 +211,31 @@ class ClassifyResult:
     detail: str
 
 
+def _sign(x: QuadExtScalar) -> int:
+    """The exact sign of (a + b sqrt(d)) / den: den > 0, and where a and b
+    have opposite signs the larger of a^2 and b^2 d decides."""
+    a, b = x.a, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * x.d else sb
+
+
 def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
-    """Try to identify a quadric in sig (2,-1) as an ads family member.
+    """Try to identify a quadric in sig (2,-1) as an ads family member, up to
+    a nonzero real scale.
 
     Requires the ZMC residual to divide exactly and the form to be
-    irreducible (rank r >= 3); then, if lam = -1, scans m for
-    tr(P) = -mu(m, r - 2 - m), which is exact fingerprint equality with
-    ads(m, r - 2 - m, nvars - r) (see the module docstring).  "matches"
-    means the pencil's invariants (tr P, lam, rank) equal a member's: an
-    isometry image of it needs that, but a quadric can match and not be one;
-    "inconclusive" means no fingerprint agreed.
+    irreducible (rank r >= 3), with r = (t^2 - tr(P^2)) / lam read from the
+    traces when lam != 0 and by elimination only when lam = 0; then, if
+    lam < 0, scans m for t^2 = -lam (m - n)^2 / (m n) with n = r - 2 - m
+    and sign(t) = sign(n - m), which is exact fingerprint equality of
+    P / sqrt(-lam) with ads(m, n, nvars - r) (see the module docstring), so
+    c times a member matches (m, n, k) for c > 0 and (n, m, k) for c < 0.
+    "matches" means the pencil's invariants (tr P, lam, rank) equal a
+    member's up to that scale: an isometry image of it needs that, but a
+    quadric can match and not be one; "inconclusive" means no fingerprint
+    agreed.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")
@@ -195,14 +246,23 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     invariants = _residual_divides(pencil)
     if invariants is None:
         return ClassifyResult("not in family", None, "ZMC residual is not a multiple of f")
-    rank = exact_rank(pencil)
+    trace, lam, square_trace = invariants
+    trace_squared = trace * trace
+    if lam:
+        rank = (trace_squared - square_trace) / lam
+        if rank.b or rank.den != 1:
+            raise ArithmeticError(f"trace rank {rank} is not an integer")
+        rank = rank.a
+    else:
+        rank = exact_rank(pencil)
     if rank < 3:
         return ClassifyResult("not in family", None, "quadratic form is reducible (rank <= 2)")
-    trace, lam = invariants
-    if lam == -ONE:
+    if _sign(lam) < 0 and not (q := trace_squared / -lam).b:
+        # q = t^2 / -lam, which is (m - n)^2 / (m n) on a member's multiple.
         for m in range(1, rank - 2):
-            if trace == -pencil_coefficients(m, rank - 2 - m)[0]:
-                return ClassifyResult("matches", (m, rank - 2 - m, sig.nvars - rank),
+            n = rank - 2 - m
+            if q.a * m * n == q.den * (m - n) ** 2 and _sign(trace) == (n > m) - (n < m):
+                return ClassifyResult("matches", (m, n, sig.nvars - rank),
                                       "exact pencil fingerprint equality")
     return ClassifyResult("inconclusive", None, "residual divides and the form is irreducible, "
                           "but no family fingerprint matches")

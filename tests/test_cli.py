@@ -790,6 +790,19 @@ def test_exact_commands_run_with_numpy_unimportable(argv, code):
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (code, normal.stdout, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "ds2:4", "--count", "2"),
+    ("sample", "--family", "ds2:4", "--count", "2"),
+    ("report", "--family", "ads:1,1,0", "--count", "2"),
+], ids=lambda value: " ".join(value))
+def test_float_commands_exit_2_with_numpy_unimportable(argv):
+    run_main = "import sys; from zmckit.cli import main; sys.exit(main(sys.argv[1:]))"
+    blocked = _python("import sys; sys.modules['numpy'] = None; " + run_main, *argv)
+    assert (blocked.returncode, blocked.stdout) == (2, "")
+    want = f"error: {argv[0]} needs numpy, which cannot be imported"
+    assert blocked.stderr.splitlines() == [want]
+
+
 def test_cone_quadric_actually_divides(capsys):
     # The residual of x1^2 + x2^2 - x3^2 in index 2 is exactly 32 f, so
     # verify exits 0 even though the variety misses the pseudo-sphere.

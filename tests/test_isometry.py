@@ -106,6 +106,25 @@ def test_linear_forms_equal_the_rows_built_term_by_term():
         linear_forms(mixed)
 
 
+def test_linear_forms_equal_the_constructor_on_random_isometries():
+    """As above on seeded isometries in 3-8 variables, as drawn and with
+    each row scaled by 1 + sqrt(d), by a rational or left as it is."""
+    rng = np.random.default_rng(23)
+    for nvars in range(3, 9):
+        sig = AmbientSig(int(rng.integers(0, nvars)), -1, nvars)
+        units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        for d in (1, 2, 5):
+            m = random_exact_isometry(sig, rng, steps=6)
+            scales = [QuadExtScalar(1, 1, d), QuadExtScalar(Fraction(-3, 7)), QuadExtScalar(1)]
+            surd_rows = [[scales[i % 3] * x for x in row] for i, row in enumerate(m)]
+            for matrix in (m, surd_rows):
+                forms = linear_forms(matrix)
+                before = [Poly(nvars, dict(zip(units, row))) for row in matrix]
+                assert list(forms) == before, (nvars, d)
+                assert [list(p.ints.items()) for p in forms] == [
+                    list(p.ints.items()) for p in before], (nvars, d)
+
+
 def test_float_view_is_orthonormal_numerically():
     sig = AmbientSig(2, -1, 6)
     rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Quadric pencils, the ZMC divisibility identity, exact rank, pencil
 fingerprints, classification."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -31,8 +32,11 @@ from zmckit.isometry import (
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.quadform import (
+    ClassifyResult,
     _pencil,
     _residual_divides,
+    _sign,
+    _times,
     char_poly_exact,
     classify_candidate,
     exact_rank,
@@ -207,10 +211,13 @@ def test_classify_rejects_reducible():
     assert result.detail == "quadratic form is reducible (rank <= 2)"
 
 
-def test_classify_scalar_multiple_is_inconclusive():
-    f = make_poly(ads(1, 2, 0)).scale(3)
-    result = classify_candidate(f, ads(1, 2, 0).sig)
-    assert result.verdict == "inconclusive"
+def test_classify_scalar_multiple_matches_the_member():
+    """c f cuts out the same quadric as f: 3 ads:1,2,0 matches (1, 2, 0),
+    and -3 times it (2, 1, 0)."""
+    spec = ads(1, 2, 0)
+    for c, params in ((3, (1, 2, 0)), (-3, (2, 1, 0))):
+        result = classify_candidate(make_poly(spec).scale(c), spec.sig)
+        assert (result.verdict, result.params) == ("matches", params), c
 
 
 # A ZMC quadric whose pencil has the invariants of ads:1,2,1 (ROADMAP, "Known
@@ -421,6 +428,7 @@ def _quadrics(draw):
                    Poly(nvars))
 
     kind = draw(st.sampled_from(["member", "image", "scaled", "random", "rank 1", "rank 2"]))
+    scale = 1
     if kind in ("member", "image", "scaled"):
         m = draw(st.integers(1, nvars - 3))
         n = draw(st.integers(1, nvars - 2 - m))
@@ -428,8 +436,7 @@ def _quadrics(draw):
         if kind != "member" and draw(st.booleans()):
             f = apply_to_poly(f, random_exact_isometry(sig, rng, steps=3))
         if kind == "scaled":
-            surd_scale = QuadExtScalar(1, 1, f.d if f.d != 1 else 2)
-            f = f.scale(draw(st.sampled_from([*_SCALES, surd_scale])))
+            scale = draw(st.sampled_from([*_SCALES, QuadExtScalar(1, 1, f.d if f.d != 1 else 2)]))
     elif kind == "random":
         monos = [tuple(int(v in (i, j)) + int(i == j == v) for v in range(nvars))
                  for i in range(nvars) for j in range(i, nvars)]
@@ -441,7 +448,13 @@ def _quadrics(draw):
     else:
         f = apply_to_poly(parse_poly("x1 x2", nvars), random_exact_isometry(sig, rng, steps=3))
     assume(not f.is_zero() and f.degree() == 2)
-    return f, sig
+    return f.scale(scale), sig, f, scale
+
+
+def _swapped(result: ClassifyResult) -> ClassifyResult:
+    """The result for -f, given f's: m and n trade places."""
+    m, n, k = result.params
+    return dataclasses.replace(result, params=(n, m, k))
 
 
 @given(_quadrics())
@@ -450,10 +463,14 @@ def test_divisibility_identity_matches_polynomial_certificate(case):
     """P^3 - tr(P) P^2 = -lam P decides f | g exactly as dividing the
     residual polynomial does, and classify_candidate equals
     `classify_reference` (polynomial certificate, QuadExtScalar rank and
-    fingerprint)."""
-    f, sig = case
+    fingerprint) of the unscaled quadric, with m and n swapped where the
+    scale is negative."""
+    f, sig, unscaled, scale = case
     assert (_residual_divides(_pencil(f, sig)) is not None) == conjecture_check(f, sig).divides
-    assert classify_candidate(f, sig) == classify_reference(f, sig)
+    want = classify_reference(unscaled, sig)
+    if want.params and scale == -3:  # the one negative scale
+        want = _swapped(want)
+    assert classify_candidate(f, sig) == want
 
 
 def test_quadric_cases_reach_every_verdict():
@@ -463,15 +480,20 @@ def test_quadric_cases_reach_every_verdict():
     member = make_poly(ads(2, 1, 1))
     image = apply_to_poly(member, random_exact_isometry(sig, np.random.default_rng(4), steps=3))
     null_square = parse_poly("(x1 + x3)^2", 6)
+    balanced = make_poly(ads(2, 2, 0))
     cases = {
         "member": (member, "matches"),
         "image": (image, "matches"),
-        "huge multiple": (image.scale(2**4095 - 1), "inconclusive"),
-        "seventh": (member.scale(Fraction(1, 7)), "inconclusive"),
+        "huge multiple": (image.scale(2**4095 - 1), "matches"),
+        "seventh": (member.scale(Fraction(1, 7)), "matches"),
         # Every entry of P, the pivot included, has a surd part; lam = -(3 + 2 sqrt(2)).
-        "surd multiple": (member.scale(QuadExtScalar(1, 1, 2)), "inconclusive"),
-        # tr(P) = 0 = -mu(2, 2), as on ads:2,2,0 itself, but lam = -9.
-        "balanced multiple": (make_poly(ads(2, 2, 0)).scale(3), "inconclusive"),
+        "surd multiple": (member.scale(QuadExtScalar(1, 1, 2)), "matches"),
+        # tr(P) = 0 = -mu(2, 2), as on ads:2,2,0 itself, and lam = -9.
+        "balanced multiple": (balanced.scale(3), "matches"),
+        # The residual is 32 f: lam = 2 > 0, so no member's multiple.
+        "cone": (parse_poly("x1^2 + x2^2 - x3^2", 6), "inconclusive"),
+        # Two orthogonal null squares and x5^2: residual 0, so lam = 0, at rank 3.
+        "null squares": (parse_poly("x5^2 + (x1 + x3)^2 + (x2 + x4)^2", 6), "inconclusive"),
         "surd square": (parse_poly("(x1 + sqrt(2) x4 - x6)^2", 6), "not in family"),
         "null square": (null_square, "not in family"),
         "rank 2": (parse_poly("x1 x2", 6), "not in family"),
@@ -479,9 +501,12 @@ def test_quadric_cases_reach_every_verdict():
         # P's first row is zero, and so is R's: only a nonzero P_ij decides.
         "no division, x1 absent": (parse_poly("x2^2 + x3^2 + 2 x4^2", 6), "not in family"),
     }
+    # A multiple is compared with the reference of the quadric it multiplies.
+    unscaled = {"huge multiple": image, "seventh": member, "surd multiple": member,
+                "balanced multiple": balanced}
     for name, (f, verdict) in cases.items():
         assert classify_candidate(f, sig).verdict == verdict, name
-        assert classify_candidate(f, sig) == classify_reference(f, sig), name
+        assert classify_candidate(f, sig) == classify_reference(unscaled.get(name, f), sig), name
         divides = _residual_divides(_pencil(f, sig)) is not None
         assert divides == conjecture_check(f, sig).divides, name
     assert zmc_residual(null_square, sig).is_zero()
@@ -496,7 +521,7 @@ def test_member_multiples_have_lambda_minus_c_squared():
     for c in [*_SCALES, QuadExtScalar(1, 1, 6)]:
         f = make_poly(spec).scale(c)
         assert zmc_residual(f, spec.sig) == f.scale(-16 * as_scalar(c) ** 2)
-        _, lam = _residual_divides(_pencil(f, spec.sig))
+        _, lam, _ = _residual_divides(_pencil(f, spec.sig))
         assert lam == -as_scalar(c) ** 2, c
 
 
@@ -511,7 +536,7 @@ def test_member_invariants_are_lambda_minus_one_and_trace_minus_mu():
     tr(P) = -mu(m, n), the two scalars classify_candidate reads."""
     for m, n, k in _members(8):
         spec = ads(m, n, k)
-        trace, lam = _residual_divides(_pencil(make_poly(spec), spec.sig))
+        trace, lam, _ = _residual_divides(_pencil(make_poly(spec), spec.sig))
         assert lam == -ONE, (m, n, k)
         assert trace == -pencil_coefficients(m, n)[0], (m, n, k)
 
@@ -527,3 +552,143 @@ def test_negation_swaps_m_and_n():
         for g in (f, image):
             result = classify_candidate(g.scale(-1), spec.sig)
             assert (result.verdict, result.params) == ("matches", (n, m, k)), (m, n, k)
+
+
+def _trace_rank(pencil) -> QuadExtScalar:
+    """(t^2 - tr(P^2)) / lam from the invariants `_residual_divides` returns."""
+    trace, lam, square_trace = _residual_divides(pencil)
+    return (trace * trace - square_trace) / lam
+
+
+_NON_MEMBERS = ("x1 x2", "x3^2 - x4^2", "x3^2 + x4^2", "x1 x3 + x2 x4")
+
+
+def test_trace_rank_equals_exact_rank():
+    """r = (t^2 - tr(P^2)) / lam equals the Bareiss rank on every ads member
+    with m + n + k <= 6, on c times it and on a seeded isometry image of it,
+    and on quadrics outside the family whose identity holds with lam != 0,
+    in 4 to 7 variables."""
+    rng = np.random.default_rng(13)
+    for m, n, k in _members(6):
+        spec = ads(m, n, k)
+        f = make_poly(spec)
+        image = apply_to_poly(f, random_exact_isometry(spec.sig, rng, steps=3))
+        surd = QuadExtScalar(1, 1, f.d if f.d != 1 else 2)
+        for g in (f, image, *(f.scale(c) for c in (*_SCALES, surd))):
+            pencil = _pencil(g, spec.sig)
+            assert _trace_rank(pencil) == exact_rank(pencil) == m + n + 2, (m, n, k)
+    for nvars in range(4, 8):
+        sig = AmbientSig(2, -1, nvars)
+        for text in _NON_MEMBERS:
+            f = parse_poly(text, nvars)
+            for g in (f, apply_to_poly(f, random_exact_isometry(sig, rng, steps=3))):
+                pencil = _pencil(g, sig)
+                assert _trace_rank(pencil) == exact_rank(pencil), (text, nvars)
+
+
+@given(_quadrics())
+@settings(max_examples=60, deadline=None)
+def test_trace_rank_equals_exact_rank_wherever_lam_is_nonzero(case):
+    f, sig, _, _ = case
+    pencil = _pencil(f, sig)
+    invariants = _residual_divides(pencil)
+    assume(invariants is not None and invariants[1])
+    assert _trace_rank(pencil) == exact_rank(pencil)
+
+
+def test_only_lam_zero_takes_the_elimination(monkeypatch):
+    """x1^2, x3^2 and x5^2 + (x1 + x3)^2 + (x2 + x4)^2 have P^3 = tr(P) P^2,
+    lam = 0: their rank comes from `exact_rank`, and no other quadric here
+    calls it."""
+    import zmckit.quadform as quadform
+
+    sig = AmbientSig(2, -1, 6)
+    calls = []
+    monkeypatch.setattr(quadform, "exact_rank", lambda p: calls.append(p) or exact_rank(p))
+    for text, detail in (("x1^2", "quadratic form is reducible (rank <= 2)"),
+                         ("x3^2", "quadratic form is reducible (rank <= 2)"),
+                         ("x5^2 + (x1 + x3)^2 + (x2 + x4)^2", "residual divides and the form "
+                          "is irreducible, but no family fingerprint matches")):
+        f = parse_poly(text, 6)
+        assert _residual_divides(_pencil(f, sig))[1] == ZERO, text
+        assert classify_candidate(f, sig).detail == detail, text
+    assert len(calls) == 3
+    for text in (*_NON_MEMBERS, "2 x1 x2 + x3^2 - x4^2"):
+        classify_candidate(parse_poly(text, 6), sig)
+    assert len(calls) == 3
+
+
+def test_classify_does_not_depend_on_scale():
+    """classify(c f) == classify(f) on every ads member with m, n, k <= 5 and
+    on a seeded isometry image of each, for c in {2, 1/7, 2^4095 - 1,
+    1 + sqrt(d)} (d the member's surd, 2 for a rational member); c = -3
+    gives (n, m, k)."""
+    rng = np.random.default_rng(21)
+    for m, n, k in itertools.product(range(1, 6), range(1, 6), range(6)):
+        spec = ads(m, n, k)
+        f = make_poly(spec)
+        image = apply_to_poly(f, random_exact_isometry(spec.sig, rng, steps=3))
+        for g in (f, image):
+            want = classify_candidate(g, spec.sig)
+            assert (want.verdict, want.params) == ("matches", (m, n, k))
+            for c in (2, Fraction(1, 7), 2**4095 - 1, QuadExtScalar(1, 1, f.d if f.d != 1 else 2)):
+                assert classify_candidate(g.scale(c), spec.sig) == want, (m, n, k, c)
+            assert classify_candidate(g.scale(-3), spec.sig) == _swapped(want), (m, n, k)
+
+
+def test_one_wrong_upper_entry_of_the_identity_is_rejected(monkeypatch):
+    """P^3 is built on the triangle j >= i only, and the identity reads every
+    entry of it: adding 1 to any one entry of P^3 there (so to R) makes a
+    member, and an isometry image of it, fail the test."""
+    import zmckit.quadform as quadform
+
+    spec = ads(1, 2, 1)
+    f = make_poly(spec)
+    image = apply_to_poly(f, random_exact_isometry(spec.sig, np.random.default_rng(2), steps=4))
+    n = spec.nvars
+    for g in (f, image):
+        pencil = _pencil(g, spec.sig)
+        assert _residual_divides(pencil) is not None
+        for i in range(n):
+            for j in range(i, n):
+                def times(supports, q, d, upper=False, at=(i, j - i)):
+                    prod = _times(supports, q, d, upper)
+                    if upper:
+                        a, b = prod[at[0]][at[1]]
+                        prod[at[0]][at[1]] = (a + 1, b)
+                    return prod
+
+                monkeypatch.setattr(quadform, "_times", times)
+                assert _residual_divides(pencil) is None, (i, j)
+                monkeypatch.undo()
+
+
+def test_a_trace_rank_off_the_integers_raises(monkeypatch):
+    """The trace rank is an integer whenever the identity holds; a value off
+    the integers would be a fault in the invariants, so it raises."""
+    import zmckit.quadform as quadform
+
+    monkeypatch.setattr(quadform, "_residual_divides",
+                        lambda pencil: (ONE, QuadExtScalar(2), QuadExtScalar(-4)))
+    with pytest.raises(ArithmeticError, match="trace rank 5/2 is not an integer"):
+        classify_candidate(make_poly(ads(1, 1, 0)), SIG4)
+
+
+def test_sign_is_exact_in_the_quadratic_field():
+    """_sign(a + b sqrt(d)) on values whose parts cancel to 1e-300 and less,
+    against integer comparison; and against float on small random values."""
+    assert _sign(QuadExtScalar(3, -2, 2)) == 1  # 3 - 2 sqrt(2) = 0.17
+    assert _sign(QuadExtScalar(-3, 2, 2)) == -1
+    assert _sign(QuadExtScalar(1, -1, 2)) == -1
+    assert _sign(ZERO) == 0 and _sign(QuadExtScalar(0, -1, 5)) == -1
+    # Pell pairs: a^2 - 2 b^2 = +-1, so a - b sqrt(2) = +-1 / (a + b sqrt(2)).
+    a, b = 1, 1
+    for _ in range(500):
+        assert _sign(QuadExtScalar(a, -b, 2)) == (1 if a * a > 2 * b * b else -1)
+        assert _sign(QuadExtScalar(-a, b, 2)) == (-1 if a * a > 2 * b * b else 1)
+        a, b = a + 2 * b, a + b
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = QuadExtScalar(Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9))),
+                          Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9))), 3)
+        assert _sign(x) == (float(x) > 0) - (float(x) < 0)
