@@ -26,9 +26,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, isqrt, lcm
+from operator import add
 
-from .poly import Poly, _canonical
-from .scalars import MAX_RADICAND, QuadExtScalar, shared_surd
+from .poly import Poly, _built, _canonical
+from .scalars import MAX_RADICAND, ONE, QuadExtScalar, _normal, shared_surd
 
 
 class ParseError(ValueError):
@@ -40,7 +41,7 @@ class ParseError(ValueError):
 
 
 # Caps on every parsed intermediate.  The term cap bounds the parse itself:
-# the largest power under it, `(x1+x2+x3)^61`, parses in 0.15 s.  The degree
+# the largest power under it, `(x1+x2+x3)^61`, parses in 0.12-0.16 s.  The degree
 # cap is the lawson family's order cap.  `cli` caps the residual's work.
 MAX_POLY_TERMS = 2000
 MAX_POLY_DEGREE = 201
@@ -72,11 +73,22 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<var>x[0-9]+)|(?P<sqrt>sqrt)|(?P<
                     r"|(?P<x>x)(?!\d)|x?(?P<other>\S)|\Z)")
 
 
-def _bits(f: Poly) -> int:
-    """Bit length of f's largest coefficient integer: its denominator, or
-    |a| + |b| sqrt(d), rounded up, for a coefficient (a + b sqrt(d)) / den."""
+def _bits(f) -> int:
+    """Bit length of the largest coefficient integer of a Poly or a term
+    (c, exponents): its denominator, or |a| + |b| sqrt(d), rounded up, for a
+    coefficient (a + b sqrt(d)) / den."""
+    if not isinstance(f, Poly):
+        c = f[0]
+        return max(c.den, abs(c.a) + abs(c.b) * (isqrt(c.d) + 1)).bit_length()
     root = isqrt(f.d) + 1
     return max([f.den] + [abs(a) + abs(b) * root for a, b in f.ints.values()]).bit_length()
+
+
+def _shape(f) -> tuple[int, int]:
+    """(terms, degree) of a Poly or a term; a zero term has (0, -1), as the zero Poly."""
+    if isinstance(f, Poly):
+        return f.num_terms(), f.degree()
+    return (1, sum(f[1])) if f[0] else (0, -1)
 
 
 def _integer(text: str, start: int, end: int) -> int:
@@ -151,11 +163,17 @@ class _Sum:
 
 
 class _Parser:
+    """A product is one term (c, exponents), c a QuadExtScalar, while its
+    factors have one term each; it is built as a Poly when a group of more
+    terms joins it or it ends, and each check fires as on Poly products."""
+
     def __init__(self, tokens, nvars: int):
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
         self.pairs = 0  # term pairs multiplied so far
+        self.one = (0,) * nvars
+        self.roots: dict[int, QuadExtScalar] = {}  # each radicand normalised once
 
     @property
     def current(self):
@@ -190,13 +208,21 @@ class _Parser:
         if self.pairs > MAX_TERM_PAIRS:
             raise ParseError(f"the input multiplies over {MAX_TERM_PAIRS} term pairs", pos)
 
-    def _multiply(self, f: Poly, g: Poly, pos: int) -> Poly:
-        """f * g, charged to the parse's budget of term pairs.  Refused unbuilt
+    def _poly(self, f) -> Poly:
+        """A Poly or a term (c, exponents) as a Poly."""
+        if isinstance(f, Poly):
+            return f
+        c, mono = f
+        return _built(self.nvars, c.d, c.den, {mono: (c.a, c.b)} if c else {})
+
+    def _multiply(self, f, g, pos: int, pairs: int):
+        """f * g of Polys or terms, charged `pairs` term pairs.  Refused unbuilt
         when the budget is spent or when its fewest bits, b + c - 1 for
         integers of b and c bits, exceed the cap; checked again once built."""
-        self._charge(f.num_terms() * g.num_terms(), pos)
+        self._charge(pairs, pos)
         self._check_bits(_bits(f) + _bits(g) - 1, pos)
-        product = f * g
+        product = (self._poly(f) * self._poly(g) if isinstance(f, Poly) or isinstance(g, Poly)
+                   else (f[0] * g[0], tuple(map(add, f[1], g[1]))))
         self._check_bits(_bits(product), pos)
         return product
 
@@ -223,13 +249,13 @@ class _Parser:
             if kind == "*":
                 self.advance()
             elif kind not in (_TOK_NUM, _TOK_VAR, _TOK_SQRT, "("):
-                return product
+                return self._poly(product)
             factor = self.parse_factor()
-            self._bound(product.num_terms() * factor.num_terms(),
-                        product.degree() + factor.degree(), pos)
-            product = self._multiply(product, factor, pos)
+            (t1, d1), (t2, d2) = _shape(product), _shape(factor)
+            self._bound(t1 * t2, d1 + d2, pos)
+            product = self._multiply(product, factor, pos, t1 * t2)
 
-    def _power(self, base: Poly) -> Poly:
+    def _power(self, base):
         """base, or base^e when an exponent follows.  base^e is bounded before
         it is built: by its degree, its fewest bits (b - 1) e + 1 for base
         integers of b bits, and the number of multisets of e of base's terms.
@@ -240,17 +266,18 @@ class _Parser:
             return base
         pos = self.advance()[2]
         e = self._posint("exponent")
-        self._bound(0, base.degree() * e, pos)  # first: comb is slow for a huge e
+        terms, degree = _shape(base)
+        self._bound(0, degree * e, pos)  # first: comb is slow for a huge e
         self._check_bits((_bits(base) - 1) * e + 1, pos)
-        self._bound(comb(base.num_terms() + e - 1, e), 0, pos)
-        if base.num_terms() <= 1:
+        self._bound(comb(terms + e - 1, e), 0, pos)
+        if terms <= 1:
             self._charge(2 * e.bit_length(), pos)
-            power = base**e
+            power = (base[0]**e, tuple(x * e for x in base[1]))
             self._check_bits(_bits(power), pos)
             return power
         power = base
         for _ in range(e - 1):
-            power = self._multiply(power, base, pos)
+            power = self._multiply(power, base, pos, power.num_terms() * terms)
         return power
 
     def _posint(self, what: str) -> int:
@@ -260,16 +287,16 @@ class _Parser:
         self.advance()
         return value
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self):
+        """A Poly for a group of more than one term, else a term (c, exponents)."""
         kind, value, pos = self.current
         if kind == _TOK_NUM:
             self.advance()
-            numerator = value
+            denominator = 1
             if self.current[0] == "/":
                 self.advance()
                 denominator = self._posint("denominator")
-                return Poly.constant(self.nvars, Fraction(numerator, denominator))
-            return Poly.constant(self.nvars, numerator)
+            return _normal(value, 0, denominator, 1), self.one
         if kind == _TOK_SQRT:
             self.advance()
             self.expect("(")
@@ -279,18 +306,23 @@ class _Parser:
                 raise ParseError(f"radicand {radicand} exceeds the bound {MAX_RADICAND}",
                                  radicand_pos)
             self.expect(")")
-            return Poly.constant(self.nvars, QuadExtScalar.sqrt(radicand))
+            if radicand not in self.roots:
+                self.roots[radicand] = QuadExtScalar.sqrt(radicand)
+            return self.roots[radicand], self.one
         if kind == _TOK_VAR:
             self.advance()
             if not 1 <= value <= self.nvars:
                 raise ParseError(
                     f"variable index {value} out of range 1..{self.nvars}", pos
                 )
-            return self._power(Poly.variable(self.nvars, value))
+            return self._power((ONE, self.one[:value - 1] + (1,) + self.one[value:]))
         if kind == "(":
             self.advance()
             inner = self.parse_poly()
             self.expect(")")
+            if inner.num_terms() <= 1:
+                (mono, (a, b)), = inner.ints.items() or [(self.one, (0, 0))]
+                inner = _normal(a, b, inner.den, inner.d), mono
             return self._power(inner)
         raise ParseError("expected a number, sqrt, variable, or '('", pos)
 

@@ -355,18 +355,23 @@ def _unpack(key: int, shifts: list[int], mask: int) -> Monomial:
 
 def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
     """out += k p q on packed dicts {key: (a, b)} of (a + b sqrt(d)), `out`'s
-    values lists [a, b]; when d == 1 every b is 0 and stays unread."""
+    values lists [a, b]; when d == 1 every b is 0, and the loop reads only a."""
     get = out.get
+    if d == 1:
+        for m1, (a1, _) in p.items():
+            a1 *= k
+            for m2, (a2, _) in q.items():
+                if (acc := get(m1 + m2)) is None:
+                    acc = out[m1 + m2] = [0, 0]
+                acc[0] += a1 * a2
+        return
     for m1, (a1, b1) in p.items():
         a1, b1 = k * a1, k * b1
         for m2, (a2, b2) in q.items():
             if (acc := get(m1 + m2)) is None:
                 acc = out[m1 + m2] = [0, 0]
-            if d == 1:
-                acc[0] += a1 * a2
-            else:
-                acc[0] += a1 * a2 + b1 * b2 * d
-                acc[1] += a1 * b2 + a2 * b1
+            acc[0] += a1 * a2 + b1 * b2 * d
+            acc[1] += a1 * b2 + a2 * b1
 
 
 def _product(p: Mapping, q: Mapping, d: int, k: int = 1) -> dict:
@@ -385,10 +390,11 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     degree deg g), so a heap of negated keys pops the grlex-leading term
     (after Johnson 1974 and Monagan & Pearce 2007), skipping keys whose term
     has cancelled; lm(f) divides a key when key + guard - lm(f) keeps every
-    guard bit.  Work, quotient and remainder coefficients are integer triples
-    (a, b, den), each update reduced once by `lowest_terms`; dividing by
-    lc(f) = (fa + fb sqrt(d)) / den_f multiplies by den_f (fa - fb sqrt(d))
-    over its norm fa^2 - fb^2 d.
+    guard bit.  Work, quotient and remainder coefficients are reduced integer
+    triples (a, b, den); dividing by lc(f) = (fa + fb sqrt(d)) / den_f
+    multiplies by den_f (fa - fb sqrt(d)) over its norm fa^2 - fb^2 d, then
+    `lowest_terms`.  An update is over positive dens: it adds numerators over
+    a den equal to the step's, and skips the gcd over den 1.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -422,19 +428,21 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         step_den = qden * den_f
         for mono, ra, rb in rest:
             target = qm + mono
-            pa = qa * ra + qb * rb * d
-            pb = qa * rb + qb * ra
+            na, nb = -(qa * ra + qb * rb * d), -(qa * rb + qb * ra)
             old = work.get(target)
             if old is None:
-                work[target] = lowest_terms(-pa, -pb, step_den)
+                den = step_den
                 heappush(heap, -target)
-                continue
-            oa, ob, oden = old
-            na = oa * step_den - pa * oden
-            nb = ob * step_den - pb * oden
-            if na or nb:
-                work[target] = lowest_terms(na, nb, oden * step_den)
+            elif (den := old[2]) == step_den:
+                na, nb = old[0] + na, old[1] + nb
             else:
+                na, nb, den = old[0] * step_den + na * den, old[1] * step_den + nb * den, \
+                    den * step_den
+            if not (na or nb):
                 del work[target]
+            elif den == 1 or (k := gcd(na, nb, den)) == 1:
+                work[target] = (na, nb, den)
+            else:
+                work[target] = (na // k, nb // k, den // k)
     parts = ({_unpack(m, shifts[1:], mask): t for m, t in p.items()} for p in (quotient, remainder))
     return tuple(_over_lcm(g.nvars, d, p) for p in parts)

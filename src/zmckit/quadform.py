@@ -231,11 +231,11 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
     lam < 0, scans m for t^2 = -lam (m - n)^2 / (m n) with n = r - 2 - m
     and sign(t) = sign(n - m), which is exact fingerprint equality of
     P / sqrt(-lam) with ads(m, n, nvars - r) (see the module docstring), so
-    c times a member matches (m, n, k) for c > 0 and (n, m, k) for c < 0.
-    "matches" means the pencil's invariants (tr P, lam, rank) equal a
-    member's up to that scale: an isometry image of it needs that, but a
-    quadric can match and not be one; "inconclusive" means no fingerprint
-    agreed.
+    c times a member matches (m, n, k) for c > 0 and (n, m, k) for c < 0,
+    and the detail names -lam = c^2 where it is not 1.  "matches" means the
+    pencil's invariants (tr P, lam, rank) equal a member's up to that scale:
+    an isometry image of it needs that, but a quadric can match and not be
+    one; "inconclusive" means no fingerprint agreed.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
         raise ValueError("classification needs a homogeneous degree-2 polynomial")
@@ -262,7 +262,8 @@ def classify_candidate(f: Poly, sig: AmbientSig) -> ClassifyResult:
         for m in range(1, rank - 2):
             n = rank - 2 - m
             if q.a * m * n == q.den * (m - n) ** 2 and _sign(trace) == (n > m) - (n < m):
+                scaled = "" if lam == -1 else f" of P / sqrt(-lam), -lam = {-lam}"
                 return ClassifyResult("matches", (m, n, sig.nvars - rank),
-                                      "exact pencil fingerprint equality")
+                                      "exact pencil fingerprint equality" + scaled)
     return ClassifyResult("inconclusive", None, "residual divides and the form is irreducible, "
                           "but no family fingerprint matches")

@@ -46,15 +46,18 @@ only what the commands run:
 - `tokenize_reference`: `parser._tokenize` as a character loop, the code its
   token pattern replaced; on ASCII text the two agree token for token and
   error for error;
-- `parse_poly_reference`: `parser.parse_poly` with each sum rebuilt by
-  `Poly.__add__` and measured by `_bits` after every term, the loop its one
-  running dict replaced.
+- `parse_poly_reference`: `parser.parse_poly` on `Poly` operations alone:
+  each sum rebuilt by `Poly.__add__` and measured by `_bits` after every
+  term, the loop its one running dict replaced, and each product the left
+  fold of `Poly` products of its factors, every number, `sqrt(n)` and
+  `x_i^e` built as a `Poly`, the loop its one-term accumulator replaced.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
@@ -74,7 +77,18 @@ from zmckit.geometry import (
     newton_project,
 )
 from zmckit.isometry import ExactMatrix, identity_exact, matmul_exact, random_exact_isometry
-from zmckit.parser import ParseError, _bits, _integer, _Parser, _tokenize, _TOK_EOF
+from zmckit.parser import (
+    MAX_RADICAND,
+    ParseError,
+    _TOK_EOF,
+    _TOK_NUM,
+    _TOK_SQRT,
+    _TOK_VAR,
+    _bits,
+    _integer,
+    _Parser,
+    _tokenize,
+)
 from zmckit.poly import Poly, _canonical, _over_lcm, grlex_key
 from zmckit.quadform import ClassifyResult
 from zmckit.scalars import ONE, ZERO, QuadExtScalar, _normal, as_scalar, lowest_terms
@@ -643,6 +657,76 @@ def tokenize_reference(text: str) -> list[tuple[str, object, int]]:
 
 
 class _ReferenceParser(_Parser):
+    """`parser._Parser` with every factor, product, power and sum a `Poly`."""
+
+    def _multiply(self, f: Poly, g: Poly, pos: int, pairs: int) -> Poly:
+        self._charge(pairs, pos)
+        self._check_bits(_bits(f) + _bits(g) - 1, pos)
+        product = f * g
+        self._check_bits(_bits(product), pos)
+        return product
+
+    def parse_term(self) -> Poly:
+        product = self.parse_factor()
+        while True:
+            kind, _, pos = self.current
+            if kind == "*":
+                self.advance()
+            elif kind not in (_TOK_NUM, _TOK_VAR, _TOK_SQRT, "("):
+                return product
+            factor = self.parse_factor()
+            pairs = product.num_terms() * factor.num_terms()
+            self._bound(pairs, product.degree() + factor.degree(), pos)
+            product = self._multiply(product, factor, pos, pairs)
+
+    def _power(self, base: Poly) -> Poly:
+        if self.current[0] != "^":
+            return base
+        pos = self.advance()[2]
+        e = self._posint("exponent")
+        self._bound(0, base.degree() * e, pos)
+        self._check_bits((_bits(base) - 1) * e + 1, pos)
+        self._bound(math.comb(base.num_terms() + e - 1, e), 0, pos)
+        if base.num_terms() <= 1:
+            self._charge(2 * e.bit_length(), pos)
+            power = base**e
+            self._check_bits(_bits(power), pos)
+            return power
+        power = base
+        for _ in range(e - 1):
+            power = self._multiply(power, base, pos, power.num_terms() * base.num_terms())
+        return power
+
+    def parse_factor(self) -> Poly:
+        kind, value, pos = self.current
+        if kind == _TOK_NUM:
+            self.advance()
+            if self.current[0] == "/":
+                self.advance()
+                return Poly.constant(self.nvars, Fraction(value, self._posint("denominator")))
+            return Poly.constant(self.nvars, value)
+        if kind == _TOK_SQRT:
+            self.advance()
+            self.expect("(")
+            radicand_pos = self.current[2]
+            radicand = self._posint("under sqrt")
+            if radicand > MAX_RADICAND:
+                raise ParseError(f"radicand {radicand} exceeds the bound {MAX_RADICAND}",
+                                 radicand_pos)
+            self.expect(")")
+            return Poly.constant(self.nvars, QuadExtScalar.sqrt(radicand))
+        if kind == _TOK_VAR:
+            self.advance()
+            if not 1 <= value <= self.nvars:
+                raise ParseError(f"variable index {value} out of range 1..{self.nvars}", pos)
+            return self._power(Poly.variable(self.nvars, value))
+        if kind == "(":
+            self.advance()
+            inner = self.parse_poly()
+            self.expect(")")
+            return self._power(inner)
+        raise ParseError("expected a number, sqrt, variable, or '('", pos)
+
     def parse_poly(self) -> Poly:
         sign = 1
         if self.current[0] in ("+", "-"):
@@ -661,7 +745,8 @@ class _ReferenceParser(_Parser):
 
 
 def parse_poly_reference(text: str, nvars: int) -> Poly:
-    """`parser.parse_poly`, each sum rebuilt term by term with `Poly.__add__`."""
+    """`parser.parse_poly` on `Poly` operations: each sum rebuilt term by term
+    with `Poly.__add__`, each product a left fold of `Poly` products."""
     parser = _ReferenceParser(_tokenize(text), nvars)
     result = parser.parse_poly()
     kind, _, pos = parser.current

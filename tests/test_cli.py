@@ -383,6 +383,11 @@ _SUMS = ("+".join(f"x{i}" for i in range(1, 41)), "+".join(f"x{i}" for i in rang
      "up to 4950 terms exceed the cap 2000 (at position 28)"),
     # A product of exactly 2,000 terms, then one more summand.
     ("({}) ({}) + x91".format(*_SUMS), "up to 2001 terms exceed the cap 2000 (at position 355)"),
+    # Runs of one-term factors: the degree crosses the cap on a later factor,
+    # and 123 one-term powers of 2 * 4096 pairs each overrun the pair budget.
+    ("x1^100 x2 * x3^100 x2", "degree 202 exceeds the cap 201 (at position 19)"),
+    (" + ".join([f"(1)^{1 << 4095}"] * 123),
+     f"the input multiplies over {MAX_TERM_PAIRS} term pairs (at position 151283)"),
 ])
 def test_poly_above_a_parser_cap_is_usage_error(capsys, monkeypatch, text, message):
     # The parser checks a bound on each product and power before expanding
@@ -419,6 +424,10 @@ _HALF = str((1 << MAX_COEFF_BITS // 2) - 1 << 1)
     (f"{_HALF} {_HALF} x1^2",
      f"a coefficient of at least 4097 bits exceeds the cap of {MAX_COEFF_BITS} bits "
      f"(at position {len(_HALF) + 1})"),
+    # In a run of one-term factors, on the product by the second literal.
+    (f"x1 {_HALF} * x2 * {_HALF} x3",
+     f"a coefficient of at least 4097 bits exceeds the cap of {MAX_COEFF_BITS} bits "
+     f"(at position {len(_HALF) + 9})"),
 ])
 def test_coefficient_above_the_bit_cap_is_usage_error(capsys, monkeypatch, text, message):
     # Refused on a bound, before any product or power is built.
@@ -438,6 +447,7 @@ def test_coefficients_at_the_bit_cap_are_accepted(capsys):
     a, b = (1 << 2049) - 1, (1 << 2100) - 1
     for text, bits, position in (("(3)^2585 x1", 4098, 3),
                                  (f"{a} {a >> 1} x1", 4097, len(str(a)) + 1),
+                                 (f"x1 {a} x1 {a >> 1}", 4097, len(str(a)) + 7),
                                  (f"1/{b} x1 + 1/{b + 2} x1^2", 4200, len(str(b)) + 6)):
         with pytest.raises(ParseError, match=f"at least {bits} bits") as caught:
             parse_poly(text, 1)

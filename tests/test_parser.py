@@ -10,6 +10,7 @@ from oracles import parse_poly_reference, scalar_terms, tokenize_reference
 from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly
 from zmckit.parser import ParseError, _tokenize, parse_poly
 from zmckit.poly import Poly
+from zmckit import scalars
 from zmckit.scalars import QuadExtScalar
 
 
@@ -239,3 +240,62 @@ def test_random_sums_equal_the_poly_add_reference(summands):
     text = "".join(f" {op} {term}" for op, term in summands)
     assert _parsed_or_error(parse_poly, text, 2) == _parsed_or_error(
         parse_poly_reference, text, 2)
+
+
+# One-term factors (numbers, sqrt(n), x_i^e, one-term groups), with
+# exponents and literals that cross the degree and bit caps in a long enough
+# run, and groups of more than one term, which end the one-term run.
+_FACTORS = st.sampled_from([
+    "x1", "x2", "x3", "x1^2", "x2^7", "x3^60", "x1^150", "3", "1/2", "5/7", "0", "12/8",
+    "sqrt(2)", "sqrt(8)", "sqrt(3)", _WIDE, f"1/{_WIDE}", "(3)", "(sqrt(2))^3", "(5/7)^3",
+    "(-1/3)^2",
+    "(1/2 + sqrt(2))", "(0)", "(x1)^3", "(2)^2000", "(x1 + x2)", "(x1 - 2 x2)^2",
+    "(x1 + sqrt(2) x3)", "(x2 - x2)",
+])
+
+
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from([" ", "*", " * "]), _FACTORS), min_size=1, max_size=8),
+    min_size=1, max_size=3,
+))
+@example([[(" ", "x1"), (" ", "x1^2")]])
+@example([[(" ", "x1"), (" ", "3"), ("*", "sqrt(2)"), (" ", "x2")]])
+@example([[(" ", "2"), (" ", "x1"), (" ", "(x1 + x2)"), (" * ", "x2^3"), (" ", "sqrt(2)")]])
+@example([[(" ", "x1^150"), (" ", "x2"), ("*", "0"), (" ", "x3^60")]])
+@example([[(" ", _WIDE), (" ", "x1"), (" ", "1/2"), (" ", "x2"), (" ", _WIDE)]])
+@settings(max_examples=300)
+def test_products_equal_the_left_fold_of_poly_products(terms):
+    """A run of one-term factors kept as one coefficient and one exponent
+    vector gives the `Poly` product of its factors, term order included, and
+    every cap or surd error at the same position with the same message."""
+    text = " + ".join("".join(f"{sep}{factor}" for sep, factor in term).lstrip(" *")
+                      for term in terms)
+    assert _parsed_or_error(parse_poly, text, 3) == _parsed_or_error(
+        parse_poly_reference, text, 3)
+
+
+def test_each_radicand_is_normalised_once_per_parse(monkeypatch):
+    # Trial division of a prime near 1e9 takes milliseconds; 2,000 copies of
+    # it in one text split it once.
+    calls = []
+    real = scalars.squarefree_decompose
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(scalars, "squarefree_decompose", counting)
+    f = parse_poly(" + ".join(["sqrt(999999937) x1"] * 2000), 1)
+    assert calls == [999999937]
+    assert f == parse_poly("2000 sqrt(999999937) x1", 1)
+    assert len(calls) == 2  # a new parse normalises again
+
+
+def test_a_product_over_the_pair_budget_and_the_bit_cap_names_the_budget():
+    """The pair budget is charged before the bit bound is checked: 8 copies
+    of (x1+x2+x3)^61 and six one-term powers leave the budget exactly spent,
+    and the product of two 4095-bit literals then crosses both caps."""
+    text = " + ".join(["(x1+x2+x3)^61"] * 8 + [f"(1)^{1 << 4095}"] * 5 + [f"(1)^{1 << 2999}"]
+                      + [f"{_WIDE} {_WIDE}"])
+    message = f"the input multiplies over 1000000 term pairs (at position {len(text) - len(_WIDE)})"
+    assert _parsed_or_error(parse_poly, text, 3) == ("ParseError", message)

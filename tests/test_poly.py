@@ -11,14 +11,17 @@ from oracles import (
     eval_exact,
     monomial_divides,
     render_via_terms,
+    residual_parts_reference,
     scalar_terms,
     substitute_reference,
 )
 from zmckit.cli import main
-from zmckit.isometry import linear_forms
+from zmckit.families import make_poly, parse_family
+from zmckit.isometry import apply_to_poly, linear_forms, rotation_exact
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar
+from zmckit.zmc import _residual_parts
 
 
 def P(text, nvars=4):
@@ -343,6 +346,37 @@ def test_packed_divide_matches_the_tuple_loop(case):
         got, want = divide(g, f), divide_reference(g, f)
         assert got == want
         assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+
+
+def _kernel_case(label):
+    """f and its signature: lawson:2,3 rotated in x1,x2 by t = 2/7 (22 terms,
+    rational), (1 + sqrt(2)) times it, or lawson:8,9 + x1^17."""
+    spec = parse_family("lawson:8,9" if label == "integer" else "lawson:2,3")
+    if label == "integer":
+        return make_poly(spec) + P("x1^17"), spec.sig
+    f = apply_to_poly(make_poly(spec), rotation_exact(spec.sig, 1, 2, Fraction(2, 7)))
+    return (f * P("1 + sqrt(2)") if label == "surd" else f), spec.sig
+
+
+@pytest.mark.parametrize("label", ["rational", "surd", "integer"])
+def test_packed_kernels_match_the_tuple_loops_on_every_branch(label):
+    """The residual's products (`poly._mul_into`) give the `Poly` product
+    reference's w, lap f and g, and `divide` returns what the tuple-keyed
+    loop returns, term for term in the same order, down each branch.  On
+    the rational image the products take the d == 1 loop, and of the
+    division's 607 work updates 190 meet a work term over the step's own
+    denominator and 417 one over another; the surd multiple runs the same
+    updates and products in Q(sqrt(2)); on lawson:8,9 + x1^17 every
+    denominator is 1, so no update is reduced."""
+    f, sig = _kernel_case(label)
+    assert f.d == (2 if label == "surd" else 1)
+    w, lap, g = _residual_parts(f, sig, None)
+    assert (w, lap, g) == residual_parts_reference(f, sig)
+    if label == "integer":
+        assert (f.den, g.den, f.ints[f.leading_monomial()]) == (1, 1, (1, 0))
+    got, want = divide(g, f), divide_reference(g, f)
+    assert got == want
+    assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
 
 
 @st.composite

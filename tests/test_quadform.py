@@ -220,6 +220,22 @@ def test_classify_scalar_multiple_matches_the_member():
         assert (result.verdict, result.params) == ("matches", params), c
 
 
+def test_a_multiple_names_the_scaled_pencil_whose_fingerprint_matched():
+    """On c f the fingerprint that equals the member's is that of
+    P / sqrt(-lam), -lam = c^2, and the detail says so where c^2 != 1; at
+    c = +-1 it is the member's own detail."""
+    plain = "exact pencil fingerprint equality"
+    for (m, n, k), c, params, detail in (
+        ((1, 1, 0), 1, (1, 1, 0), plain),
+        ((2, 3, 1), -1, (3, 2, 1), plain),
+        ((1, 1, 0), 2, (1, 1, 0), f"{plain} of P / sqrt(-lam), -lam = 4"),
+        ((2, 3, 1), -3, (3, 2, 1), f"{plain} of P / sqrt(-lam), -lam = 9"),
+    ):
+        spec = ads(m, n, k)
+        result = classify_candidate(make_poly(spec).scale(c), spec.sig)
+        assert result == ClassifyResult("matches", params, detail), (m, n, k, c)
+
+
 # A ZMC quadric whose pencil has the invariants of ads:1,2,1 (ROADMAP, "Known
 # defects"), yet its zero set on AdS_5 is Lorentzian, where the member's is
 # space-like; isometries keep the causal type, so it is no image of the member.
@@ -457,6 +473,18 @@ def _swapped(result: ClassifyResult) -> ClassifyResult:
     return dataclasses.replace(result, params=(n, m, k))
 
 
+def _scaled(result: ClassifyResult, c) -> ClassifyResult:
+    """The result for c f, given f's: a match names -lam = c^2 where it is
+    not 1, and m and n trade places where c < 0."""
+    if result.verdict != "matches":
+        return result
+    square = as_scalar(c) ** 2
+    if square != 1:
+        result = dataclasses.replace(
+            result, detail=f"{result.detail} of P / sqrt(-lam), -lam = {square}")
+    return _swapped(result) if _sign(as_scalar(c)) < 0 else result
+
+
 @given(_quadrics())
 @settings(max_examples=120, deadline=None)
 def test_divisibility_identity_matches_polynomial_certificate(case):
@@ -464,13 +492,10 @@ def test_divisibility_identity_matches_polynomial_certificate(case):
     residual polynomial does, and classify_candidate equals
     `classify_reference` (polynomial certificate, QuadExtScalar rank and
     fingerprint) of the unscaled quadric, with m and n swapped where the
-    scale is negative."""
+    scale is negative and -lam named where it is not 1."""
     f, sig, unscaled, scale = case
     assert (_residual_divides(_pencil(f, sig)) is not None) == conjecture_check(f, sig).divides
-    want = classify_reference(unscaled, sig)
-    if want.params and scale == -3:  # the one negative scale
-        want = _swapped(want)
-    assert classify_candidate(f, sig) == want
+    assert classify_candidate(f, sig) == _scaled(classify_reference(unscaled, sig), scale)
 
 
 def test_quadric_cases_reach_every_verdict():
@@ -502,11 +527,13 @@ def test_quadric_cases_reach_every_verdict():
         "no division, x1 absent": (parse_poly("x2^2 + x3^2 + 2 x4^2", 6), "not in family"),
     }
     # A multiple is compared with the reference of the quadric it multiplies.
-    unscaled = {"huge multiple": image, "seventh": member, "surd multiple": member,
-                "balanced multiple": balanced}
+    unscaled = {"huge multiple": (image, 2**4095 - 1), "seventh": (member, Fraction(1, 7)),
+                "surd multiple": (member, QuadExtScalar(1, 1, 2)),
+                "balanced multiple": (balanced, 3)}
     for name, (f, verdict) in cases.items():
         assert classify_candidate(f, sig).verdict == verdict, name
-        assert classify_candidate(f, sig) == classify_reference(unscaled.get(name, f), sig), name
+        base, c = unscaled.get(name, (f, 1))
+        assert classify_candidate(f, sig) == _scaled(classify_reference(base, sig), c), name
         divides = _residual_divides(_pencil(f, sig)) is not None
         assert divides == conjecture_check(f, sig).divides, name
     assert zmc_residual(null_square, sig).is_zero()
@@ -621,8 +648,8 @@ def test_only_lam_zero_takes_the_elimination(monkeypatch):
 def test_classify_does_not_depend_on_scale():
     """classify(c f) == classify(f) on every ads member with m, n, k <= 5 and
     on a seeded isometry image of each, for c in {2, 1/7, 2^4095 - 1,
-    1 + sqrt(d)} (d the member's surd, 2 for a rational member); c = -3
-    gives (n, m, k)."""
+    1 + sqrt(d)} (d the member's surd, 2 for a rational member), but for the
+    detail, which names -lam = c^2; c = -3 gives (n, m, k)."""
     rng = np.random.default_rng(21)
     for m, n, k in itertools.product(range(1, 6), range(1, 6), range(6)):
         spec = ads(m, n, k)
@@ -632,8 +659,8 @@ def test_classify_does_not_depend_on_scale():
             want = classify_candidate(g, spec.sig)
             assert (want.verdict, want.params) == ("matches", (m, n, k))
             for c in (2, Fraction(1, 7), 2**4095 - 1, QuadExtScalar(1, 1, f.d if f.d != 1 else 2)):
-                assert classify_candidate(g.scale(c), spec.sig) == want, (m, n, k, c)
-            assert classify_candidate(g.scale(-3), spec.sig) == _swapped(want), (m, n, k)
+                assert classify_candidate(g.scale(c), spec.sig) == _scaled(want, c), (m, n, k, c)
+            assert classify_candidate(g.scale(-3), spec.sig) == _scaled(want, -3), (m, n, k)
 
 
 def test_one_wrong_upper_entry_of_the_identity_is_rejected(monkeypatch):

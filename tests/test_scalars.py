@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zmckit.scalars import QuadExtScalar, as_scalar, squarefree_decompose
+from zmckit.scalars import ONE, ZERO, QuadExtScalar, as_scalar, squarefree_decompose
 
 
 def test_squarefree_decompose_basics():
@@ -79,6 +79,11 @@ def test_pow_matches_repeated_product():
     assert x**0 == QuadExtScalar(1)
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inverse()
+    # A rational is raised in one step.
+    for y in (QuadExtScalar(Fraction(-2, 3)), QuadExtScalar(Fraction(7, 5)), ZERO, ONE):
+        assert y**0 == QuadExtScalar(1)
+        assert y**5 == y * y * y * y * y
+    assert QuadExtScalar(Fraction(-2, 3)) ** -3 == QuadExtScalar(Fraction(-27, 8))
 
 
 def test_as_scalar_coercion():
