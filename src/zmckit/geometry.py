@@ -7,8 +7,12 @@ a tangent frame, the induced metric and its signature, the shape operator
 principal curvature spectrum with causal tags from the induced metric G.
 Where G is definite every principal direction has G's causal type and the
 shape operator is diagonalisable, so the tags come from G alone; only where G
-is indefinite are eigenvectors computed (see `curvature_spectrum`).  Each
-polynomial's float terms are compiled once into term tables
+is indefinite are eigenvectors computed (see `curvature_spectrum`).  Newton's
+rank test and G's signature are read from 2x2 Gram matrices where an error
+bound proves the answer (`_rank_certified`, `_metric_signature`, with the
+margins RANK_DET_MARGIN, RANK_SCALE_MARGIN and METRIC_DET_MARGIN), and from
+LAPACK only elsewhere (Shewchuk, DCG 18, 1997).  Each polynomial's float
+terms are compiled once into term tables
 (`derivatives`): one for f with its gradient, one for the Hessian, so a
 Newton step reads f and grad f from one evaluation and batch runs over many
 points reuse the tables.  The float w at a point comes from
@@ -45,6 +49,12 @@ DEFECTIVE_COND_LIMIT = 1e8
 # Relative size below which v^T G v (against |v|^2) counts as null, or a
 # vector's imaginary part (against its largest entry) as zero.
 CAUSAL_REL = 1e-8
+# Margins of the closed-form certificates that spare LAPACK calls whose
+# answers are thresholds only: Newton's rank test (`_rank_certified`) and the
+# induced metric's signature (`_metric_signature`).
+RANK_DET_MARGIN = 1e-8
+RANK_SCALE_MARGIN = 1e-16
+METRIC_DET_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,16 +157,18 @@ class Derivatives(NamedTuple):
     first: TermTable  # f, then df/dx_1 .. df/dx_n
     second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
     upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
+    degree: int  # f's total degree, 0 for the zero polynomial
 
 
 @lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
 def derivatives(f: Poly) -> Derivatives:
     """Term tables of f with its gradient, and of its upper-triangular
-    Hessian with that triangle's index pair, cached per polynomial; the exact
-    derivatives are not kept."""
+    Hessian with that triangle's index pair, and f's degree, cached per
+    polynomial; the exact derivatives are not kept."""
     grad = gradient(f)
     hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
-    return Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars))
+    upper = np.triu_indices(f.nvars)
+    return Derivatives(_compile([f, *grad]), _compile(hess), upper, max(f.degree(), 0))
 
 
 
@@ -168,7 +180,7 @@ def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarr
 
 def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    _, second, (rows, cols) = derivatives(f)
+    _, second, (rows, cols), _ = derivatives(f)
     out = np.empty((f.nvars, f.nvars))
     out[rows, cols] = out[cols, rows] = _evaluate(second, point)
     return out
@@ -229,6 +241,21 @@ def _regular_grad(p: VarietyPoint) -> np.ndarray:
     return p.grad
 
 
+def _rank_certified(gram: np.ndarray) -> bool:
+    """Whether J J^T = [[g00, g01], [g01, g11]] proves that the SVD rank test
+    of `newton_project` cannot fire.  Each g_ij is off by at most gamma_n
+    |J_i||J_j| (Higham ch. 3) and g01^2 <= g00 g11, so det = g00 g11 - g01^2
+    is off by about 3 gamma_n g00 g11: under 4e-6 of det (n <= 100) where
+    det > RANK_DET_MARGIN g00 g11.  If also det > RANK_SCALE_MARGIN tr
+    max(tr, 1), tr = g00 + g11 >= sigma_max^2, then sigma_min^2 >= det / tr
+    gives sigma_min > 1e-8 max(sigma_max, 1), which the SVD (off by O(n u
+    sigma_max)) cannot read as <= 1e-12 max(sigma_max, 1).  Overflow and
+    NaN fail the test."""
+    (g00, g01), (_, g11) = gram.tolist()
+    det, tr = g00 * g11 - g01 * g01, g00 + g11
+    return det > RANK_DET_MARGIN * g00 * g11 and det > RANK_SCALE_MARGIN * tr * max(tr, 1.0)
+
+
 def newton_project(
     f: Poly,
     sig: AmbientSig,
@@ -237,8 +264,10 @@ def newton_project(
 ) -> VarietyPoint:
     """Gauss-Newton projection onto {f = 0, <Bx,x> = eps} from a seed point.
 
-    Uses the least-norm step of the 2-row Jacobian.  Raises ProjectionError
-    when the Jacobian degenerates (rank < 2) or the iteration stalls.
+    Uses the least-norm step of the 2-row Jacobian J.  Raises ProjectionError
+    when J degenerates (an SVD's sigma_min <= 1e-12 max(sigma_max, 1)) or the
+    iteration stalls; the SVD runs only where J J^T, with the margins
+    RANK_DET_MARGIN and RANK_SCALE_MARGIN, leaves it open (`_rank_certified`).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -246,7 +275,7 @@ def newton_project(
     if x.shape != (sig.nvars,):
         raise ValueError(f"seed must have {sig.nvars} coordinates")
     b = _b_float(sig)
-    deg = max(f.degree(), 0)
+    deg = derivatives(f).degree
     # Once the scale-adjusted residual bounds hold, a couple of extra steps
     # shave the positional error down to the evaluation noise floor, which
     # matters for finite-difference work at high degree.
@@ -255,16 +284,18 @@ def newton_project(
     for _ in range(NEWTON_MAX_ITER):
         norm = math.sqrt(x @ x)  # np.linalg.norm(x): the same dot product
         fres, jac[0] = value_and_gradient(f, x)
-        cres = float(x @ (b * x)) - sig.epsilon
+        bx = b * x
+        cres = float(x @ bx) - sig.epsilon
         f_scale, c_scale = _residual_scales(norm, deg)
         converged = abs(fres) <= tol * f_scale and abs(cres) <= tol * c_scale
-        jac[1] = 2.0 * b * x
+        jac[1] = 2.0 * bx
         gram = jac @ jac.T
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise ProjectionError(
-                f"Jacobian rank < 2 near ({x[0]:.3g}, ...): non-regular point"
-            )
+        if not _rank_certified(gram):
+            sv = np.linalg.svd(jac, compute_uv=False)
+            if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+                raise ProjectionError(
+                    f"Jacobian rank < 2 near ({x[0]:.3g}, ...): non-regular point"
+                )
         step = jac.T @ np.linalg.solve(gram, -np.array([fres, cres]))
         x = x + step
         if converged:
@@ -293,6 +324,33 @@ def tangent_frame(p: VarietyPoint, sig: AmbientSig) -> np.ndarray:
     return vt[2:, :]
 
 
+def _gram(frame: np.ndarray, sig: AmbientSig) -> np.ndarray:
+    """G_ij = <B v_i, v_j> over a frame's rows, made exactly symmetric."""
+    gram = frame @ (_b_float(sig)[:, None] * frame.T)
+    return 0.5 * (gram + gram.T)
+
+
+def _metric_signature(p: VarietyPoint, sig: AmbientSig) -> tuple[int, int] | None:
+    """G's signature at p in closed form, or None where `induced_metric` must
+    decide.  The frame spans the null space of the rows grad f and B x, whose
+    B-Gram matrix is M = [[w, <grad f, x>], [<grad f, x>, <x, B x>]] and
+    Euclidean one N: det G = det B det M / det N and In(G) = In(B) - In(M)
+    (Haynsworth, LAA 1, 1968), and min |lambda(G)| >= |det G| as every
+    |lambda(G)| <= 1.  With det N >= METRIC_DET_MARGIN |grad f|^2 |x|^2 and
+    |det G| >= METRIC_DET_MARGIN, |det M| >= 1e-12 |grad f|^2 |x|^2 (and |w| >=
+    1e-12 |grad f|^2 where det M > 0) against errors of 3 gamma_n times that
+    scale (Higham ch. 3), and the rows' angle (sin^2 >= 1e-6) keeps the
+    frame's G within about 1e3 n u, so eigvalsh would find these signs and
+    clear CAUSAL_REL and DEGENERATE_METRIC_TOL."""
+    rows = np.array([p.grad, p.coords, _b_float(sig) * p.coords])
+    (gg, gx, gbx), (_, xx, xbx) = (rows[:2] @ rows.T).tolist()
+    det_n, det_m = gg * xx - gbx * gbx, p.w_value * xbx - gx * gx
+    if not (det_n >= METRIC_DET_MARGIN * gg * xx and abs(det_m) >= METRIC_DET_MARGIN * det_n):
+        return None
+    m_neg = 1 if det_m < 0 else 2 if p.w_value < 0 else 0
+    return sig.s - m_neg, sig.nvars - sig.s - 2 + m_neg
+
+
 def induced_metric(
     frame: np.ndarray, sig: AmbientSig
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -303,8 +361,7 @@ def induced_metric(
     hypersurface is space-like there, (1, dim-1) Lorentzian.  A metric whose
     eigenvalue product is below DEGENERATE_METRIC_TOL is degenerate.
     """
-    gram = frame @ (_b_float(sig)[:, None] * frame.T)
-    gram = 0.5 * (gram + gram.T)
+    gram = _gram(frame, sig)
     eigs = np.linalg.eigvalsh(gram)
     if abs(np.prod(eigs)) < DEGENERATE_METRIC_TOL:
         raise ValueError("induced metric is degenerate at this point")
@@ -439,18 +496,26 @@ def curvature_spectrum(
     orthonormal and |B| = 1, so |lambda(G)| <= 1; a real v has
     |v^T G v| > CAUSAL_REL |v|^2 with G's sign; and the per-cluster null
     bases X are G-orthogonal, so cond(X) <= kappa(G) < 1 / CAUSAL_REL =
-    DEFECTIVE_COND_LIMIT.  Where G has index 1, one eig settles the common
-    case (`_lorentzian_clusters`).  The rest (complex pairs, a repeated or
-    null time-like direction, index >= 2: Magid, Pacific J. Math. 118, 1985)
-    take per-cluster SVD null spaces (`_eigenvector_clusters`).
+    DEFECTIVE_COND_LIMIT.  G's signature comes from `_metric_signature`
+    where |det G| >= METRIC_DET_MARGIN and det N >= METRIC_DET_MARGIN
+    |grad f|^2 |x|^2 prove it, else from G's eigenvalues.  Where G has index
+    1, one eig settles the common case (`_lorentzian_clusters`).  The rest
+    (complex pairs, a repeated or null time-like direction, index >= 2:
+    Magid, Pacific J. Math. 118, 1985) take per-cluster SVD null spaces
+    (`_eigenvector_clusters`).
     """
     frame = tangent_frame(p, sig)
-    gram, gram_eigs, signature = induced_metric(frame, sig)
+    signature = _metric_signature(p, sig)
+    if signature is None:
+        gram, gram_eigs, signature = induced_metric(frame, sig)
+        definite = gram_eigs[0] > CAUSAL_REL or gram_eigs[-1] < -CAUSAL_REL  # eigs ascend
+    else:
+        gram, definite = _gram(frame, sig), 0 in signature
     shape = shape_operator(p, f, frame, gram)
     values = eigen.eigvals(shape)
     groups = cluster_eigenvalues(values)
-    if gram_eigs[0] > CAUSAL_REL or gram_eigs[-1] < -CAUSAL_REL:  # eigs ascend
-        causal = "space-like" if gram_eigs[0] > 0 else "time-like"
+    if definite:
+        causal = "space-like" if signature[0] == 0 else "time-like"
         clusters = [Cluster(rep, len(idx), causal) for rep, idx in groups]
         defective = False
     else:

@@ -56,9 +56,15 @@ def test_newton_project_fixed_point():
     assert np.linalg.norm(p.coords - coords) < 1e-10
 
 
-def test_newton_project_origin_is_rank_deficient():
+def test_newton_project_origin_is_rank_deficient(monkeypatch):
+    # The Jacobian is zero: its Gram matrix certifies nothing, and the SVD
+    # reports the rank.
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
     with pytest.raises(geometry.ProjectionError, match="rank"):
         geometry.newton_project(F_HAND, SIG_HAND, np.zeros(4))
+    assert svd_calls == [1]
 
 
 def test_newton_project_divergence_reports(monkeypatch):

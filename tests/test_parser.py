@@ -275,8 +275,8 @@ def test_products_equal_the_left_fold_of_poly_products(terms):
 
 
 def test_each_radicand_is_normalised_once_per_parse(monkeypatch):
-    # Trial division of a prime near 1e9 takes milliseconds; 2,000 copies of
-    # it in one text split it once.
+    # Each radicand is split by trial division (up to its cube root); 2,000
+    # copies of a prime near 1e9 in one text split it once.
     calls = []
     real = scalars.squarefree_decompose
 

@@ -8,12 +8,14 @@ scalar must give the same value, text and float, bit for bit: `float()` feeds
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from reference_scalars import QuadExtScalar as RefScalar
-from zmckit.scalars import QuadExtScalar, coeff_text
+from reference_scalars import squarefree_decompose as ref_squarefree_decompose
+from zmckit.scalars import MAX_RADICAND, QuadExtScalar, coeff_text, squarefree_decompose
 
 # 8 and 9 are not square-free: the constructor folds them to 2 sqrt(2) and 3.
 _TAGS = [1, 2, 3, 5, 6, 8, 9]
@@ -111,3 +113,41 @@ def test_incompatible_surds_raise_like_reference():
     for op in _BINARY:
         assert _outcome(op, QuadExtScalar.sqrt(2), QuadExtScalar.sqrt(3)) is ValueError
         assert _outcome(op, RefScalar.sqrt(2), RefScalar.sqrt(3)) is ValueError
+
+
+# The reference's full trial division, without its cache.
+_reference_split = ref_squarefree_decompose.__wrapped__
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    return [p for p in range(max(lo, 2), hi) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_squarefree_decompose_matches_the_full_trial_division():
+    """Trial division up to the cube root, then `math.isqrt`, splits n as the
+    reference's trial division up to the square root does: on every
+    n <= 20,000 and on 300 seeded n <= MAX_RADICAND."""
+    rng = random.Random(73)
+    for n in [*range(1, 20_001), *(rng.randint(1, MAX_RADICAND) for _ in range(300))]:
+        assert squarefree_decompose(n) == _reference_split(n), n
+
+
+def test_squarefree_decompose_where_the_rest_has_two_large_prime_factors():
+    """p^2 and p q for primes near sqrt(MAX_RADICAND) = 31,623; p^2 q for
+    primes near its cube root, in both orders, and for q in 2..7 with p as
+    large as the cap allows.  Each leaves a rest below the cube of the next
+    trial divisor that is a prime squared or two distinct primes."""
+    near_root = _primes(31_400, 31_800)
+    near_cube = _primes(960, 1_040)
+    cases = {p * p: (p, 1) for p in near_root if p * p <= MAX_RADICAND}
+    cases.update({p * q: (1, p * q) for p, q in zip(near_root, near_root[1:])
+                  if p * q <= MAX_RADICAND})
+    cases.update({p * p * q: (p, q) for p in near_cube for q in near_cube
+                  if p != q and p * p * q <= MAX_RADICAND})
+    for q in (2, 3, 5, 7):
+        top = math.isqrt(MAX_RADICAND // q)
+        p = max(_primes(top - 200, top + 1))
+        cases[p * p * q] = (p, q)
+    assert len(cases) >= 100 and max(cases) <= MAX_RADICAND
+    for n, want in cases.items():
+        assert squarefree_decompose(n) == _reference_split(n) == want, n
