@@ -313,6 +313,12 @@ def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:
     return _built(nvars, d, den // g, ints)
 
 
+def _primitive(p: Poly) -> tuple[int, Mapping]:
+    """p's content c = gcd(every a, every b) (1 for 0) and its pairs over c."""
+    c = gcd(*chain.from_iterable(p.ints.values())) or 1
+    return c, p.ints if c == 1 else {m: (a // c, b // c) for m, (a, b) in p.ints.items()}
+
+
 def _built(nvars: int, d: int, den: int, ints: dict) -> Poly:
     """The Poly with exactly these fields, which the caller keeps canonical."""
     out = object.__new__(Poly)
@@ -390,23 +396,28 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     degree deg g), so a heap of negated keys pops the grlex-leading term
     (after Johnson 1974 and Monagan & Pearce 2007), skipping keys whose term
     has cancelled; lm(f) divides a key when key + guard - lm(f) keeps every
-    guard bit.  Work, quotient and remainder coefficients are reduced integer
-    triples (a, b, den); dividing by lc(f) = (fa + fb sqrt(d)) / den_f
-    multiplies by den_f (fa - fb sqrt(d)) over its norm fa^2 - fb^2 d, then
-    `lowest_terms`.  An update is over positive dens: it adds numerators over
-    a den equal to the step's, and skips the gcd over den 1.
+    guard bit.  It divides the primitive parts G0 = g den_g / cont_g and
+    F0 = f den_f / cont_f (`_primitive`), storing q = Q0 den_f cont_g /
+    (cont_f den_g) and r = R0 cont_g / den_g term by term, on reduced integer
+    triples (a, b, den) that start over den 1; a step multiplies by lc(F0)'s
+    conjugate over its norm.  If F0 | G0 over Q, Gauss's lemma puts Q0 in
+    Z[x], so every update is over den 1 and skips the gcd; an update over
+    the step's den adds numerators.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     d = g._join(f)
     shifts, mask, guard = _layout(g.nvars, max(g.degree(), f.degree()), graded=True)
-    packed = {_pack(m, shifts): ab for m, ab in f.ints.items()}
+    (cont_f, f_ints), (cont_g, work) = _primitive(f), _primitive(g)
+    q_num, q_den = f.den * cont_g, cont_f * g.den
+    packed = {_pack(m, shifts): ab for m, ab in f_ints.items()}
     lm_f = max(packed)
     fa, fb = packed.pop(lm_f)
-    den_f = f.den
     norm = fa * fa - fb * fb * d
     rest = [(m, a, b) for m, (a, b) in packed.items()]
-    work = {_pack(m, shifts): (a, b, g.den) for m, (a, b) in g.ints.items()}
+    # G0's pairs become the work terms: G0's own dict is let go, so each pair
+    # is freed once its term is reduced.
+    work = {_pack(m, shifts): (a, b, 1) for m, (a, b) in work.items()}
     heap = [-m for m in work]
     heapify(heap)
     quotient: dict[int, tuple[int, int, int]] = {}
@@ -417,15 +428,13 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         if coeff is None:
             continue
         if (lm + guard - lm_f) & guard != guard:
-            remainder[lm] = coeff
+            remainder[lm] = (coeff[0] * cont_g, coeff[1] * cont_g, coeff[2] * g.den)
             continue
         qm = lm - lm_f
         wa, wb, wden = coeff
-        qa, qb, qden = quotient[qm] = lowest_terms(
-            den_f * (wa * fa - wb * fb * d), den_f * (wb * fa - wa * fb), wden * norm
-        )
-        # Subtract q * c for each remaining term c = (ra + rb sqrt(d)) / den_f.
-        step_den = qden * den_f
+        qa, qb, step_den = lowest_terms(wa * fa - wb * fb * d, wb * fa - wa * fb, wden * norm)
+        quotient[qm] = (qa * q_num, qb * q_num, step_den * q_den)
+        # Subtract q * c for each remaining term c = ra + rb sqrt(d) of F0.
         for mono, ra, rb in rest:
             target = qm + mono
             na, nb = -(qa * ra + qb * rb * d), -(qa * rb + qb * ra)

@@ -10,7 +10,10 @@ vanishes on the variety {f = 0} intersected with a pseudo-sphere exactly when
 that hypersurface has zero mean curvature.  `conjecture_check` tests the
 stronger structural property that g is a polynomial multiple of f, which
 certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.  w,
-lap(f) and g are sums of products on packed monomials (`poly._layout`).
+lap(f) and g are sums of products on packed monomials (`poly._layout`) of
+f's primitive part f0 = f den / c (c the content, `poly._primitive`), scaled
+by c^2, c and c^3 at the end; `divide` divides primitive parts, which keeps
+an exact quotient over Q integral (Gauss's lemma).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .poly import Poly, _canonical, _layout, _mul_into, _pack, _unpack, divide
+from .poly import Poly, _canonical, _layout, _mul_into, _pack, _primitive, _unpack, divide
 
 
 @dataclass(frozen=True)
@@ -81,16 +84,17 @@ def _diff_packed(p: Mapping[int, Sequence[int]], shift: int, mask: int) -> dict:
 def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool = True):
     """w, lap(f) and the residual of homogeneous f (0 unless `residual`), all
     from one gradient in the metric `form` (B of `sig` when None), on packed
-    monomials with integer pairs over f's den: grad f and lap f over den, w
-    over den^2 and g over den^3, each accumulated in one dict."""
+    monomials of f = c f0 / den: those of f0 times c^2 / den^2, c / den and
+    c^3 / den^3, each accumulated in one dict less its cancelled terms."""
     _check_dims(f, sig)
     if residual and not f.is_homogeneous():
         raise ValueError("zmc residual requires a homogeneous polynomial")
     form = _diagonal_form(sig) if form is None else form
     n, d, den = f.nvars, f.d, f.den
+    c, ints = _primitive(f)
     # No exponent here passes deg g = 3 deg f - 4, nor deg w = 2 deg f - 2.
     shifts, mask, _ = _layout(n, 3 * max(f.degree(), 0))
-    packed = {_pack(m, shifts): ab for m, ab in f.ints.items()}
+    packed = {_pack(m, shifts): ab for m, ab in ints.items()}
     grad = [_diff_packed(packed, s, mask) for s in shifts]
     w, lap, g = {}, {}, {}
     for (i, j), k in form.items():
@@ -98,10 +102,16 @@ def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool 
             k = k if i == j else 2 * k
             _mul_into(w, grad[i], grad[j], k, d)
             _mul_into(lap, _diff_packed(grad[i], shifts[j], mask), {0: (1, 0)}, k, d)
+    for p in (w, lap):  # cancelled terms would only feed zero products to g
+        for m in [m for m, (a, b) in p.items() if not (a or b)]:
+            del p[m]
     if residual:
         _mul_into(g, w, lap, 2, d)
         for (i, j), k in form.items():
             _mul_into(g, _diff_packed(w, shifts[i], mask), grad[j], -k, d)
+    for p, k in ((w, c * c), (lap, c), (g, c**3)) if c > 1 else ():  # in place, once g is built
+        for ab in p.values():
+            ab[0], ab[1] = ab[0] * k, ab[1] * k
     return tuple(_canonical(n, d, den**e, {_unpack(m, shifts, mask): ab for m, ab in p.items()})
                  for p, e in ((w, 2), (lap, 1), (g, 3)))
 

@@ -348,6 +348,35 @@ def test_packed_divide_matches_the_tuple_loop(case):
         assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
 
 
+@st.composite
+def _content_division_cases(draw):
+    """f and g = h f (+ r) in 3 variables over Q(sqrt(d)), d in {1, 2, 3, 5},
+    each operand rational or not: f and g each times an integer content up
+    to 2^200 in size over a den up to 2^20, so that lc(f) is not +-1; g may be
+    0 or not divisible by f."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    f, h, r = (draw(_polys(d=draw(st.sampled_from((1, d))))) for _ in range(3))
+    scales = st.builds(Fraction, st.integers(1, 2**200) | st.integers(-(2**200), -1),
+                       st.integers(1, 2**20))
+    g = draw(st.sampled_from((Poly(3), h * f, h * f + r, r)))
+    return f.scale(draw(scales)), g.scale(draw(scales))
+
+
+@given(_content_division_cases())
+@example((P("3 x1^2 - 6 x2", 3), P("(2)^200 (x1^2 - 2 x2) (x1 + 5)", 3)))
+@example((P("(2 + sqrt(3)) x1 + 1/5", 3), P("7/9 x1^3 + x2", 3)))
+@settings(max_examples=60, deadline=None)
+def test_divide_of_scaled_operands_matches_the_tuple_loop(case):
+    """`divide` runs on the primitive integer parts of g and f and rescales
+    once at the end; it returns what the tuple-keyed loop over Q(sqrt(d))
+    returns, term for term in the same order."""
+    f, g = case
+    assume(not f.is_zero())
+    got, want = divide(g, f), divide_reference(g, f)
+    assert got == want
+    assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+
+
 def _kernel_case(label):
     """f and its signature: lawson:2,3 rotated in x1,x2 by t = 2/7 (22 terms,
     rational), (1 + sqrt(2)) times it, or lawson:8,9 + x1^17."""
@@ -363,11 +392,12 @@ def test_packed_kernels_match_the_tuple_loops_on_every_branch(label):
     """The residual's products (`poly._mul_into`) give the `Poly` product
     reference's w, lap f and g, and `divide` returns what the tuple-keyed
     loop returns, term for term in the same order, down each branch.  On
-    the rational image the products take the d == 1 loop, and of the
-    division's 607 work updates 190 meet a work term over the step's own
-    denominator and 417 one over another; the surd multiple runs the same
-    updates and products in Q(sqrt(2)); on lawson:8,9 + x1^17 every
-    denominator is 1, so no update is reduced."""
+    the rational image the products take the d == 1 loop; the division
+    divides g's primitive part by f's, so all 607 of its work updates are
+    over denominator 1 although f has a 9-digit den (the tuple loop takes
+    190 of them over the step's own den and 417 over another); the surd
+    multiple runs the same updates and products in Q(sqrt(2)); on
+    lawson:8,9 + x1^17 every denominator is 1 on both sides."""
     f, sig = _kernel_case(label)
     assert f.d == (2 if label == "surd" else 1)
     w, lap, g = _residual_parts(f, sig, None)

@@ -1,6 +1,7 @@
 """Signature Laplacian, gradient-norm polynomial, and the ZMC residual."""
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from oracles import (
     residual_parts_reference,
     value_and_gradient_loops,
 )
-from zmckit.isometry import apply_to_poly, random_exact_isometry
+from zmckit import zmc
+from zmckit.isometry import apply_to_poly, random_exact_isometry, rotation_exact
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
 from zmckit.scalars import QuadExtScalar
@@ -339,6 +341,41 @@ def test_laplacian_lemma_random_bases(f, s, seed):
     assert abs(lhs - rhs) <= 1e-8
 
 
+_MULTIPLIERS = {"1": 1, "-3": -3, "2^4000-1": 2**4000 - 1, "1+sqrt(2)": QuadExtScalar(1, 1, 2)}
+
+
+@pytest.mark.parametrize("c", list(_MULTIPLIERS.values()), ids=list(_MULTIPLIERS))
+def test_conjecture_check_of_a_multiple_matches_the_references(c, monkeypatch):
+    """conjecture_check(c f) builds w, lap and g on f's primitive part and
+    divides g's primitive part by f's: its w, lap, quotient and remainder
+    equal the `Poly` product references and the tuple-keyed division over
+    Q(sqrt(d)), for a unit, a negative content, a 4000-bit content and a
+    surd, on lawson:2,3 rotated in x1,x2 by t = 2/7 (22 terms over a 9-digit
+    den; w and lap have cancelled terms), clifford:2,3 and a quadric that is
+    not ZMC.  No product of the residual reads a cancelled term."""
+    products = zmc._mul_into
+
+    def no_cancelled_operand(out, p, q, k, d):
+        assert all(a or b for a, b in chain(p.values(), q.values()))
+        products(out, p, q, k, d)
+
+    monkeypatch.setattr(zmc, "_mul_into", no_cancelled_operand)
+    spec = lawson(2, 3)
+    image = apply_to_poly(make_poly(spec), rotation_exact(spec.sig, 1, 2, Fraction(2, 7)))
+    cases = [
+        (image, spec.sig),
+        (make_poly(clifford(2, 3)), clifford(2, 3).sig),
+        (parse_poly("x1^2 + 2 x2^2 - x3^2", 3), AmbientSig(2, -1, 3)),
+    ]
+    for f, sig in cases:
+        f = f.scale(c)
+        report = conjecture_check(f, sig)
+        w, lap, g = residual_parts_reference(f, sig)
+        assert (report.w, report.laplacian) == (w, lap)
+        assert (report.quotient, report.remainder) == divide_reference(g, f)
+        assert report.divides == (sig.nvars != 3)
+
+
 @pytest.mark.parametrize(
     "label", ["ads:2,3,1", "ds1:1,2", "ds2:3", "clifford:2,3", "lawson:2,3", "lawson:4,3"]
 )
@@ -476,14 +513,14 @@ def _float_eval_cases(draw, count=1):
 
 
 @given(_float_eval_cases(), st.booleans())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, print_blob=True)
 def test_term_tables_match_eval_float_bitwise(case, as_array):
     (f,), point = case
     _assert_tables_match_loops(f, np.array(point) if as_array else point)
 
 
 @given(_float_eval_cases(count=3))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, print_blob=True)
 def test_one_table_of_several_polynomials_matches_eval_float(case):
     """Polynomials compiled into one table, a zero one among them, each read
     back from its own slot."""
