@@ -213,15 +213,14 @@ _LIGHT_CONE = ((1, 0, -1, 0), (1, 0, 1, 0), (0, 1, 0, -1), (0, 1, 0, 1))
 
 
 def lawson_light_cone(k: int, n: int) -> tuple[Poly, Form, tuple[Poly, ...]]:
-    """lawson:k,n (k, n not validated) in y = L x: F(y) = 2(a^k c^n + p^k q^n),
-    the metric K = L B L^T in exact integers (K_ap = K_cq = -2, all else 0)
-    and the rows y_i of L as polynomials in x; f(x) = F(Lx) = F.substitute(rows)."""
-    a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
+    """lawson:k,n (k + n > 0, not validated) in y = L x: F(y) = 2(a^k c^n + p^k q^n)
+    from its two monomials, the metric K = L B L^T in exact integers (K_ap = K_cq = -2,
+    all else 0) and the rows y_i of L in x; f(x) = F(Lx) = F.substitute(rows)."""
     rows = linear_forms(_LIGHT_CONE)
     # B = diag(-1, -1, 1, 1), signature (2, 2), for every lawson member.
     form = {(i, j): e for (i, li), (j, lj) in product(enumerate(_LIGHT_CONE), repeat=2)
             if (e := sum(u * s * v for u, s, v in zip(li, (-1, -1, 1, 1), lj)))}
-    return (a**k * c**n + p**k * q**n).scale(2), form, rows
+    return Poly(4, {(k, 0, n, 0): 2, (0, k, 0, n): 2}), form, rows
 
 
 def _lawson_poly(k: int, n: int) -> Poly:

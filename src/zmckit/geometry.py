@@ -154,6 +154,7 @@ def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
 
 
 class Derivatives(NamedTuple):
+    poly: Poly  # f as compiled: the tables sum in its storage order
     first: TermTable  # f, then df/dx_1 .. df/dx_n
     second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
     upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
@@ -161,15 +162,23 @@ class Derivatives(NamedTuple):
 
 
 @lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
-def derivatives(f: Poly) -> Derivatives:
-    """Term tables of f with its gradient, and of its upper-triangular
-    Hessian with that triangle's index pair, and f's degree, cached per
-    polynomial; the exact derivatives are not kept."""
+def _cached_derivatives(f: Poly) -> Derivatives:
     grad = gradient(f)
     hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
     upper = np.triu_indices(f.nvars)
-    return Derivatives(_compile([f, *grad]), _compile(hess), upper, max(f.degree(), 0))
+    return Derivatives(f, _compile([f, *grad]), _compile(hess), upper, max(f.degree(), 0))
 
+
+def derivatives(f: Poly) -> Derivatives:
+    """Term tables of f with its gradient, and of its upper-triangular
+    Hessian with that triangle's index pair, and f's degree, cached per
+    polynomial; the exact derivatives are not kept.  Poly equality ignores
+    the storage order the tables sum in, so an equal f in another order is
+    compiled afresh."""
+    cached = _cached_derivatives(f)
+    if cached.poly is f or list(cached.poly.ints) == list(f.ints):
+        return cached
+    return _cached_derivatives.__wrapped__(f)
 
 
 def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarray]:
@@ -180,7 +189,7 @@ def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarr
 
 def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    _, second, (rows, cols), _ = derivatives(f)
+    _, _, second, (rows, cols), _ = derivatives(f)
     out = np.empty((f.nvars, f.nvars))
     out[rows, cols] = out[cols, rows] = _evaluate(second, point)
     return out

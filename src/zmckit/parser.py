@@ -15,8 +15,9 @@ normalize on construction (sqrt(8) -> 2 sqrt(2)) and are at most
 sqrt(2) x1 + sqrt(3) x2 raises its ValueError.
 
 Every intermediate result is bounded by MAX_POLY_TERMS terms, degree
-MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, and one
-parse multiplies at most MAX_TERM_PAIRS pairs of terms.  A literal, product
+MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, one parse
+multiplies at most MAX_TERM_PAIRS pairs of terms, and parentheses nest at
+most MAX_NESTING deep, well inside Python's recursion limit.  A literal, product
 or power is checked on a bound of its size before it is built, so
 `(x1+x2+x3+x4)^200` and `(3)^100000` fail at once.
 """
@@ -53,6 +54,9 @@ MAX_COEFF_BITS = 4096
 # Cap on the term pairs one parse multiplies, those inside powers included:
 # one `(x1+x2+x3)^61` multiplies 119,130.
 MAX_TERM_PAIRS = 10**6
+# Cap on nested parentheses: each level takes three parser frames, so 100
+# levels leave most of Python's default recursion limit (1000) to the caller.
+MAX_NESTING = 100
 # Digits of 2^MAX_COEFF_BITS: a literal with more cannot be under the cap,
 # and is refused before it is converted.
 _MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
@@ -172,6 +176,7 @@ class _Parser:
         self.pos = 0
         self.nvars = nvars
         self.pairs = 0  # term pairs multiplied so far
+        self.depth = 0  # parentheses open at the current token
         self.one = (0,) * nvars
         self.roots: dict[int, QuadExtScalar] = {}  # each radicand normalised once
 
@@ -318,8 +323,12 @@ class _Parser:
             return self._power((ONE, self.one[:value - 1] + (1,) + self.one[value:]))
         if kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting depth {self.depth} exceeds the cap {MAX_NESTING}", pos)
             inner = self.parse_poly()
             self.expect(")")
+            self.depth -= 1
             if inner.num_terms() <= 1:
                 (mono, (a, b)), = inner.ints.items() or [(self.one, (0, 0))]
                 inner = _normal(a, b, inner.den, inner.d), mono

@@ -10,8 +10,8 @@ entries, gcd(den, every a, every b) = 1, and d = 1 exactly when every b is 0
 on these integers and returns through one normaliser, `_canonical`, and
 negation keeps them canonical; `render` and the float view read them too,
 nothing here rebuilds the coefficients as QuadExtScalars, and surds mix as
-`scalars.shared_surd` allows.  `divide`, `substitute` and `zmc`'s residual
-run on packed monomials (`_layout`); the last two multiply with `_mul_into`.
+`scalars.shared_surd` allows.  `*`, `divide`, `substitute` and `zmc`'s
+residual run on packed monomials (`_layout`), all but `divide` by `_mul_into`.
 The order is graded lex with x1 > x2 > ..., so that division is deterministic.
 
 Everything is exact.  Instances are immutable and hashable, so derived data
@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import add, lshift
+from operator import lshift
 from typing import Mapping, Sequence
 
 from .scalars import as_scalar, coeff_float, coeff_text, lowest_terms, shared_surd
@@ -136,16 +136,9 @@ class Poly:
             except TypeError:
                 return NotImplemented
         d = self._join(other)
-        out: dict[Monomial, list[int]] = {}
-        for m1, (a1, b1) in self.ints.items():
-            for m2, (a2, b2) in other.ints.items():
-                mono = tuple(map(add, m1, m2))
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = [a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1]
-                else:
-                    acc[0] += a1 * a2 + b1 * b2 * d
-                    acc[1] += a1 * b2 + a2 * b1
+        shifts, mask, _ = _layout(self.nvars, max(self.degree() + other.degree(), 1))
+        p, q = ({_pack(m, shifts): ab for m, ab in f.ints.items()} for f in (self, other))
+        out = {_unpack(m, shifts, mask): ab for m, ab in _product(p, q, d).items()}
         return _canonical(self.nvars, d, self.den * other.den, out)
 
     def __rmul__(self, other):
@@ -381,7 +374,7 @@ def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
 
 
 def _product(p: Mapping, q: Mapping, d: int, k: int = 1) -> dict:
-    """k p q on packed dicts less its cancelled terms, as `Poly.__mul__` keeps it."""
+    """k p q on packed dicts less its cancelled terms, by first appearance over p x q."""
     out: dict = {}
     _mul_into(out, p, q, k, d)
     return {m: ab for m, ab in out.items() if ab[0] or ab[1]}

@@ -43,6 +43,8 @@ only what the commands run:
   monomials replaced; `monomial_divides` is the tuple divisibility test;
 - `substitute_reference`: `Poly.substitute` from `Poly` products and sums on
   exponent tuples, the loop its packed monomials replaced;
+- `mul_reference`: `Poly.__mul__` on exponent tuples, each monomial stored
+  where it first appears over p x q, the loop its packed product replaced;
 - `tokenize_reference`: `parser._tokenize` as a character loop, the code its
   token pattern replaced; on ASCII text the two agree token for token and
   error for error;
@@ -58,7 +60,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 
@@ -525,6 +526,24 @@ def divide_reference(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     return _over_lcm(g.nvars, d, quotient), _over_lcm(g.nvars, d, remainder)
 
 
+def mul_reference(p: Poly, q: Poly) -> Poly:
+    """p * q on exponent tuples: each monomial stored where it first appears
+    over p x q, kept there if it cancels and appears again, the loop that
+    `Poly.__mul__`'s packed product replaced."""
+    d = p._join(q)
+    out: dict[tuple[int, ...], list[int]] = {}
+    for m1, (a1, b1) in p.ints.items():
+        for m2, (a2, b2) in q.ints.items():
+            mono = tuple(map(add, m1, m2))
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = [a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1]
+            else:
+                acc[0] += a1 * a2 + b1 * b2 * d
+                acc[1] += a1 * b2 + a2 * b1
+    return _canonical(p.nvars, d, p.den * q.den, out)
+
+
 def substitute_reference(f: Poly, replacements) -> Poly:
     """f(replacements) from `Poly` products and sums on exponent tuples: a
     power table per variable, each term's factors multiplied in a product
@@ -594,9 +613,9 @@ def render_via_terms(p: Poly) -> str:
 # -- float derivatives, one polynomial at a time ---------------------------------
 
 
-@lru_cache(maxsize=8)
 def _derivative_polys(f: Poly) -> tuple[list[Poly], list[list[Poly]]]:
-    """The gradient of f and its full Hessian, each entry d/dx_{j+1} of grad[i]."""
+    """The gradient of f and its full Hessian, each entry d/dx_{j+1} of grad[i],
+    in f's own storage order: not cached, since Poly equality ignores it."""
     grad = gradient(f)
     return grad, [[g.diff(j) for j in range(1, f.nvars + 1)] for g in grad]
 

@@ -25,7 +25,8 @@ from zmckit.families import (
 )
 from zmckit.isometry import apply_to_poly
 from zmckit.parser import (
-    MAX_COEFF_BITS, MAX_POLY_DEGREE, MAX_POLY_TERMS, MAX_TERM_PAIRS, ParseError, parse_poly
+    MAX_COEFF_BITS, MAX_NESTING, MAX_POLY_DEGREE, MAX_POLY_TERMS, MAX_TERM_PAIRS, ParseError,
+    parse_poly,
 )
 from zmckit.poly import Poly
 from zmckit.zmc import AmbientSig, conjecture_check
@@ -388,6 +389,11 @@ _SUMS = ("+".join(f"x{i}" for i in range(1, 41)), "+".join(f"x{i}" for i in rang
     ("x1^100 x2 * x3^100 x2", "degree 202 exceeds the cap 201 (at position 19)"),
     (" + ".join([f"(1)^{1 << 4095}"] * 123),
      f"the input multiplies over {MAX_TERM_PAIRS} term pairs (at position 151283)"),
+    # Parentheses one level past the nesting cap, and far past Python's
+    # recursion limit: refused at the first '(' too deep.
+    *(pytest.param("(" * depth + "x1" + ")" * depth,
+                   "nesting depth 101 exceeds the cap 100 (at position 100)", id=f"{depth} nested")
+      for depth in (101, 1000)),
 ])
 def test_poly_above_a_parser_cap_is_usage_error(capsys, monkeypatch, text, message):
     # The parser checks a bound on each product and power before expanding
@@ -402,6 +408,16 @@ def test_poly_above_a_parser_cap_is_usage_error(capsys, monkeypatch, text, messa
     for command in (["verify", "--sig", "2,-1"], ["classify"]):
         code, out, err = run(capsys, *command, "--poly", text, "--nvars", "91")
         assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+def test_parentheses_at_the_nesting_cap_are_accepted(capsys):
+    # Under pytest's own frames, and as the text without them.
+    text = "2 x1 x2 + x3^2 - x4^2"
+    nested = "(" * MAX_NESTING + text + ")" * MAX_NESTING
+    for command in (["verify", "--sig", "2,-1"], ["classify"]):
+        got = run(capsys, *command, "--poly", nested, "--nvars", "4")
+        assert got == run(capsys, *command, "--poly", text, "--nvars", "4")
+        assert got[0] == 0
 
 
 # The product of two (cap/2 + 1)-bit literals has at least cap + 1 bits.

@@ -44,6 +44,16 @@ def test_light_cone_coordinates_and_form():
     assert F.substitute(rows) == make_poly(lawson(2, 3))
 
 
+@pytest.mark.parametrize("k,n", [spec.params for spec in _lawson_specs(MAX_ORACLE_ORDER)]
+                         + [(30, 31), (60, 61), (100, 101)])
+def test_light_cone_F_is_the_product_form_term_for_term(k, n):
+    # F's storage order is the order `substitute` expands it in, so f's too.
+    F = lawson_light_cone(k, n)[0]
+    a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
+    want = (a**k * c**n + p**k * q**n).scale(2)
+    assert (F.d, F.den, list(F.ints.items())) == (want.d, want.den, list(want.ints.items()))
+
+
 def test_linear_forms_reproduce_the_light_cone_rows():
     # The rows as they were built before `linear_forms` existed, with their
     # storage order, which `Poly.substitute`'s product tree depends on.

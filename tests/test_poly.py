@@ -10,6 +10,7 @@ from oracles import (
     divide_reference,
     eval_exact,
     monomial_divides,
+    mul_reference,
     render_via_terms,
     residual_parts_reference,
     scalar_terms,
@@ -18,7 +19,7 @@ from oracles import (
 from zmckit.cli import main
 from zmckit.families import make_poly, parse_family
 from zmckit.isometry import apply_to_poly, linear_forms, rotation_exact
-from zmckit.parser import parse_poly
+from zmckit.parser import MAX_POLY_DEGREE, parse_poly
 from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar
 from zmckit.zmc import _residual_parts
@@ -284,6 +285,86 @@ def test_mul_and_divide_match_scalar_reference(polys):
             assert [list(scalar_terms(x).items()) for x in got] == [
                 list(scalar_terms(x).items()) for x in want
             ]
+
+
+@st.composite
+def _capped_polys(draw, nvars, coeffs, top, max_terms=5):
+    """Up to `max_terms` terms in `nvars` variables with coefficients drawn
+    from `coeffs`, each of total degree up to `top` in at most 3 variables;
+    or a constant, or zero."""
+    kind = draw(st.sampled_from(("terms", "terms", "constant", "zero")))
+    if kind == "zero":
+        return Poly(nvars)
+    if kind == "constant":
+        return Poly.constant(nvars, draw(coeffs))
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            mono[i] += draw(st.integers(0, top - sum(mono)))
+        terms[tuple(mono)] = draw(coeffs)
+    return Poly(nvars, terms)
+
+
+@st.composite
+def _product_operands(draw):
+    """p and q over one Q(sqrt(d)), d in {1, 2, 5}, each rational or surd, in
+    1-100 variables, deg p + deg q up to the parser's cap; or, so that
+    product terms cancel and reappear, both in 2 variables of degree up to 2
+    with coefficients +-1, or q is p with alternate signs flipped."""
+    if draw(st.booleans()):
+        units = st.sampled_from((-1, 1))
+        return draw(_capped_polys(2, units, 2)), draw(_capped_polys(2, units, 2))
+    nvars = draw(st.sampled_from((1, 2, 3, draw(st.integers(4, 100)))))
+    d = draw(st.sampled_from((1, 2, 5)))
+    top = draw(st.integers(0, MAX_POLY_DEGREE))
+    p = draw(_capped_polys(nvars, _coeffs(draw(st.sampled_from((1, d)))), top))
+    if draw(st.booleans()) and p.degree() <= MAX_POLY_DEGREE // 2:
+        return p, _flip_alternate_signs(p)
+    return p, draw(_capped_polys(nvars, _coeffs(draw(st.sampled_from((1, d)))),
+                                 MAX_POLY_DEGREE - top))
+
+
+def _terms_in_order(p: Poly) -> tuple:
+    return p.nvars, p.d, p.den, list(p.ints.items())
+
+
+@given(_product_operands())
+# x1 x2 gets +1 from x1 * x2, -1 from x2 * -x1, then +1 from 1 * x1 x2: it
+# stays first.
+@example((P("x1 + x2 + 1", 2), P("x2 - x1 + x1 x2", 2)))
+@settings(max_examples=200, deadline=None)
+def test_products_keep_the_reference_storage_order(operands):
+    """The float view sums in storage order, so products keep the tuple
+    loop's order term for term, not just its value."""
+    p, q = operands
+    for a, b in ((p, q), (q, p), (p, p)):
+        assert _terms_in_order(a * b) == _terms_in_order(mul_reference(a, b))
+
+
+def _binary_power(p: Poly, e: int, mul) -> Poly:
+    """p^e by `Poly.__pow__`'s square-and-multiply, each product by `mul`."""
+    out, base = Poly.constant(p.nvars, 1), p
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base) if e > 1 else base
+        e >>= 1
+    return out
+
+
+@given(st.integers(1, 100).flatmap(lambda n: st.tuples(
+    _capped_polys(n, _coeffs(5), 8, max_terms=3), st.integers(0, 8), st.sampled_from((1, 5)))))
+@settings(max_examples=60, deadline=None)
+def test_powers_match_the_left_fold_in_the_reference_order(case):
+    p, e, d = case
+    if d == 5:  # a surd operand, so that mixed coefficients meet
+        p = p * Poly.constant(p.nvars, QuadExtScalar(1, 1, 5))
+    fold = Poly.constant(p.nvars, 1)
+    for _ in range(e):
+        fold = mul_reference(fold, p)
+    assert p ** e == fold
+    assert _terms_in_order(p ** e) == _terms_in_order(_binary_power(p, e, mul_reference))
 
 
 def test_guard_bits_decide_divisibility_field_by_field():

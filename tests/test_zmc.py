@@ -519,6 +519,20 @@ def test_term_tables_match_eval_float_bitwise(case, as_array):
     _assert_tables_match_loops(f, np.array(point) if as_array else point)
 
 
+def test_an_equal_polynomial_in_another_order_gets_its_own_tables():
+    """Poly equality ignores storage order, which the term tables sum in: f2,
+    f1's terms stored in reverse, reads its own sums, which differ from f1's
+    in the last bit here, after f1's tables are cached, and f1 its own after."""
+    terms = {(3, 2): Fraction(159, 10), (0, 2): Fraction(-938, 3),
+             (0, 0): Fraction(923, 49), (1, 3): Fraction(243, 2)}
+    f1, f2 = Poly(2, terms), Poly(2, dict(reversed(terms.items())))
+    point = (1.2914441215435972, 1.6455514926972343)
+    assert f1 == f2 and f1.eval_float(point) != f2.eval_float(point)
+    for f in (f1, f2, f1):
+        _assert_tables_match_loops(f, point)
+    assert value_and_gradient(f2, point)[0].hex() == "-0x1.1f39838d4e5c4p+5"
+
+
 @given(_float_eval_cases(count=3))
 @settings(max_examples=60, deadline=None, print_blob=True)
 def test_one_table_of_several_polynomials_matches_eval_float(case):
