@@ -15,6 +15,9 @@ command takes one input, `--family` or (`verify`, `classify`) `--poly`; only
 `report` takes `--family` more than once.  `--nvars` and `--sig` belong to
 `--poly` and exit 2 beside `--family`; `classify` reads `--poly` in
 signature (2,-1), the only one it classifies in, and has no `--sig`.
+`build_parser` builds the argparse tree once per process, so repeated
+`main` calls in one process (a library caller, the tests, the benchmark)
+share it; a one-shot command still pays for one build.
 
 The numeric gates are fixed: the residual bounds `families.RESIDUAL_BOUND`
 on projected points, Newton's stopping tolerance `families.NEWTON_TOL`, the
@@ -46,6 +49,7 @@ import math
 import numbers
 import os
 import sys
+from functools import lru_cache
 
 from .families import (
     MAX_QUADRIC_NVARS, NEWTON_TOL, RESIDUAL_BOUND, SPECTRUM_RTOL, FamilySpec, ProjectionError,
@@ -421,7 +425,11 @@ def cmd_report(args) -> int:
     return EXIT_PASS if doc["passed"] else EXIT_FAIL
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process: `main`
+    parses each call's argv with the same parser, which keeps no state
+    between calls (each `parse_args` fills a new namespace)."""
     parser = argparse.ArgumentParser(
         prog="zmckit",
         description="verify and explore algebraic ZMC hypersurfaces in pseudo-spheres",

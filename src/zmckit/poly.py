@@ -255,10 +255,13 @@ class Poly:
         ints, den, d = self.ints, self.den, self.d
         if not ints:
             return "0"
+        # Each x_i^e text is formatted once: powers[i - 1][e].
+        powers = [[f"x{i}^{e}" if e > 1 else f"x{i}" for e in range(top + 1)]
+                  for i, top in enumerate(map(max, zip(*ints)), 1)]
         pieces: list[str] = []
         for mono in sorted(ints, key=grlex_key, reverse=True):
             a, b = ints[mono]
-            vars_txt = " ".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(mono, 1) if e)
+            vars_txt = " ".join([row[e] for row, e in zip(powers, mono) if e])
             if a and b:
                 # Mixed rational + surd: parenthesize so the term survives a round trip.
                 negative, body = False, f"({coeff_text(a, b, den, d)})"
@@ -354,23 +357,36 @@ def _unpack(key: int, shifts: list[int], mask: int) -> Monomial:
 
 def _mul_into(out: dict, p: Mapping, q: Mapping, k: int, d: int) -> None:
     """out += k p q on packed dicts {key: (a, b)} of (a + b sqrt(d)), `out`'s
-    values lists [a, b]; when d == 1 every b is 0, and the loop reads only a."""
-    get = out.get
+    values lists [a, b]; when d == 1 every b is 0, and the loop reads only a.
+    When p is q and has 8 or more terms (fewer cost more in set-up than they
+    save), term i meets terms i, i + 1, ... only, at 2k, and a pass over the
+    diagonal gives k back; keys first appear in the p x q loop's order."""
+    get, square = out.get, p is q and len(p) >= 8
+    row, c = (list(p.items()), 2 * k) if square else (q.items(), k)
     if d == 1:
         for m1, (a1, _) in p.items():
-            a1 *= k
-            for m2, (a2, _) in q.items():
+            a1 *= c
+            for m2, (a2, _) in row:
                 if (acc := get(m1 + m2)) is None:
                     acc = out[m1 + m2] = [0, 0]
                 acc[0] += a1 * a2
-        return
-    for m1, (a1, b1) in p.items():
-        a1, b1 = k * a1, k * b1
-        for m2, (a2, b2) in q.items():
-            if (acc := get(m1 + m2)) is None:
-                acc = out[m1 + m2] = [0, 0]
-            acc[0] += a1 * a2 + b1 * b2 * d
-            acc[1] += a1 * b2 + a2 * b1
+            if square:  # term i meets terms i, i + 1, ... only
+                row = row[1:]
+    else:
+        for m1, (a1, b1) in p.items():
+            a1, b1 = c * a1, c * b1
+            for m2, (a2, b2) in row:
+                if (acc := get(m1 + m2)) is None:
+                    acc = out[m1 + m2] = [0, 0]
+                acc[0] += a1 * a2 + b1 * b2 * d
+                acc[1] += a1 * b2 + a2 * b1
+            if square:
+                row = row[1:]
+    if square:  # the diagonal went in at 2k
+        for m, (a, b) in p.items():
+            acc = out[m + m]
+            acc[0] -= k * (a * a + b * b * d)
+            acc[1] -= 2 * k * a * b
 
 
 def _product(p: Mapping, q: Mapping, d: int, k: int = 1) -> dict:
@@ -395,7 +411,7 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     triples (a, b, den) that start over den 1; a step multiplies by lc(F0)'s
     conjugate over its norm.  If F0 | G0 over Q, Gauss's lemma puts Q0 in
     Z[x], so every update is over den 1 and skips the gcd; an update over
-    the step's den adds numerators.
+    the step's den adds numerators.  Over Q the updates read only the a's.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -427,7 +443,27 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         wa, wb, wden = coeff
         qa, qb, step_den = lowest_terms(wa * fa - wb * fb * d, wb * fa - wa * fb, wden * norm)
         quotient[qm] = (qa * q_num, qb * q_num, step_den * q_den)
-        # Subtract q * c for each remaining term c = ra + rb sqrt(d) of F0.
+        # Subtract q * c for each remaining term c = ra + rb sqrt(d) of F0,
+        # over Q (every b is 0) in a loop that reads only the a's.
+        if d == 1:
+            for mono, ra, _ in rest:
+                target = qm + mono
+                na = -qa * ra
+                old = work.get(target)
+                if old is None:
+                    den = step_den
+                    heappush(heap, -target)
+                elif (den := old[2]) == step_den:
+                    na += old[0]
+                else:
+                    na, den = old[0] * step_den + na * den, den * step_den
+                if not na:
+                    del work[target]
+                elif den == 1 or (k := gcd(na, den)) == 1:
+                    work[target] = (na, 0, den)
+                else:
+                    work[target] = (na // k, 0, den // k)
+            continue
         for mono, ra, rb in rest:
             target = qm + mono
             na, nb = -(qa * ra + qb * rb * d), -(qa * rb + qb * ra)

@@ -100,6 +100,7 @@ def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool 
     for (i, j), k in form.items():
         if i <= j:  # K is symmetric: each off-diagonal pair once, doubled
             k = k if i == j else 2 * k
+            # grad[i] is grad[j] when i == j: _mul_into's square path.
             _mul_into(w, grad[i], grad[j], k, d)
             _mul_into(lap, _diff_packed(grad[i], shifts[j], mask), {0: (1, 0)}, k, d)
     for p in (w, lap):  # cancelled terms would only feed zero products to g

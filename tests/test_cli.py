@@ -184,6 +184,43 @@ def test_report_requires_families(capsys):
     assert run(capsys, "report")[0] == 2
 
 
+# `main` parses every call with the one parser `build_parser` builds per
+# process: nothing may carry over from one call to the next.
+
+
+def test_the_same_verify_twice_in_one_process_prints_the_same(capsys):
+    first, second = (run(capsys, "verify", "--family", "ads:2,3,1") for _ in range(2))
+    assert first == second
+    assert first[0] == 0 and first[1]
+
+
+def test_report_families_do_not_carry_over_to_the_next_call(capsys):
+    code, out, _ = run(capsys, "report", "--family", "ads:1,1,0", "--family", "lawson:1,3",
+                       "--count", "2")
+    assert code == 0 and len(json.loads(out)["families"]) == 2
+    assert cli.build_parser().parse_args(["verify", "--family", "ds2:1"]).family == ["ds2:1"]
+    code, out, err = run(capsys, "verify", "--family", "ds2:1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["family"] == "ds2"
+
+
+def test_a_usage_error_after_a_success_exits_2_with_one_line(capsys):
+    assert run(capsys, "verify", "--family", "ads:2,3,1")[0] == 0
+    code, out, err = run(capsys, "verify", "--family", "nope:1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+def test_help_matches_an_uncached_parser(capsys, argv):
+    assert run(capsys, "verify", "--family", "ads:2,3,1")[0] == 0
+    code, cached, _ = run(capsys, *argv)
+    with pytest.raises(SystemExit):
+        cli.build_parser.__wrapped__().parse_args(argv)
+    assert code == 0 and cached and cached == capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_report_determinism(tmp_path):
     args = [
         "report",

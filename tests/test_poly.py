@@ -20,8 +20,8 @@ from zmckit.cli import main
 from zmckit.families import make_poly, parse_family
 from zmckit.isometry import apply_to_poly, linear_forms, rotation_exact
 from zmckit.parser import MAX_POLY_DEGREE, parse_poly
-from zmckit.poly import Poly, _layout, _pack, divide, grlex_key
-from zmckit.scalars import ZERO, QuadExtScalar
+from zmckit.poly import Poly, _layout, _mul_into, _pack, divide, grlex_key
+from zmckit.scalars import ZERO, QuadExtScalar, shared_surd
 from zmckit.zmc import _residual_parts
 
 
@@ -342,6 +342,49 @@ def test_products_keep_the_reference_storage_order(operands):
         assert _terms_in_order(a * b) == _terms_in_order(mul_reference(a, b))
 
 
+@st.composite
+def _square_cases(draw):
+    """p of 0-20 terms (the square path takes 8 or more) over Q or Q(sqrt(2)),
+    half the time with +-1 coefficients in 2 variables up to degree 5, so
+    that cross terms cancel; k in {1, -1, 2, -2}; and q, whose terms `out`
+    already holds, as w accumulates across i."""
+    d = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        units = st.sampled_from((-1, 1))
+        monos = st.tuples(st.integers(0, 5), st.integers(0, 5))
+        p, q = (Poly(2, draw(st.dictionaries(monos, units, max_size=20))) for _ in range(2))
+        if d == 2:
+            p = p * P("1 + sqrt(2)", 2)
+    else:
+        p = draw(_sparse_polys(draw(st.sampled_from((1, d))), 3, max_terms=20))
+        q = draw(_sparse_polys(draw(st.sampled_from((1, d))), 3))
+    return p, q, draw(st.sampled_from((1, -1, 2, -2))), shared_surd((p.d, q.d))
+
+
+# 2 x1^2 - x2^2 + 2 x1 x2 squared: x1^2 x2^2 gets 2 * 2 * (-1) + 2^2 = 0, and
+# x1^3 x2 gets 8, which cancels the -8 that `out` holds; five powers of x3
+# take p to the square path's 8 terms.
+_CANCELLING_SQUARE = "2 x1^2 - x2^2 + 2 x1 x2 + x3^4 + x3^5 + x3^6 + x3^7 + x3^8"
+
+
+@given(_square_cases())
+@example((P(_CANCELLING_SQUARE, 3), P("x1^2 x2^2 - 8 x1^3 x2", 3), 1, 1))
+@example((P(_CANCELLING_SQUARE, 3) * P("1 + sqrt(2)", 3), P("x1", 3), -2, 2))
+@settings(max_examples=150, deadline=None)
+def test_square_path_matches_the_general_loop(case):
+    """`_mul_into(out, p, p, k, d)` multiplies each unordered pair of terms
+    once; it leaves `out` as the p x q loop leaves it (run on a copy of p,
+    which defeats `is`): the same pairs, cancelled ones included, in the
+    same order."""
+    p, q, k, d = case
+    shifts, _, _ = _layout(p.nvars, max(2 * p.degree(), q.degree(), 1))
+    packed, start = ({_pack(m, shifts): ab for m, ab in f.ints.items()} for f in (p, q))
+    square, general = ({m: list(ab) for m, ab in start.items()} for _ in range(2))
+    _mul_into(square, packed, packed, k, d)
+    _mul_into(general, packed, dict(packed), k, d)
+    assert list(square.items()) == list(general.items())
+
+
 def _binary_power(p: Poly, e: int, mul) -> Poly:
     """p^e by `Poly.__pow__`'s square-and-multiply, each product by `mul`."""
     out, base = Poly.constant(p.nvars, 1), p
@@ -416,6 +459,13 @@ def _division_cases(draw):
 @example([P("x1^7 + x2", 2), P("x1^7", 2), P("x1^6 x2 + 3", 2)])
 @example([P("sqrt(3) x1^15 - x1 x2^3", 2), P("x2^15", 2), P("sqrt(3) x1^15", 2)])
 @example([P("x1^3 + 1", 1), P("(1 + sqrt(2)) x1^4", 1), P("x1^2 - sqrt(2)", 1)])
+# Over Q (d == 1), each form of a work update: exact over Z, every update over
+# den 1; lc(f) = 3 with g = r not divisible, so 2/3 x1^2 (den 3) updates
+# x1^3 x2 over den 1 to -3/3, which the gcd reduces; x1^2 - x2^2 divided by
+# x1 + x2, where -x1 x2 then x2^2 cancel.
+@example([P("x1^2 + 3 x2", 2), P("x1^3 - 2 x1 x2 + 5", 2), P("x2^2", 2)])
+@example([P("3 x1^2 + 3 x1 x2 - 5", 2), P("x1^2 + x2", 2), P("2 x1^4 + x1^3 x2 + 7 x1", 2)])
+@example([P("x1 + x2", 2), P("x1 - x2", 2), P("x2^3", 2)])
 @settings(max_examples=80, deadline=None)
 def test_packed_divide_matches_the_tuple_loop(case):
     """`divide` on packed keys returns what the tuple-keyed heap loop

@@ -352,11 +352,13 @@ def test_conjecture_check_of_a_multiple_matches_the_references(c, monkeypatch):
     Q(sqrt(d)), for a unit, a negative content, a 4000-bit content and a
     surd, on lawson:2,3 rotated in x1,x2 by t = 2/7 (22 terms over a 9-digit
     den; w and lap have cancelled terms), clifford:2,3 and a quadric that is
-    not ZMC.  No product of the residual reads a cancelled term."""
-    products = zmc._mul_into
+    not ZMC.  No product of the residual reads a cancelled term, w's squares
+    (p is q) included."""
+    products, squares = zmc._mul_into, []
 
     def no_cancelled_operand(out, p, q, k, d):
         assert all(a or b for a, b in chain(p.values(), q.values()))
+        squares.append(p is q)
         products(out, p, q, k, d)
 
     monkeypatch.setattr(zmc, "_mul_into", no_cancelled_operand)
@@ -374,6 +376,7 @@ def test_conjecture_check_of_a_multiple_matches_the_references(c, monkeypatch):
         assert (report.w, report.laplacian) == (w, lap)
         assert (report.quotient, report.remainder) == divide_reference(g, f)
         assert report.divides == (sig.nvars != 3)
+    assert squares.count(True) == sum(sig.nvars for _, sig in cases)
 
 
 @pytest.mark.parametrize(
