@@ -377,10 +377,10 @@ def cmd_classify(args) -> int:
     return EXIT_PASS if result.verdict == "matches" else EXIT_FAIL
 
 
-def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
+def _report_one(spec: FamilySpec, index: int, args) -> dict:
     f = make_poly(spec)
     sig = spec.sig
-    entry: dict = {"family": label, "params": list(spec.params)}
+    entry: dict = {"family": spec.label, "params": list(spec.params)}
     report = _certify(spec)
     entry["verify"] = report.to_dict(
         family=spec.kind, params=spec.params, sig=sig, degree=spec.degree
@@ -409,12 +409,9 @@ def _report_one(label: str, spec: FamilySpec, index: int, args) -> dict:
 
 
 def cmd_report(args) -> int:
-    labels = sorted(set(args.family or []))
-    specs = _sampled_families(args, labels)
-    entries = [
-        _report_one(label, spec, i, args)
-        for i, (label, spec) in enumerate(zip(labels, specs))
-    ]
+    specs = _sampled_families(args, sorted(set(args.family or [])))
+    # One entry per member, in the order its first selector was parsed.
+    entries = [_report_one(spec, i, args) for i, spec in enumerate(dict.fromkeys(specs))]
     doc = {
         "seed": args.seed,
         "count": args.count,

@@ -19,7 +19,8 @@ Five families are supported, selected by strings of the form shown:
 
 Each quadric member is built from one table of (i, j, coefficient) entries,
 stored in the order listed.  `pencil_coefficients` gives the ads and ds1
-coefficients, and `quadform` reads the same function for the trace test.
+coefficients; `quadform` does not call it (`classify` matches a member by
+exact traces against (m - n)^2 / (m n)), the tests check its pencils with it.
 
 Each quadric family comes with a one-pass on-variety sampler (free
 coordinates drawn inside the feasible region, the two constraints solved for
@@ -33,6 +34,7 @@ form and by finite differences, are test oracles in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -65,6 +67,8 @@ _KINDS = {
     "clifford": _Kind((1, 1), "positive integers p, q", lambda p: 2 + sum(p), lambda p: (0, 1)),
 }
 FAMILY_KINDS = tuple(_KINDS)
+# One family parameter of a selector.
+_PARAM = re.compile(r"-?[0-9]+")
 
 # Hyperbolic-function arguments past this magnitude would overflow doubles
 # once products of cosh/sinh terms are formed.
@@ -158,13 +162,19 @@ def clifford(p: int, q: int) -> FamilySpec:
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse a selector like 'ads:2,3,1' into a FamilySpec."""
+    """Parse a selector like 'ads:2,3,1' into a FamilySpec.  Each parameter
+    is ASCII digits with an optional leading '-' (so that a negative one
+    meets its kind's bounds check), as in the polynomial grammar: no '+',
+    '_', spaces or other scripts' digits."""
     kind, sep, rest = text.partition(":")
     kind = kind.strip()
     if not sep or kind not in FAMILY_KINDS:
         raise ValueError(f"bad family selector {text!r}; expected kind:params")
+    pieces = rest.split(",")
     try:
-        params = tuple(int(piece) for piece in rest.split(","))
+        if not all(_PARAM.fullmatch(piece) for piece in pieces):
+            raise ValueError
+        params = tuple(int(piece) for piece in pieces)
     except ValueError as exc:
         raise ValueError(f"bad family parameters in {text!r}") from exc
     return FamilySpec(kind, params)
@@ -177,8 +187,8 @@ def parse_family(text: str) -> FamilySpec:
 
 def pencil_coefficients(m: int, n: int) -> tuple[QuadExtScalar, QuadExtScalar, QuadExtScalar]:
     """(mu, sqrt(n/m), -sqrt(m/n)) with mu = (m-n)/sqrt(mn): the x2^2, |y|^2
-    and |z|^2 coefficients of ads:m,n,k, and the trace test's tr(B A) = -mu
-    (`quadform`).  ds1:m,n has -mu in place of mu."""
+    and |z|^2 coefficients of ads:m,n,k, whose pencil has tr(B A) = -mu.
+    ds1:m,n has -mu in place of mu."""
     return (QuadExtScalar(m - n) * QuadExtScalar.sqrt(Fraction(1, m * n)),
             QuadExtScalar.sqrt(Fraction(n, m)), -QuadExtScalar.sqrt(Fraction(m, n)))
 
@@ -262,10 +272,13 @@ def _check_hyperbolic_args(*values: float) -> None:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Explicit immersion of a lawson-family surface.
+    """Explicit immersion of a lawson-family surface,
 
-    For k < n (the 'phi' patch) it lands in <B2 x, x> = -1; for k > n (the
-    'rho' patch) in <B2 x, x> = +1.
+        (a cosh nt, b sinh kt, a sinh nt, -b cosh kt),
+
+    with (a, b) = (cosh s, sinh s) for k < n (the 'phi' patch, in
+    <B2 x, x> = -1) and (sinh s, cosh s) for k > n (the 'rho' patch, in
+    <B2 x, x> = +1).
     """
 
     k: int
@@ -281,22 +294,9 @@ class SurfacePatch:
 
         k, n = self.k, self.n
         _check_hyperbolic_args(s, n * t, k * t)
-        if k < n:
-            return np.array(
-                [
-                    math.cosh(s) * math.cosh(n * t),
-                    math.sinh(s) * math.sinh(k * t),
-                    math.cosh(s) * math.sinh(n * t),
-                    -math.cosh(k * t) * math.sinh(s),
-                ]
-            )
+        a, b = (math.cosh(s), math.sinh(s)) if k < n else (math.sinh(s), math.cosh(s))
         return np.array(
-            [
-                math.cosh(n * t) * math.sinh(s),
-                math.cosh(s) * math.sinh(k * t),
-                math.sinh(s) * math.sinh(n * t),
-                -math.cosh(s) * math.cosh(k * t),
-            ]
+            [a * math.cosh(n * t), b * math.sinh(k * t), a * math.sinh(n * t), -b * math.cosh(k * t)]
         )
 
 

@@ -12,7 +12,7 @@ rank test and G's signature are read from 2x2 Gram matrices where an error
 bound proves the answer (`_rank_certified`, `_metric_signature`, with the
 margins RANK_DET_MARGIN, RANK_SCALE_MARGIN and METRIC_DET_MARGIN), and from
 LAPACK only elsewhere (Shewchuk, DCG 18, 1997).  Each polynomial's float
-terms are compiled once into term tables
+terms are compiled once into term tables kept on the polynomial
 (`derivatives`): one for f with its gradient, one for the Hessian, so a
 Newton step reads f and grad f from one evaluation and batch runs over many
 points reuse the tables.  The float w at a point comes from
@@ -101,11 +101,6 @@ class CurvatureSpectrum:
 # -- float derivatives ---------------------------------------------------------
 
 
-# Most polynomials whose derivative term tables stay cached; a float batch
-# works on one polynomial per family.
-DERIVATIVE_CACHE_SIZE = 64
-
-
 class TermTable(NamedTuple):
     """The float terms of several polynomials, compiled for `_evaluate`.
 
@@ -154,31 +149,26 @@ def _evaluate(table: TermTable, point: Sequence[float]) -> np.ndarray:
 
 
 class Derivatives(NamedTuple):
-    poly: Poly  # f as compiled: the tables sum in its storage order
     first: TermTable  # f, then df/dx_1 .. df/dx_n
     second: TermTable  # d2f/dx_i dx_j for i <= j, row by row
     upper: tuple[np.ndarray, np.ndarray]  # those (i, j): np.triu_indices(nvars)
     degree: int  # f's total degree, 0 for the zero polynomial
 
 
-@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
-def _cached_derivatives(f: Poly) -> Derivatives:
-    grad = gradient(f)
-    hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
-    upper = np.triu_indices(f.nvars)
-    return Derivatives(f, _compile([f, *grad]), _compile(hess), upper, max(f.degree(), 0))
-
-
 def derivatives(f: Poly) -> Derivatives:
     """Term tables of f with its gradient, and of its upper-triangular
-    Hessian with that triangle's index pair, and f's degree, cached per
-    polynomial; the exact derivatives are not kept.  Poly equality ignores
-    the storage order the tables sum in, so an equal f in another order is
-    compiled afresh."""
-    cached = _cached_derivatives(f)
-    if cached.poly is f or list(cached.poly.ints) == list(f.ints):
-        return cached
-    return _cached_derivatives.__wrapped__(f)
+    Hessian with that triangle's index pair, and f's degree; the exact
+    derivatives are not kept.  Built on first use and kept on f itself
+    (`Poly._tables`): the tables sum in f's storage order, which Poly
+    equality ignores, so an equal polynomial in another order has its own."""
+    tables = f._tables
+    if tables is None:
+        grad = gradient(f)
+        hess = [grad[i].diff(j + 1) for i in range(f.nvars) for j in range(i, f.nvars)]
+        tables = Derivatives(_compile([f, *grad]), _compile(hess), np.triu_indices(f.nvars),
+                             max(f.degree(), 0))
+        object.__setattr__(f, "_tables", tables)
+    return tables
 
 
 def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarray]:
@@ -189,7 +179,7 @@ def value_and_gradient(f: Poly, point: Sequence[float]) -> tuple[float, np.ndarr
 
 def hessian_float(f: Poly, point: Sequence[float]) -> np.ndarray:
     """Second-derivative matrix of f evaluated at a float point."""
-    _, _, second, (rows, cols), _ = derivatives(f)
+    _, second, (rows, cols), _ = derivatives(f)
     out = np.empty((f.nvars, f.nvars))
     out[rows, cols] = out[cols, rows] = _evaluate(second, point)
     return out

@@ -14,8 +14,10 @@ nothing here rebuilds the coefficients as QuadExtScalars, and surds mix as
 residual run on packed monomials (`_layout`), all but `divide` by `_mul_into`.
 The order is graded lex with x1 > x2 > ..., so that division is deterministic.
 
-Everything is exact.  Instances are immutable and hashable, so derived data
-(gradients, Hessians) can be cached keyed on the polynomial.
+Everything is exact.  Instances are immutable and hashable.  Each one has a
+`_tables` slot that this module never reads: `geometry.derivatives` keeps
+the polynomial's float term tables there, built on first use, so they sum in
+that object's own storage order and live exactly as long as it does.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
 class Poly:
     """Immutable sparse polynomial in `nvars` variables over Q(sqrt(d))."""
 
-    __slots__ = ("nvars", "d", "den", "ints", "_hash")
+    __slots__ = ("nvars", "d", "den", "ints", "_hash", "_tables")
 
     def __new__(cls, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -318,7 +320,7 @@ def _primitive(p: Poly) -> tuple[int, Mapping]:
 def _built(nvars: int, d: int, den: int, ints: dict) -> Poly:
     """The Poly with exactly these fields, which the caller keeps canonical."""
     out = object.__new__(Poly)
-    for name, value in zip(Poly.__slots__, (nvars, d, den, ints, None)):
+    for name, value in zip(Poly.__slots__, (nvars, d, den, ints, None, None)):
         object.__setattr__(out, name, value)
     return out
 

@@ -32,9 +32,11 @@ multiplicity.  Each satisfies e^2 = t e - lam, so tr(P^2) = t tr(P) - lam r:
 Only lam = 0 needs an elimination (`exact_rank`, Bareiss).
 
 An ads(m, n, k) member's pencil is block diagonal, with characteristic
-polynomial (its "fingerprint"; `char_poly_exact`, by Faddeev-LeVerrier)
-(l - y)^(m+1) (l - z)^(n+1) l^k, where (mu, y, z) =
-`families.pencil_coefficients(m, n)`: y + z = -mu, y z = -1, m y + n z = 0.
+polynomial (its "fingerprint") (l - y)^(m+1) (l - z)^(n+1) l^k, where
+(mu, y, z) = `families.pencil_coefficients(m, n)`: y + z = -mu, y z = -1,
+m y + n z = 0.  `classify` never computes it: it reads the match off
+(t, lam, r) as below.  `char_poly_exact` (Faddeev-LeVerrier) computes it;
+only the tests call it, and perfbench traces it by name.
 A quadric whose identity holds has that fingerprint, with k = nvars - r,
 exactly when lam = -1 and tr(P) = -mu(m, n) with m + n = r - 2:
 (<=) P is a root of l (l^2 + mu l - 1), whose roots 0, y, z are distinct, so

@@ -180,6 +180,18 @@ def test_report_aggregates_and_exit(capsys, tmp_path):
     assert lawson_entry["classification"] is None
 
 
+def test_report_runs_each_member_once_under_its_canonical_label(capsys):
+    base = ["report", "--family", "ds2:1", "--count", "2"]
+    code, out, err = run(capsys, *base, "--family", "ads:1,1,0")
+    assert code == 0 and err == ""
+    assert [e["family"] for e in json.loads(out)["families"]] == ["ads:1,1,0", "ds2:1"]
+    same = run(capsys, *base, "--family", "ads:01,1,0", "--family", " ads:1,1,0",
+               "--family", "ads:1,1,0", "--family", "ds2:01")
+    assert same == (code, out, err)
+    code, out, err = run(capsys, *base, "--family", "ads:1,1,0", "--family", "ads:+1,1,0")
+    assert (code, out, err) == (2, "", "error: bad family parameters in 'ads:+1,1,0'\n")
+
+
 def test_report_requires_families(capsys):
     assert run(capsys, "report")[0] == 2
 
@@ -928,6 +940,13 @@ EXACT_OUTPUT_SHA256 = [
     # Float output that sums lawson's terms in `Poly.substitute`'s storage order.
     ("spectrum --family lawson:4,5 --count 100 --seed 3", 0,
      "0f40208aa0242655f0977e0f9881054717e97845b63d6a8f8a53f686cb642a8a"),
+    # A definite induced metric, and one of index 1 (the `eig` path).
+    ("spectrum --family ads:3,3,2 --count 20 --seed 7", 0,
+     "afff2d933b172467230ad7fd24de60555e2ec532ea0a27cbfeec823afea8e1ca"),
+    ("spectrum --family ds2:4 --count 20 --seed 7", 0,
+     "855b04a57fba5eeade49313411a25c22db1bce986384a7439e2de48149a07740"),
+    ("sample --family clifford:2,3 --count 20 --seed 7 --format csv", 0,
+     "474cd8aecfc6239eccd670cfac607e6920c1ac9dc3d4b69a79661c8bd06f16b5"),
 ]
 
 
@@ -936,6 +955,29 @@ def test_exact_output_is_pinned(capsys, command, code, digest):
     got, out, _ = run(capsys, *shlex.split(command))
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_spectrum_off_its_oracle_fails_at_the_first_point(capsys, monkeypatch):
+    real = cli.spectrum_oracle
+
+    def doubled(spec):
+        oracle = real(spec)
+        return dataclasses.replace(
+            oracle, spectrum=lambda p: [(2 * v, m) for v, m in oracle.spectrum(p)]
+        )
+
+    monkeypatch.setattr(cli, "spectrum_oracle", doubled)
+    code, out, err = run(capsys, "spectrum", "--family", "ds2:4", "--count", "3")
+    doc = json.loads(out)
+    first = doc["points"][0]["point"]["coords"]
+    assert code == 1 and doc["passed"] is False
+    assert " does not match oracle " in doc["failure"]
+    assert doc["failure"].endswith(f" at {first}")
+    assert err.splitlines() == [f"error: {doc['failure']}"]
+    code, out, _ = run(capsys, "report", "--family", "ds2:4", "--count", "3")
+    (entry,) = json.loads(out)["families"]
+    assert code == 1 and entry["passed"] is False and entry["spectrum"]["passed"] is False
+    assert " does not match oracle " in entry["spectrum"]["failure"]
 
 
 def _raise_in_spectrum(monkeypatch, exc):

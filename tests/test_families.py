@@ -112,6 +112,16 @@ SELECTOR_GRID = [
     ("torus:1,2", "bad family selector 'torus:1,2'; expected kind:params"),
     ("ads", "bad family selector 'ads'; expected kind:params"),
     ("ads:x,y", "bad family parameters in 'ads:x,y'"),
+    # Parameters are ASCII digits with an optional '-', as in the polynomial
+    # grammar; a leading zero reads as the canonical member.
+    ("ads:1_0,1,0", "bad family parameters in 'ads:1_0,1,0'"),
+    ("ads:+1,1,0", "bad family parameters in 'ads:+1,1,0'"),
+    ("ads: 1,1,0", "bad family parameters in 'ads: 1,1,0'"),
+    ("ads:1,1,0 ", "bad family parameters in 'ads:1,1,0 '"),
+    ("ads:\u0661,1,0", "bad family parameters in 'ads:\u0661,1,0'"),
+    ("ads:1,,0", "bad family parameters in 'ads:1,,0'"),
+    ("ads:-,1,0", "bad family parameters in 'ads:-,1,0'"),
+    ("ads:01,1,0", (4, 2, -1, 2, "ads:1,1,0")),
 ]
 
 
@@ -325,6 +335,8 @@ SAMPLE_SHA256 = [
     ("ds1:2,3", "aaa9efb91e1d16ba55e6b1c491c6441f788feb6b905cf352acc731bbdda9e361"),
     ("ds2:4", "395ee326959ee0d61a69293c6b8512436c9b76e2ed3beb162a4f4aa28a66dbdf"),
     ("clifford:2,3", "40d2ea1002780cc894011485a49afff2ce22cc6230b51e461958918ac4dc01a0"),
+    ("lawson:2,3", "6ef86b7d89946c8afe2751f78e562aec0e1718d4a6a4cc7a7a2fba38c1435a83"),
+    ("lawson:4,3", "50f5cd0f350983c86393d29002687cf0af0eb4329c875d13eb74f57c59fce2f1"),
 ]
 
 

@@ -91,6 +91,14 @@ def test_tangent_frame_at_e1():
         assert abs(v @ grad) < 1e-10
 
 
+def test_tangent_frame_rejects_a_point_whose_w_is_zero():
+    # x1 = x3 is a null hyperplane: grad f = e1 - e3 is light-like, w = 0.
+    p = variety_point(parse_poly("x1 - x3", 4), SIG_HAND, [0, 1, 0, 0])
+    assert p.w_value == 0.0
+    with pytest.raises(ValueError, match=r"^point is not regular: \|w\| = 0\.000e\+00$"):
+        geometry.tangent_frame(p, SIG_HAND)
+
+
 def test_tangent_frame_orthogonality_residuals():
     for spec in [ads(2, 3, 1), ds1(1, 2), ds2(4)]:
         f = make_poly(spec)

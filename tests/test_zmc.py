@@ -18,7 +18,7 @@ from zmckit.families import (
     parse_family,
     sample_points,
 )
-from zmckit.geometry import _compile, _evaluate, hessian_float, value_and_gradient
+from zmckit.geometry import _compile, _evaluate, derivatives, hessian_float, value_and_gradient
 from oracles import (
     divide_reference,
     eval_exact,
@@ -26,6 +26,7 @@ from oracles import (
     laplacian_in_basis,
     random_orthonormal_basis,
     residual_parts_reference,
+    scalar_terms,
     value_and_gradient_loops,
 )
 from zmckit import zmc
@@ -518,8 +519,15 @@ def _float_eval_cases(draw, count=1):
 @given(_float_eval_cases(), st.booleans())
 @settings(max_examples=150, deadline=None, print_blob=True)
 def test_term_tables_match_eval_float_bitwise(case, as_array):
+    """f and its twin, f's terms stored in reverse, evaluated interleaved:
+    each reads the tables kept on it, built once, in its own storage order."""
     (f,), point = case
-    _assert_tables_match_loops(f, np.array(point) if as_array else point)
+    twin = Poly(f.nvars, dict(reversed(scalar_terms(f).items())))
+    point = np.array(point) if as_array else point
+    for p in (f, twin, f, twin):
+        _assert_tables_match_loops(p, point)
+    assert derivatives(f) is derivatives(f)
+    assert derivatives(twin) is not derivatives(f)
 
 
 def test_an_equal_polynomial_in_another_order_gets_its_own_tables():
