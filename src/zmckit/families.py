@@ -34,6 +34,7 @@ form and by finite differences, are test oracles in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,10 +105,13 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        p = tuple(int(v) for v in self.params)
-        object.__setattr__(self, "params", p)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        try:
+            p = tuple(map(operator.index, self.params))
+        except TypeError:
+            raise ValueError(f"{self.kind} family needs integer parameters") from None
+        object.__setattr__(self, "params", p)
         kind = _KINDS[self.kind]
         if len(p) != len(kind.bounds) or any(v < b for v, b in zip(p, kind.bounds)):
             raise ValueError(f"{self.kind} family needs {kind.needs}")
@@ -165,9 +169,8 @@ def parse_family(text: str) -> FamilySpec:
     """Parse a selector like 'ads:2,3,1' into a FamilySpec.  Each parameter
     is ASCII digits with an optional leading '-' (so that a negative one
     meets its kind's bounds check), as in the polynomial grammar: no '+',
-    '_', spaces or other scripts' digits."""
+    '_', spaces or other scripts' digits.  Whitespace anywhere is an error."""
     kind, sep, rest = text.partition(":")
-    kind = kind.strip()
     if not sep or kind not in FAMILY_KINDS:
         raise ValueError(f"bad family selector {text!r}; expected kind:params")
     pieces = rest.split(",")

@@ -14,22 +14,25 @@ normalize on construction (sqrt(8) -> 2 sqrt(2)) and are at most
 `scalars.MAX_RADICAND`; surds mix only as `scalars.shared_surd` allows, so
 sqrt(2) x1 + sqrt(3) x2 raises its ValueError.
 
-Every intermediate result is bounded by MAX_POLY_TERMS terms, degree
-MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, one parse
-multiplies at most MAX_TERM_PAIRS pairs of terms, and parentheses nest at
-most MAX_NESTING deep, well inside Python's recursion limit.  A literal, product
-or power is checked on a bound of its size before it is built, so
-`(x1+x2+x3+x4)^200` and `(3)^100000` fail at once.
+Every literal, product, power and sum is bounded by MAX_POLY_TERMS terms,
+degree MAX_POLY_DEGREE and coefficient integers of MAX_COEFF_BITS bits, one
+parse multiplies at most MAX_TERM_PAIRS pairs of terms, and parentheses nest
+at most MAX_NESTING deep, well inside Python's recursion limit.  A literal,
+product or power is checked on a bound of its size before it is built, so
+`(x1+x2+x3+x4)^200` and `(3)^100000` fail at once.  At each operator of a sum
+its term count and each coefficient the summand created or changed are
+checked, and at the last one its common denominator and then every integer:
+so a sum may pass the cap on the way, and a summand costs its own size.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import add
 
-from .poly import Poly, _built, _canonical
+from .poly import Poly, _built, _over_lcm
 from .scalars import MAX_RADICAND, ONE, QuadExtScalar, _normal, shared_surd
 
 
@@ -127,49 +130,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Sum:
-    """A sum of terms in one dict of rational pairs (p, q), p + q sqrt(d) at
-    each monomial, in `Poly.__add__`'s order, so that a term costs its own
-    size.  The lcm of the denominators and the largest |p| + |q| root, which
-    give `_bits` of the sum, are kept up as new monomials append, and
-    recounted after a term changed an existing one (`top` is None)."""
-
-    def __init__(self, nvars: int):
-        self.nvars, self.d, self.coeffs = nvars, 1, {}
-        self.den, self.top = 1, Fraction(0)
-
-    def add(self, term: Poly) -> None:
-        self.d = shared_surd((self.d, term.d))
-        for mono, (a, b) in term.ints.items():
-            p, q = Fraction(a, term.den), Fraction(b, term.den)
-            if mono in self.coeffs:
-                p0, q0 = self.coeffs[mono]
-                p, q, self.top = p + p0, q + q0, None
-            if p or q:
-                self.coeffs[mono] = (p, q)  # an existing monomial keeps its place
-            else:
-                del self.coeffs[mono]
-            if self.top is not None:
-                self.den = lcm(self.den, p.denominator, q.denominator)
-                self.top = max(self.top, abs(p) + abs(q) * (isqrt(self.d) + 1))
-        if self.top is None:
-            pairs = self.coeffs.values()
-            self.d = self.d if any(q for _, q in pairs) else 1
-            self.den = lcm(*(x.denominator for pair in pairs for x in pair))
-            self.top = max((abs(p) + abs(q) * (isqrt(self.d) + 1) for p, q in pairs), default=0)
-
-    def bits(self) -> int:
-        return max(self.den, int(self.top * self.den)).bit_length()
-
-    def poly(self) -> Poly:
-        return _canonical(self.nvars, self.d, self.den, {
-            m: (int(p * self.den), int(q * self.den)) for m, (p, q) in self.coeffs.items()})
-
-
 class _Parser:
     """A product is one term (c, exponents), c a QuadExtScalar, while its
     factors have one term each; it is built as a Poly when a group of more
-    terms joins it or it ends, and each check fires as on Poly products."""
+    terms joins it, and each check fires as on Poly products; a sum takes
+    it unbuilt."""
 
     def __init__(self, tokens, nvars: int):
         self.tokens = tokens
@@ -232,29 +197,51 @@ class _Parser:
         return product
 
     def parse_poly(self) -> Poly:
-        sign = 1
-        if self.current[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -1
-        first = self.parse_term()
-        total = _Sum(self.nvars)
-        total.add(-first if sign < 0 else first)
-        while self.current[0] in ("+", "-"):
-            op, _, pos = self.advance()
+        """A sum in one dict {monomial: QuadExtScalar} in `Poly.__add__`'s
+        order: a changed monomial keeps its place, a cancelled one is dropped.
+        No check fires before the first operator: one summand is checked as
+        it is built."""
+        pos = self.current[2]
+        sign = self.advance()[0] if self.current[0] in ("+", "-") else "+"
+        total, d = {}, 1
+        while True:
             term = self.parse_term()
-            total.add(-term if op == "-" else term)
-            self._bound(len(total.coeffs), 0, pos)  # each summand's degree is bounded
-            self._check_bits(total.bits(), pos)
-        return total.poly()
+            terms = ([(m, _normal(a, b, term.den, term.d)) for m, (a, b) in term.ints.items()]
+                     if isinstance(term, Poly) else [(term[1], term[0])])
+            top = 0
+            for mono, c in terms:
+                if c.b and c.d != d:  # a surd still in the sum must match
+                    d = shared_surd((d if any(x.b for x in total.values()) else 1, c.d))
+                if sign == "-":
+                    c = -c
+                if mono in total:
+                    c += total[mono]
+                if c:
+                    total[mono] = c
+                    top = max(top, _bits((c, mono)))
+                else:
+                    total.pop(mono, None)
+            self._bound(len(total), 0, pos)  # each summand's degree is bounded
+            self._check_bits(top, pos)
+            if self.current[0] not in ("+", "-"):
+                break
+            sign, _, pos = self.advance()
+        # The common denominator first, refused as soon as it passes the cap:
+        # distinct wide denominators would make it huge, and slow to reduce.
+        for den in accumulate((c.den for c in total.values()), lcm):
+            self._check_bits(den.bit_length(), pos)
+        f = _over_lcm(self.nvars, d, {m: (c.a, c.b, c.den) for m, c in total.items()})
+        self._check_bits(_bits(f), pos)
+        return f
 
-    def parse_term(self) -> Poly:
+    def parse_term(self):
         product = self.parse_factor()
         while True:
             kind, _, pos = self.current
             if kind == "*":
                 self.advance()
             elif kind not in (_TOK_NUM, _TOK_VAR, _TOK_SQRT, "("):
-                return self._poly(product)
+                return product
             factor = self.parse_factor()
             (t1, d1), (t2, d2) = _shape(product), _shape(factor)
             self._bound(t1 * t2, d1 + d2, pos)

@@ -61,6 +61,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from operator import add, neg, sub
 
 import numpy as np
@@ -747,6 +748,10 @@ class _ReferenceParser(_Parser):
         raise ParseError("expected a number, sqrt, variable, or '('", pos)
 
     def parse_poly(self) -> Poly:
+        """The sum by `Poly.__add__`, summand by summand.  At each operator:
+        its term count, then its coefficients at the summand's monomials; at
+        the last one: the lcm of its denominators as it grows in storage
+        order, then `_bits` of the whole sum."""
         sign = 1
         if self.current[0] in ("+", "-"):
             if self.advance()[0] == "-":
@@ -754,11 +759,17 @@ class _ReferenceParser(_Parser):
         total = self.parse_term()
         if sign < 0:
             total = -total
+        pos = None
         while self.current[0] in ("+", "-"):
             op, _, pos = self.advance()
             term = self.parse_term()
             total = total - term if op == "-" else total + term
             self._bound(total.num_terms(), 0, pos)
+            changed = [_bits((c, m)) for m, c in scalar_terms(total).items() if m in term.ints]
+            self._check_bits(max(changed, default=0), pos)
+        if pos is not None:
+            for den in accumulate((c.den for c in scalar_terms(total).values()), math.lcm):
+                self._check_bits(den.bit_length(), pos)
             self._check_bits(_bits(total), pos)
         return total
 

@@ -185,11 +185,14 @@ def test_report_runs_each_member_once_under_its_canonical_label(capsys):
     code, out, err = run(capsys, *base, "--family", "ads:1,1,0")
     assert code == 0 and err == ""
     assert [e["family"] for e in json.loads(out)["families"]] == ["ads:1,1,0", "ds2:1"]
-    same = run(capsys, *base, "--family", "ads:01,1,0", "--family", " ads:1,1,0",
-               "--family", "ads:1,1,0", "--family", "ds2:01")
+    same = run(capsys, *base, "--family", "ads:01,1,0", "--family", "ads:1,1,0",
+               "--family", "ds2:01")
     assert same == (code, out, err)
     code, out, err = run(capsys, *base, "--family", "ads:1,1,0", "--family", "ads:+1,1,0")
     assert (code, out, err) == (2, "", "error: bad family parameters in 'ads:+1,1,0'\n")
+    code, out, err = run(capsys, *base, "--family", "ads:1,1,0", "--family", " ads:1,1,0")
+    assert (code, out, err) == (2, "", "error: bad family selector ' ads:1,1,0'; "
+                                       "expected kind:params\n")
 
 
 def test_report_requires_families(capsys):

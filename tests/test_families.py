@@ -49,6 +49,12 @@ def test_parameter_validation():
         ds2(0)
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("torus", (1, 2))
+    # Parameters are integers: numpy's pass as Python ints, nothing is rounded or read.
+    params = FamilySpec("ads", (np.int64(2), np.int32(1), 0)).params
+    assert params == (2, 1, 0) and {type(v) for v in params} == {int}
+    for params in ((1.9, 1, 0), ("2", 1, 0)):
+        with pytest.raises(ValueError, match=r"^ads family needs integer parameters$"):
+            FamilySpec("ads", params)
 
 
 def test_parse_family_strings():
@@ -122,6 +128,9 @@ SELECTOR_GRID = [
     ("ads:1,,0", "bad family parameters in 'ads:1,,0'"),
     ("ads:-,1,0", "bad family parameters in 'ads:-,1,0'"),
     ("ads:01,1,0", (4, 2, -1, 2, "ads:1,1,0")),
+    # Whitespace anywhere in a selector is an error, around the kind too.
+    (" ads:1,1,0", "bad family selector ' ads:1,1,0'; expected kind:params"),
+    ("ads :1,1,0", "bad family selector 'ads :1,1,0'; expected kind:params"),
 ]
 
 

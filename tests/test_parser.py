@@ -206,6 +206,15 @@ def _parsed_or_error(parse, text, nvars):
 # A 4095-bit integer prime to 3 and 5: two of them fill the bit cap, three
 # or a denominator 3 or 5 beside them pass it.
 _WIDE = str(2**4095 - 1)
+# Sums whose running total passes the bit cap before they end (1/3 x2 + W/5 x1
+# is 5/15 x2 + 3W/15 x1, with 4097-bit integers), each with its outcome: only
+# the sum a text ends with is held to the cap, at the last operator.
+CHANGED_SUMS = [
+    (f"1/3 x2 + {_WIDE}/5 x1 - 1/3 x2", (2, 1, 5, [((1, 0), (2**4095 - 1, 0))])),
+    (f"1/7 x1^2 + {_WIDE}/5 x1 + 1/3 x2",
+     ("ParseError", "a coefficient of at least 4100 bits exceeds the cap of 4096 bits "
+                    f"(at position {len(_WIDE) + 17})")),
+]
 SUM_TEXTS = [
     ("x1 + x2 - x1 + x1", 2), ("x2 + (x1 - x2) + x2", 2), ("x1 - x1", 1),
     ("sqrt(2) x1 - sqrt(2) x1 + sqrt(3) x2", 2), ("sqrt(2) x1 + sqrt(3) x2", 2),
@@ -213,10 +222,12 @@ SUM_TEXTS = [
     (f"{_WIDE} x1 + {_WIDE} x1", 1), (f"{_WIDE} x1 + {_WIDE} x1 + {_WIDE} x1", 1),
     (f"{_WIDE} x1 - {_WIDE} x1 + {_WIDE} x1", 1), (f"{_WIDE}/5 x1 + 1/3 x2", 2),
     (f"1/3 x1 + x2 - 1/3 x1 + {_WIDE} x2", 2), (f"1/3 x1 + x2 + {_WIDE} x2", 2),
+    (f"1/{_WIDE} x1 + 1/5 x2 + 1/11 x3", 3),
     (" + ".join(f"x1^{e}" for e in range(1, 202)), 1),
     (" + ".join(f"x1^{i} x2^{j}" for i in range(1, 46) for j in range(1, 46)), 2),
     ("x1 +", 2), ("x1 + @", 2), ("(x1+x2+x3+x4)^17", 4),
     ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("2 x1 x2 + x3^2 - x4^2 + 1/2 sqrt(2) x1^2", 4),
+    *((text, 2) for text, _ in CHANGED_SUMS),
 ]
 
 
@@ -226,6 +237,44 @@ def test_sums_equal_the_poly_add_reference(text, nvars):
     order, and every cap or surd error at the same position."""
     assert _parsed_or_error(parse_poly, text, nvars) == _parsed_or_error(
         parse_poly_reference, text, nvars)
+
+
+@pytest.mark.parametrize("text, expected", CHANGED_SUMS, ids=["cancelled", "at-the-end"])
+def test_only_the_finished_sum_is_held_to_the_bit_cap(text, expected):
+    assert _parsed_or_error(parse_poly, text, 2) == expected
+
+
+def test_the_bit_cap_does_not_depend_on_summand_order():
+    texts = [f"1/3 x2 - 1/3 x2 + {_WIDE}/5 x1", f"{_WIDE}/5 x1 + 1/3 x2 - 1/3 x2"]
+    assert parse_poly(texts[0], 2) == parse_poly(texts[1], 2) == parse_poly(f"{_WIDE}/5 x1", 2)
+
+
+def test_repeated_summands_sum_in_linear_time():
+    # A summand that lands on a monomial already in the sum costs its own
+    # size: recounting the whole sum's denominators after each took about
+    # 10 ms a summand beside 2,000 terms, so 4,000 repeats took 42 s.  The
+    # short run comes first, so a quadratic sum fails in seconds.
+    distinct = " + ".join([f"x1^{i} x2^{j}" for i in range(1, 46) for j in range(1, 46)][:2000])
+    for repeats in (200, 12_000):
+        text = distinct + " + x1 x2" * repeats
+        started = time.perf_counter()
+        f = parse_poly(text, 2)
+        assert time.perf_counter() - started < 1.0
+        assert f.num_terms() == 2000 and f.ints[1, 1] == (1 + repeats, 0) and f.den == 1
+
+
+def test_a_sum_over_wide_coprime_denominators_is_refused_at_once():
+    # 100 one-term summands over distinct odd 4,095-bit denominators fit in
+    # one command-line argument; their common denominator has about 400,000
+    # bits, and reducing a sum over it takes seconds.  It is refused as soon
+    # as the lcm of the denominators passes the cap: here at the second one.
+    dens = [2**4095 - 2 * k - 1 for k in range(100)]
+    text = " + ".join(f"1/{t} x1^{k + 1}" for k, t in enumerate(dens))
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match="at least 8190 bits") as caught:
+        parse_poly(text, 1)
+    assert time.perf_counter() - started < 1.0
+    assert caught.value.position == text.rindex("+")
 
 
 _SUMMANDS = st.sampled_from([
