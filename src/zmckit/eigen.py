@@ -8,9 +8,7 @@ QRConvergenceError = np.linalg.LinAlgError
 
 
 def eigvals(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square matrix, in no particular order.
-
-    Its one caller, `geometry.curvature_spectrum`, keeps the float eigenvalue
-    layer to this one call, which perfbench/tracer.py can time.
-    """
+    """All eigenvalues of a square matrix, in no particular order: the
+    spectrum wherever `geometry.curvature_spectrum` needs no eigenvector (a G
+    not of index 1).  perfbench/tracer.py times these calls."""
     return np.linalg.eigvals(matrix)

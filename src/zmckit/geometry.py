@@ -452,23 +452,18 @@ def _eigenvector_clusters(
 
 
 def _lorentzian_clusters(
-    shape: np.ndarray, gram: np.ndarray, values: np.ndarray, groups: list
+    vectors: np.ndarray, gram: np.ndarray, values: np.ndarray, groups: list
 ) -> tuple[list[Cluster], bool] | None:
-    """`_eigenvector_clusters`' answer from one `np.linalg.eig` at a G of
-    index 1, or None where this argument does not apply: the spectrum is real
-    and one cluster is simple with a time-like eigenvector v (v^T G v <
-    -CAUSAL_REL |v|^2).  S is G-self-adjoint, so it maps v's G-orthogonal
-    complement into itself (G(S w, v) = G(w, S v) = lambda G(w, v) = 0), and
-    G, of index 1 and negative on v, is positive definite there; so S is
-    diagonalisable, every other cluster is "space-like" and the flag False.
-    eig's unit columns of the other clusters must also clear CAUSAL_REL, as
-    the SVD bases would.  Column j is `values[j]`'s only when eig's values
-    are `values` bit for bit (dgeev runs one QR with or without vectors).
-    """
+    """`_eigenvector_clusters`' answer at a G of index 1 from the unit
+    eigenvector columns `vectors` that `np.linalg.eig` returned with `values`,
+    or None where this argument does not apply: the spectrum is real and one
+    cluster is simple with a time-like eigenvector v (v^T G v < -CAUSAL_REL
+    |v|^2).  S is G-self-adjoint, so it maps v's G-orthogonal complement into
+    itself (G(S w, v) = G(w, S v) = lambda G(w, v) = 0), and G, of index 1 and
+    negative on v, is positive definite there; so S is diagonalisable, every
+    other cluster is "space-like" and the flag False.  eig's unit columns of
+    the other clusters must also clear CAUSAL_REL, as the SVD bases would."""
     if values.dtype.kind == "c":
-        return None
-    eig_values, vectors = np.linalg.eig(shape)
-    if not np.array_equal(eig_values, values):
         return None
     norm2 = np.sum(vectors * (gram @ vectors), axis=0).tolist()
     time_like = [j for j, q in enumerate(norm2) if q < -CAUSAL_REL]
@@ -484,8 +479,9 @@ def curvature_spectrum(
 ) -> CurvatureSpectrum:
     """Principal curvature spectrum of Sigma at p, with multiplicities.
 
-    Eigenvalues come from LAPACK (`eigen.eigvals`) and are grouped by
-    `cluster_eigenvalues`.  S = G^{-1} H is self-adjoint for the induced
+    Eigenvalues come from one LAPACK call per point, grouped by
+    `cluster_eigenvalues`: `np.linalg.eig` where G is indefinite of index 1,
+    `eigen.eigvals` elsewhere.  S = G^{-1} H is self-adjoint for the induced
     metric G.  Where G is definite, S is diagonalisable with a real spectrum
     and every eigenvector has G's causal type (O'Neill, Semi-Riemannian
     Geometry, ch. 4); so where every eigenvalue of G has one sign and size
@@ -498,8 +494,8 @@ def curvature_spectrum(
     DEFECTIVE_COND_LIMIT.  G's signature comes from `_metric_signature`
     where |det G| >= METRIC_DET_MARGIN and det N >= METRIC_DET_MARGIN
     |grad f|^2 |x|^2 prove it, else from G's eigenvalues.  Where G has index
-    1, one eig settles the common case (`_lorentzian_clusters`).  The rest
-    (complex pairs, a repeated or null time-like direction, index >= 2:
+    1, eig's vectors settle the common case (`_lorentzian_clusters`).  The
+    rest (complex pairs, a repeated or null time-like direction, index >= 2:
     Magid, Pacific J. Math. 118, 1985) take per-cluster SVD null spaces
     (`_eigenvector_clusters`).
     """
@@ -511,14 +507,15 @@ def curvature_spectrum(
     else:
         gram, definite = _gram(frame, sig), 0 in signature
     shape = shape_operator(p, f, frame, gram)
-    values = eigen.eigvals(shape)
+    index_one = not definite and signature[0] == 1
+    values, vectors = np.linalg.eig(shape) if index_one else (eigen.eigvals(shape), None)
     groups = cluster_eigenvalues(values)
     if definite:
         causal = "space-like" if signature[0] == 0 else "time-like"
         clusters = [Cluster(rep, len(idx), causal) for rep, idx in groups]
         defective = False
     else:
-        lorentzian = signature[0] == 1 and _lorentzian_clusters(shape, gram, values, groups)
+        lorentzian = index_one and _lorentzian_clusters(vectors, gram, values, groups)
         clusters, defective = lorentzian or _eigenvector_clusters(shape, gram, values, groups)
     return CurvatureSpectrum(
         clusters=tuple(clusters),

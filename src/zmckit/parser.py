@@ -203,7 +203,7 @@ class _Parser:
         it is built."""
         pos = self.current[2]
         sign = self.advance()[0] if self.current[0] in ("+", "-") else "+"
-        total, d = {}, 1
+        total, d, surds = {}, 1, 0  # surds: how many of total's coefficients have b != 0
         while True:
             term = self.parse_term()
             terms = ([(m, _normal(a, b, term.den, term.d)) for m, (a, b) in term.ints.items()]
@@ -211,13 +211,15 @@ class _Parser:
             top = 0
             for mono, c in terms:
                 if c.b and c.d != d:  # a surd still in the sum must match
-                    d = shared_surd((d if any(x.b for x in total.values()) else 1, c.d))
+                    d = shared_surd((d if surds else 1, c.d))
                 if sign == "-":
                     c = -c
                 if mono in total:
+                    surds -= bool(total[mono].b)
                     c += total[mono]
                 if c:
                     total[mono] = c
+                    surds += bool(c.b)
                     top = max(top, _bits((c, mono)))
                 else:
                     total.pop(mono, None)

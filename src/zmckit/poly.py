@@ -42,7 +42,7 @@ def grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
 class Poly:
     """Immutable sparse polynomial in `nvars` variables over Q(sqrt(d))."""
 
-    __slots__ = ("nvars", "d", "den", "ints", "_hash", "_tables")
+    __slots__ = ("nvars", "d", "den", "ints", "_tables")
 
     def __new__(cls, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -292,11 +292,7 @@ class Poly:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, self.d, self.den, frozenset(self.ints.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, self.d, self.den, frozenset(self.ints.items())))
 
 
 def _canonical(nvars: int, d: int, den: int, ints: Mapping) -> Poly:
@@ -320,7 +316,7 @@ def _primitive(p: Poly) -> tuple[int, Mapping]:
 def _built(nvars: int, d: int, den: int, ints: dict) -> Poly:
     """The Poly with exactly these fields, which the caller keeps canonical."""
     out = object.__new__(Poly)
-    for name, value in zip(Poly.__slots__, (nvars, d, den, ints, None, None)):
+    for name, value in zip(Poly.__slots__, (nvars, d, den, ints, None)):
         object.__setattr__(out, name, value)
     return out
 

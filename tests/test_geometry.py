@@ -347,15 +347,22 @@ def test_definite_metric_tags_equal_the_eigenvector_path(spec):
 
 
 def test_eigenvectors_are_computed_only_at_an_indefinite_metric(monkeypatch):
-    """No eigenvector is computed at a definite G.  At ds1:1,2 and ds2:4 (G
-    of index 1, one simple time-like cluster) one eig settles each point
-    whose spectrum is real; a point whose repeated cluster comes back as a
-    ~1e-17 complex pair takes the per-cluster SVD path instead."""
-    paths = []
+    """Each point makes one eigensolver call: `eigen.eigvals` at a definite G,
+    which computes no eigenvector, and `np.linalg.eig` at ds1:1,2 and ds2:4 (G
+    of index 1, one simple time-like cluster).  eig's vectors settle each
+    point whose spectrum is real; a point whose repeated cluster comes back
+    as a ~1e-17 complex pair takes the per-cluster SVD path instead."""
+    solvers, paths = [], []
     lorentzian, per_cluster = geometry._lorentzian_clusters, geometry._eigenvector_clusters
 
-    def fast(shape, gram, values, groups):
-        result = lorentzian(shape, gram, values, groups)
+    def counted(name, solver):
+        def run(matrix):
+            solvers.append(name)
+            return solver(matrix)
+        return run
+
+    def fast(vectors, gram, values, groups):
+        result = lorentzian(vectors, gram, values, groups)
         paths.append(("eig" if result else "svd", values.dtype.kind))
         return result
 
@@ -363,6 +370,8 @@ def test_eigenvectors_are_computed_only_at_an_indefinite_metric(monkeypatch):
         assert paths and paths[-1][0] == "svd"
         return per_cluster(*args)
 
+    monkeypatch.setattr(eigen, "eigvals", counted("eigvals", eigen.eigvals))
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(geometry, "_lorentzian_clusters", fast)
     monkeypatch.setattr(geometry, "_eigenvector_clusters", slow)
     for spec, indefinite in [(ads(2, 3, 1), False), (clifford(2, 3), False),
@@ -370,7 +379,10 @@ def test_eigenvectors_are_computed_only_at_an_indefinite_metric(monkeypatch):
         paths.clear()
         f = make_poly(spec)
         for coords in sample_points(spec, 40, seed=9):
-            geometry.curvature_spectrum(variety_point(f, spec.sig, coords), f, spec.sig)
+            p = variety_point(f, spec.sig, coords)
+            solvers.clear()
+            geometry.curvature_spectrum(p, f, spec.sig)
+            assert solvers == ["eig" if indefinite else "eigvals"], spec.label
         # Here 1 of ds1:1,2's points and 2 of ds2:4's come back complex; how
         # many do depends on LAPACK's rounding, the path for each does not.
         counts = Counter(paths)
@@ -415,8 +427,8 @@ def test_lorentzian_clusters_equal_the_eigenvector_path(label):
 
 @pytest.mark.parametrize("label", LORENTZIAN)
 def test_eig_values_are_eigvals_bit_for_bit(label):
-    """`_lorentzian_clusters` pairs eig's columns with `eigen.eigvals`' values
-    only when the two arrays are equal; on these points they always are."""
+    """At a G of index 1 the printed values are eig's, not `eigen.eigvals`';
+    on these points the two arrays are equal bit for bit."""
     for _, _, shape in _lorentzian_operators(label)[2]:
         values = eigen.eigvals(shape)
         assert np.linalg.eig(shape)[0].tobytes() == values.tobytes()
@@ -484,11 +496,11 @@ def test_lorentzian_path_declines_a_direction_the_svd_path_calls_null(faint, wan
     CAUSAL_REL the SVD path tags it "null"; the eig path then returns None
     rather than disagree, and otherwise gives the SVD path's answer."""
     gram, shape = np.diag([-1.0, 1.0, faint]), np.diag([1.0, 2.0, 3.0])
-    values = eigen.eigvals(shape)
+    values, vectors = np.linalg.eig(shape)
     groups = geometry.cluster_eigenvalues(values)
     clusters, defective = geometry._eigenvector_clusters(shape, gram, values, groups)
     assert [c.causal for c in clusters] == ["time-like", "space-like", want]
-    fast = geometry._lorentzian_clusters(shape, gram, values, groups)
+    fast = geometry._lorentzian_clusters(vectors, gram, values, groups)
     assert fast == ((clusters, defective) if want == "space-like" else None)
 
 

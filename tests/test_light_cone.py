@@ -14,7 +14,7 @@ from zmckit.families import FamilySpec, lawson, lawson_light_cone, make_poly, pa
 from zmckit.isometry import linear_forms
 from zmckit.parser import parse_poly
 from zmckit.poly import Poly
-from zmckit.zmc import ZmcReport, conjecture_check, zmc_residual
+from zmckit.zmc import AmbientSig, ZmcReport, conjecture_check, zmc_residual
 
 MAX_ORACLE_ORDER = 21  # k + n; the expanded x-side check costs ~3 s in all
 
@@ -95,6 +95,30 @@ def test_w_factors_in_light_cone_variables(spec):
     head = (s ** (k - 1) * t ** (n - 1)).scale(-16)
     assert w == head * (s.scale(n * n) + t.scale(k * k))
     assert (w == head * (s.scale(k * k) + t.scale(n * n))) == (k == n)
+
+
+def test_w_of_either_sign_factors_exactly():
+    """The sign lemma: for F_u = a^k c^n + u p^k q^n in the metric K, u = +-1
+    and every coprime k, n >= 1 with k + n <= 21, F_u is ZMC and
+    W = -4u s^(k-1) t^(n-1) (n^2 s + k^2 t), s = a p and t = c q, as
+    polynomials, not only modulo F_u.  u = -1 with k and n odd gives the
+    Lorentzian twins of the lawson members."""
+    form = lawson_light_cone(1, 1)[1]
+    a, p, c, q = (Poly.variable(4, i) for i in range(1, 5))
+    s, t = a * p, c * q
+    cases = 0
+    for k in range(1, 21):
+        for n in range(1, 22 - k):
+            if math.gcd(k, n) != 1:
+                continue
+            for u in (1, -1):
+                report = conjecture_check(a**k * c**n + (p**k * q**n).scale(u),
+                                          AmbientSig(2, -1, 4), form)
+                assert report.divides, (k, n, u)
+                factor = s.scale(n * n) + t.scale(k * k)
+                assert report.w == (s ** (k - 1) * t ** (n - 1) * factor).scale(-4 * u), (k, n, u)
+                cases += 1
+    assert cases == 278
 
 
 def _mutated(mutation):

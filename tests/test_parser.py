@@ -215,6 +215,14 @@ CHANGED_SUMS = [
      ("ParseError", "a coefficient of at least 4100 bits exceeds the cap of 4096 bits "
                     f"(at position {len(_WIDE) + 17})")),
 ]
+# A surd leaves a sum when its last coefficient with a surd part cancels or
+# turns rational; only then may another surd enter.
+SURD_SUMS = [
+    ("sqrt(2) x1 + sqrt(2) x2 - sqrt(2) x1 - sqrt(2) x2 + sqrt(3) x1", True),
+    ("sqrt(2) x1 + x1 - sqrt(2) x1 + sqrt(3) x2", True),
+    ("sqrt(2) x1 + sqrt(2) x2 - sqrt(2) x1 + sqrt(3) x1", False),
+    ("(sqrt(2) x1 + sqrt(2) x2) - sqrt(2) x2 + sqrt(3) x2", False),
+]
 SUM_TEXTS = [
     ("x1 + x2 - x1 + x1", 2), ("x2 + (x1 - x2) + x2", 2), ("x1 - x1", 1),
     ("sqrt(2) x1 - sqrt(2) x1 + sqrt(3) x2", 2), ("sqrt(2) x1 + sqrt(3) x2", 2),
@@ -227,7 +235,7 @@ SUM_TEXTS = [
     (" + ".join(f"x1^{i} x2^{j}" for i in range(1, 46) for j in range(1, 46)), 2),
     ("x1 +", 2), ("x1 + @", 2), ("(x1+x2+x3+x4)^17", 4),
     ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("2 x1 x2 + x3^2 - x4^2 + 1/2 sqrt(2) x1^2", 4),
-    *((text, 2) for text, _ in CHANGED_SUMS),
+    *((text, 2) for text, _ in CHANGED_SUMS), *((text, 2) for text, _ in SURD_SUMS),
 ]
 
 
@@ -242,6 +250,15 @@ def test_sums_equal_the_poly_add_reference(text, nvars):
 @pytest.mark.parametrize("text, expected", CHANGED_SUMS, ids=["cancelled", "at-the-end"])
 def test_only_the_finished_sum_is_held_to_the_bit_cap(text, expected):
     assert _parsed_or_error(parse_poly, text, 2) == expected
+
+
+@pytest.mark.parametrize("text, accepted", SURD_SUMS)
+def test_a_new_surd_enters_only_once_the_last_one_has_left(text, accepted):
+    if accepted:
+        assert parse_poly(text, 2).d == 3
+    else:
+        with pytest.raises(ValueError, match=r"incompatible surds: sqrt\(2\) vs sqrt\(3\)"):
+            parse_poly(text, 2)
 
 
 def test_the_bit_cap_does_not_depend_on_summand_order():
@@ -261,6 +278,27 @@ def test_repeated_summands_sum_in_linear_time():
         f = parse_poly(text, 2)
         assert time.perf_counter() - started < 1.0
         assert f.num_terms() == 2000 and f.ints[1, 1] == (1 + repeats, 0) and f.den == 1
+
+
+def test_switching_surds_costs_no_more_than_keeping_one():
+    # Adopting a new surd once the old one had cancelled used to rescan the
+    # sum for a surviving surd: beside 1,999 terms, switching between sqrt(2)
+    # and sqrt(3) took over 4x as long as adding and cancelling sqrt(2) alone,
+    # and 20,000 repeats of such a switch took 3.2 s.  A count of the sum's
+    # surd-bearing coefficients answers at once.  The bound is relative, and each text's
+    # time is its best of three in process CPU time, so that neither a slow
+    # nor a busy machine moves it.
+    distinct = " + ".join([f"x1^{i} x2^{j}" for i in range(1, 46) for j in range(1, 46)][:1999])
+    units = [" + sqrt(2) - sqrt(2) + sqrt(3) - sqrt(3)", " + sqrt(2) - sqrt(2) + sqrt(2) - sqrt(2)"]
+    texts = [distinct + unit * 5000 for unit in units]
+    best = [float("inf")] * 2
+    for _ in range(3):
+        for k, text in enumerate(texts):
+            started = time.process_time()
+            f = parse_poly(text, 2)
+            best[k] = min(best[k], time.process_time() - started)
+            assert f.num_terms() == 1999 and f.d == 1
+    assert best[0] < 1.3 * best[1]
 
 
 def test_a_sum_over_wide_coprime_denominators_is_refused_at_once():
