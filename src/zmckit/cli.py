@@ -35,9 +35,9 @@ MAX_POLY_WORK.
 
 Exit codes: 0 pass, 1 mathematical failure, 2 usage/config error (a stdout
 that cannot be written and an input above its cap included), 3 numerical
-breakdown of the sample -> project -> spectrum pipeline.  Output is
-deterministic for a fixed config and seed: floats are rendered with 17
-significant digits and collections are assembled in sorted order.
+breakdown of sample -> project -> spectrum, in `report` only as the sole
+failure.  Output is deterministic for a fixed config and seed: floats are
+rendered with 17 significant digits and collections are assembled in sorted order.
 """
 
 from __future__ import annotations
@@ -419,7 +419,14 @@ def cmd_report(args) -> int:
         "passed": all(e["passed"] for e in entries),
     }
     _write_output(_render_json(doc), args.out)
-    return EXIT_PASS if doc["passed"] else EXIT_FAIL
+    if doc["passed"]:
+        return EXIT_PASS
+    # A certificate, spectrum gate or classification failure exits 1; a family
+    # that only broke down numerically fails too, but alone it exits 3.
+    mathematical = any(not e["verify"]["divides"] or e["spectrum"].get("passed") is False
+                       or (e["classification"] or {}).get("verdict", "matches") != "matches"
+                       for e in entries)
+    return EXIT_FAIL if mathematical else EXIT_NUMERIC
 
 
 @lru_cache(maxsize=1)

@@ -86,7 +86,7 @@ def _bits(f) -> int:
     coefficient (a + b sqrt(d)) / den."""
     if not isinstance(f, Poly):
         c = f[0]
-        return max(c.den, abs(c.a) + abs(c.b) * (isqrt(c.d) + 1)).bit_length()
+        return max(c.den, abs(c.a) + abs(c.b) * (isqrt(c.d) + 1) if c.b else abs(c.a)).bit_length()
     root = isqrt(f.d) + 1
     return max([f.den] + [abs(a) + abs(b) * root for a, b in f.ints.values()]).bit_length()
 
@@ -134,7 +134,8 @@ class _Parser:
     """A product is one term (c, exponents), c a QuadExtScalar, while its
     factors have one term each; it is built as a Poly when a group of more
     terms joins it, and each check fires as on Poly products; a sum takes
-    it unbuilt."""
+    it unbuilt.  A variable power x^e is (ONE, exponents), and a product
+    with it adds exponent tuples and keeps the other factor's c."""
 
     def __init__(self, tokens, nvars: int):
         self.tokens = tokens
@@ -190,9 +191,12 @@ class _Parser:
         when the budget is spent or when its fewest bits, b + c - 1 for
         integers of b and c bits, exceed the cap; checked again once built."""
         self._charge(pairs, pos)
+        terms = not (isinstance(f, Poly) or isinstance(g, Poly))
+        if terms and (f[0] is ONE or g[0] is ONE):  # x^e: the other factor passed both checks
+            return g[0] if f[0] is ONE else f[0], tuple(map(add, f[1], g[1]))
         self._check_bits(_bits(f) + _bits(g) - 1, pos)
-        product = (self._poly(f) * self._poly(g) if isinstance(f, Poly) or isinstance(g, Poly)
-                   else (f[0] * g[0], tuple(map(add, f[1], g[1]))))
+        product = ((f[0] * g[0], tuple(map(add, f[1], g[1]))) if terms
+                   else self._poly(f) * self._poly(g))
         self._check_bits(_bits(product), pos)
         return product
 
@@ -309,7 +313,13 @@ class _Parser:
                 raise ParseError(
                     f"variable index {value} out of range 1..{self.nvars}", pos
                 )
-            return self._power((ONE, self.one[:value - 1] + (1,) + self.one[value:]))
+            e = 1
+            if self.current[0] == "^":  # `_power`'s checks: x^e passes its bit and term bounds
+                pos = self.advance()[2]
+                e = self._posint("exponent")
+                self._bound(0, e, pos)
+                self._charge(2 * e.bit_length(), pos)
+            return ONE, self.one[:value - 1] + (e,) + self.one[value:]
         if kind == "(":
             self.advance()
             self.depth += 1

@@ -11,7 +11,8 @@ on these integers and returns through one normaliser, `_canonical`, and
 negation keeps them canonical; `render` and the float view read them too,
 nothing here rebuilds the coefficients as QuadExtScalars, and surds mix as
 `scalars.shared_surd` allows.  `*`, `divide`, `substitute` and `zmc`'s
-residual run on packed monomials (`_layout`), all but `divide` by `_mul_into`.
+residual run on packed monomials (`_layout`), all but `divide` by `_mul_into`;
+`zmc.conjecture_check` hands its packed residual to `divide`'s loop as it is.
 The order is graded lex with x1 > x2 > ..., so that division is deterministic.
 
 Everything is exact.  Instances are immutable and hashable.  Each one has a
@@ -397,34 +398,38 @@ def _product(p: Mapping, q: Mapping, d: int, k: int = 1) -> dict:
 def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Single-divisor division: g = q*f + r with no monomial of r divisible
     by the leading monomial of f (graded lex).  Because one polynomial is a
-    Groebner basis of the ideal it generates, r == 0 iff f divides g.
-
-    Monomials are graded packed keys (`_layout`; no work monomial passes
-    degree deg g), so a heap of negated keys pops the grlex-leading term
-    (after Johnson 1974 and Monagan & Pearce 2007), skipping keys whose term
-    has cancelled; lm(f) divides a key when key + guard - lm(f) keeps every
-    guard bit.  It divides the primitive parts G0 = g den_g / cont_g and
-    F0 = f den_f / cont_f (`_primitive`), storing q = Q0 den_f cont_g /
-    (cont_f den_g) and r = R0 cont_g / den_g term by term, on reduced integer
-    triples (a, b, den) that start over den 1; a step multiplies by lc(F0)'s
-    conjugate over its norm.  If F0 | G0 over Q, Gauss's lemma puts Q0 in
-    Z[x], so every update is over den 1 and skips the gcd; an update over
-    the step's den adds numerators.  Over Q the updates read only the a's.
-    """
+    Groebner basis of the ideal it generates, r == 0 iff f divides g.  g's
+    pairs and those of f's primitive part F0 = f den_f / cont_f go to
+    `_divide_packed` on graded keys (`_layout`; no work monomial passes
+    degree deg g): q = Q den_f / (cont_f den_g) and r = R / den_g."""
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    d = g._join(f)
-    shifts, mask, guard = _layout(g.nvars, max(g.degree(), f.degree()), graded=True)
-    (cont_f, f_ints), (cont_g, work) = _primitive(f), _primitive(g)
-    q_num, q_den = f.den * cont_g, cont_f * g.den
-    packed = {_pack(m, shifts): ab for m, ab in f_ints.items()}
-    lm_f = max(packed)
-    fa, fb = packed.pop(lm_f)
+    layout = _layout(g.nvars, max(g.degree(), f.degree()), graded=True)
+    (cont_f, f0), shifts = _primitive(f), layout[0]
+    work, f0 = ({_pack(m, shifts): ab for m, ab in p.items()} for p in (g.ints, f0))
+    return _divide_packed(g.nvars, g._join(f), work, f0, layout, (f.den, cont_f * g.den),
+                          (1, g.den))
+
+
+def _divide_packed(nvars: int, d: int, work: Mapping, f0: Mapping, layout: tuple,
+                   q_scale: tuple[int, int], r_scale: tuple[int, int]) -> tuple[Poly, Poly]:
+    """G = Q F0 + R for packed dicts {key: (a, b)} of integers a + b sqrt(d),
+    F0 primitive, as the Polys Q q_num / q_den and R r_num / r_den.  The keys
+    are graded or of one degree, so their order is grlex order: a heap of
+    negated keys pops the leading term (Johnson 1974; Monagan & Pearce 2007),
+    and lm(F0) divides a key when key + guard - lm(F0) keeps every guard bit.
+    Over Q the work holds integers while every step is integral, as always
+    when F0 | G (Gauss's lemma) or lc(F0) = +-1; after that, and over a surd,
+    reduced triples (a, b, den): a step multiplies by lc(F0)'s conjugate over
+    its norm, and an update over the step's den adds numerators."""
+    shifts, mask, guard = layout
+    (q_num, q_den), (r_num, r_den), f0 = q_scale, r_scale, dict(f0)
+    lm_f = max(f0)
+    fa, fb = f0.pop(lm_f)
     norm = fa * fa - fb * fb * d
-    rest = [(m, a, b) for m, (a, b) in packed.items()]
-    # G0's pairs become the work terms: G0's own dict is let go, so each pair
-    # is freed once its term is reduced.
-    work = {_pack(m, shifts): (a, b, 1) for m, (a, b) in work.items()}
+    rest = [(m, a, b) for m, (a, b) in f0.items()]
+    integral = d == 1
+    work = {m: a if integral else (a, b, 1) for m, (a, b) in work.items() if a or b}
     heap = [-m for m in work]
     heapify(heap)
     quotient: dict[int, tuple[int, int, int]] = {}
@@ -434,34 +439,26 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         coeff = work.pop(lm, None)
         if coeff is None:
             continue
+        wa, wb, wden = (coeff, 0, 1) if integral else coeff
         if (lm + guard - lm_f) & guard != guard:
-            remainder[lm] = (coeff[0] * cont_g, coeff[1] * cont_g, coeff[2] * g.den)
+            remainder[lm] = (wa * r_num, wb * r_num, wden * r_den)
             continue
         qm = lm - lm_f
-        wa, wb, wden = coeff
         qa, qb, step_den = lowest_terms(wa * fa - wb * fb * d, wb * fa - wa * fb, wden * norm)
         quotient[qm] = (qa * q_num, qb * q_num, step_den * q_den)
-        # Subtract q * c for each remaining term c = ra + rb sqrt(d) of F0,
-        # over Q (every b is 0) in a loop that reads only the a's.
-        if d == 1:
+        if integral and step_den == 1:
             for mono, ra, _ in rest:
-                target = qm + mono
-                na = -qa * ra
-                old = work.get(target)
-                if old is None:
-                    den = step_den
+                if (old := work.get(target := qm + mono)) is None:
+                    work[target] = -qa * ra
                     heappush(heap, -target)
-                elif (den := old[2]) == step_den:
-                    na += old[0]
+                elif old := old - qa * ra:
+                    work[target] = old
                 else:
-                    na, den = old[0] * step_den + na * den, den * step_den
-                if not na:
                     del work[target]
-                elif den == 1 or (k := gcd(na, den)) == 1:
-                    work[target] = (na, 0, den)
-                else:
-                    work[target] = (na // k, 0, den // k)
             continue
+        if integral:  # the first step that is not integral: triples from here on
+            integral, work = False, {m: (a, 0, 1) for m, a in work.items()}
+        # Subtract q * c for each remaining term c = ra + rb sqrt(d) of F0.
         for mono, ra, rb in rest:
             target = qm + mono
             na, nb = -(qa * ra + qb * rb * d), -(qa * rb + qb * ra)
@@ -480,5 +477,6 @@ def divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
                 work[target] = (na, nb, den)
             else:
                 work[target] = (na // k, nb // k, den // k)
-    parts = ({_unpack(m, shifts[1:], mask): t for m, t in p.items()} for p in (quotient, remainder))
-    return tuple(_over_lcm(g.nvars, d, p) for p in parts)
+    shifts = shifts[-nvars:]  # a graded key's degree field is not an exponent
+    parts = ({_unpack(m, shifts, mask): t for m, t in p.items()} for p in (quotient, remainder))
+    return tuple(_over_lcm(nvars, d, p) for p in parts)

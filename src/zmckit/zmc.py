@@ -11,9 +11,9 @@ that hypersurface has zero mean curvature.  `conjecture_check` tests the
 stronger structural property that g is a polynomial multiple of f, which
 certifies ZMC in both pseudo-spheres <B x, x> = +1 and -1 at once.  w,
 lap(f) and g are sums of products on packed monomials (`poly._layout`) of
-f's primitive part f0 = f den / c (c the content, `poly._primitive`), scaled
-by c^2, c and c^3 at the end; `divide` divides primitive parts, which keeps
-an exact quotient over Q integral (Gauss's lemma).
+f's primitive part f0 = f den / c (c the content, `poly._primitive`), w and
+lap(f) scaled by c^2 and c; g stays packed, f0's own residual, and goes to
+`divide`'s loop as it is, which keeps an exact quotient over Q integral.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .poly import Poly, _canonical, _layout, _mul_into, _pack, _primitive, _unpack, divide
+from .poly import Poly, _canonical, _divide_packed, _layout, _mul_into, _pack, _primitive, _unpack
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,19 @@ def _diff_packed(p: Mapping[int, Sequence[int]], shift: int, mask: int) -> dict:
 
 
 def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool = True):
-    """w, lap(f) and the residual of homogeneous f (0 unless `residual`), all
-    from one gradient in the metric `form` (B of `sig` when None), on packed
-    monomials of f = c f0 / den: those of f0 times c^2 / den^2, c / den and
-    c^3 / den^3, each accumulated in one dict less its cancelled terms."""
+    """w, lap(f) and the residual of homogeneous f (empty unless `residual`),
+    all from one gradient in the metric `form` (B of `sig` when None), on
+    packed monomials of f = c f0 / den, each in one dict less its cancelled
+    terms: w and lap(f) as Polys, then the residual g0 of f0 (g = c^3 g0 / den^3)
+    packed as it is, f0, c and the layout."""
     _check_dims(f, sig)
     if residual and not f.is_homogeneous():
         raise ValueError("zmc residual requires a homogeneous polynomial")
     form = _diagonal_form(sig) if form is None else form
-    n, d, den = f.nvars, f.d, f.den
+    d = f.d
     c, ints = _primitive(f)
     # No exponent here passes deg g = 3 deg f - 4, nor deg w = 2 deg f - 2.
-    shifts, mask, _ = _layout(n, 3 * max(f.degree(), 0))
+    layout = shifts, mask, _ = _layout(f.nvars, 3 * max(f.degree(), 0))
     packed = {_pack(m, shifts): ab for m, ab in ints.items()}
     grad = [_diff_packed(packed, s, mask) for s in shifts]
     w, lap, g = {}, {}, {}
@@ -110,11 +111,14 @@ def _residual_parts(f: Poly, sig: AmbientSig, form: Form | None, residual: bool 
         _mul_into(g, w, lap, 2, d)
         for (i, j), k in form.items():
             _mul_into(g, _diff_packed(w, shifts[i], mask), grad[j], -k, d)
-    for p, k in ((w, c * c), (lap, c), (g, c**3)) if c > 1 else ():  # in place, once g is built
-        for ab in p.values():
-            ab[0], ab[1] = ab[0] * k, ab[1] * k
-    return tuple(_canonical(n, d, den**e, {_unpack(m, shifts, mask): ab for m, ab in p.items()})
-                 for p, e in ((w, 2), (lap, 1), (g, 3)))
+    return _as_poly(f, w, c, 2, layout), _as_poly(f, lap, c, 1, layout), g, packed, c, layout
+
+
+def _as_poly(f: Poly, p: Mapping, c: int, e: int, layout) -> Poly:
+    """The Poly c^e p / den^e of a packed dict p, den being f's."""
+    k, (shifts, mask, _) = c**e, layout
+    return _canonical(f.nvars, f.d, f.den**e,
+                      {_unpack(m, shifts, mask): (a * k, b * k) for m, (a, b) in p.items()})
 
 
 def zmc_residual(f: Poly, sig: AmbientSig, form: Form | None = None) -> Poly:
@@ -123,7 +127,8 @@ def zmc_residual(f: Poly, sig: AmbientSig, form: Form | None = None) -> Poly:
 
     Zero or homogeneous of degree 3k-4 when f is homogeneous of degree k.
     """
-    return _residual_parts(f, sig, form)[2]
+    _, _, g, _, c, layout = _residual_parts(f, sig, form)
+    return _as_poly(f, g, c, 3, layout)
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,11 @@ def conjecture_check(f: Poly, sig: AmbientSig, form: Form | None = None) -> ZmcR
     """
     if f.degree() < 1:
         raise ValueError("conjecture check requires a polynomial of degree >= 1")
-    w, lap, residual = _residual_parts(f, sig, form)
-    quotient, remainder = divide(residual, f)
+    # g goes to the division packed: f is homogeneous, so every work
+    # monomial has degree deg g, and the residual's plain keys are in grlex order.
+    w, lap, g, f0, c, layout = _residual_parts(f, sig, form)
+    quotient, remainder = _divide_packed(f.nvars, f.d, g, f0, layout, (c * c, f.den**2),
+                                         (c**3, f.den**3))
     return ZmcReport(
         quotient=quotient,
         remainder=remainder,

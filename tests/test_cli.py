@@ -904,6 +904,30 @@ def test_sample_csv_format(capsys):
     assert len(lines) == 3
 
 
+# The seed-7 `--poly` image of lawson:2,3 in perfbench's certify workload: its
+# content is 4 and lc(F0) = -36450000 for its primitive part F0, and its residual
+# divides, so every division step is integral (Gauss's lemma).
+LAWSON_2_3_IMAGE = (
+    "-1728/3125 x1^5 - 4896/3125 x1^4 x2 + 2304/3125 x1^4 x4 - 19324/15625 x1^3 x2^2 + 2304/625 "
+    "x1^3 x2 x3 + 85952/15625 x1^3 x2 x4 - 108/125 x1^3 x3^2 - 4896/625 x1^3 x3 x4 - "
+    "92224/15625 x1^3 x4^2 + 6260624/2109375 x1^2 x2^3 + 25024/3125 x1^2 x2^2 x3 - "
+    "3522176/703125 x1^2 x2^2 x4 - 2448/625 x1^2 x2 x3^2 - 64952/3125 x1^2 x2 x3 x4 + "
+    "2405024/703125 x1^2 x2 x4^2 + 1152/625 x1^2 x3^2 x4 + 25024/3125 x1^2 x3 x4^2 - "
+    "1707776/2109375 x1^2 x4^3 + 30869824/10546875 x1 x2^4 - 34304/421875 x1 x2^3 x3 - "
+    "142563904/10546875 x1 x2^3 x4 - 24896/3125 x1 x2^2 x3^2 - 416704/140625 x1 x2^2 x3 x4 "
+    "+ 76703948/3515625 x1 x2^2 x4^2 + 44608/3125 x1 x2 x3^2 x4 + 1520896/140625 x1 x2 x3 x4^2 "
+    "- 134730304/10546875 x1 x2 x4^3 - 32996/3125 x1 x3^2 x4^2 - 3721504/421875 x1 x3 x4^3 "
+    "+ 25786624/10546875 x1 x4^4 - 740801792/263671875 x2^5 - 16833536/2109375 x2^4 x3 + "
+    "598308608/52734375 x2^4 x4 - 2563328/421875 x2^3 x3^2 + 65296256/2109375 x2^3 x3 x4 "
+    "- 1004671984/52734375 x2^3 x4^2 + 2646272/140625 x2^2 x3^2 x4 - 28036672/703125 x2^2 x3 "
+    "x4^2 + 777778816/52734375 x2^2 x4^3 - 3114128/140625 x2 x3^2 x4^2 + 50682056/2109375 x2 x3 "
+    "x4^3 - 277640192/52734375 x2 x4^4 + 2905472/421875 x3^2 x4^3 - 11203136/2109375 x3 x4^4 "
+    "+ 185950208/263671875 x4^5"
+)
+
+# lc(f) = 3 over Q and the residual does not divide: a step is not integral.
+NON_INTEGRAL_STEP = "3 x1^3 + x1^2 x2 + 2 x3^3"
+
 # sha256 of the stdout of exact commands, which pins every h, w, Laplacian,
 # remainder term count and classification they print, and of one spectrum.
 EXACT_OUTPUT_SHA256 = [
@@ -940,6 +964,13 @@ EXACT_OUTPUT_SHA256 = [
     ('verify --poly "(1/2 + 3 sqrt(2)) x1^2 - x2^2 + 2/3 x3^2 - sqrt(2) x4^2"'
      " --nvars 4 --sig 1,1", 1,
      "0fa85b2b2dd1d05f78f1c47470ab76536f8aa4cab4287a99df8427d126f1179a"),
+    pytest.param(
+        shlex.join(["verify", "--poly", LAWSON_2_3_IMAGE, "--nvars", "4", "--sig", "2,-1"]), 0,
+        "3f03072906b5bf63330ffdfe8d8a8c9e1e243289314ed1d7729bbcf6a2335a9f",
+        id="verify the seed-7 certify image of lawson:2,3"),
+    # NON_INTEGRAL_STEP, written out so that the scan of `--poly` texts reads it.
+    ('verify --poly "3 x1^3 + x1^2 x2 + 2 x3^3" --nvars 3 --sig 1,1', 1,
+     "9fa7be80431339795763a53902879920e057ecd99a195c5d31e0c5d129db864e"),
     # Float output that sums lawson's terms in `Poly.substitute`'s storage order.
     ("spectrum --family lawson:4,5 --count 100 --seed 3", 0,
      "0f40208aa0242655f0977e0f9881054717e97845b63d6a8f8a53f686cb642a8a"),
@@ -958,6 +989,16 @@ def test_exact_output_is_pinned(capsys, command, code, digest):
     got, out, _ = run(capsys, *shlex.split(command))
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_pinned_non_divisible_cubic_takes_a_step_that_is_not_integral():
+    """f is primitive over den 1, so the division's input is its residual g
+    itself and the quotient's coefficients are its steps: one with den 3
+    came from a step that lc(f) = 3 does not divide."""
+    f = parse_poly(NON_INTEGRAL_STEP, 3)
+    assert f.den == 1 and math.gcd(*(a for a, _ in f.ints.values())) == 1
+    report = conjecture_check(f, AmbientSig(1, 1, 3))
+    assert not report.divides and report.quotient.den == 3
 
 
 def test_a_spectrum_off_its_oracle_fails_at_the_first_point(capsys, monkeypatch):
@@ -991,12 +1032,42 @@ def _raise_in_spectrum(monkeypatch, exc):
 
 
 def test_report_records_numerical_breakdown(capsys, monkeypatch):
+    """A breakdown alone fails its family and exits 3, not 1."""
     _raise_in_spectrum(monkeypatch, geometry.ProjectionError("no convergence"))
     code, out, _ = run(capsys, "report", "--family", "ds2:1", "--count", "2")
-    assert code == 1
+    assert code == 3
     entry = json.loads(out)["families"][0]
     assert entry["spectrum"] == {"error": "no convergence"}
     assert entry["passed"] is False
+
+
+def test_report_with_a_breakdown_and_a_gate_miss_exits_1(capsys, monkeypatch):
+    """ds2:1 (4 variables) breaks down and ds2:4 (7) misses its oracle: the
+    mathematical failure decides the exit code."""
+    real_spectrum, real_oracle = geometry.curvature_spectrum, cli.spectrum_oracle
+
+    def curvature_spectrum(p, f, sig):
+        if f.nvars == 4:
+            raise geometry.ProjectionError("no convergence")
+        return real_spectrum(p, f, sig)
+
+    def doubled(spec):
+        oracle = real_oracle(spec)
+        return dataclasses.replace(
+            oracle, spectrum=lambda p: [(2 * v, m) for v, m in oracle.spectrum(p)]
+        )
+
+    monkeypatch.setattr(geometry, "curvature_spectrum", curvature_spectrum)
+    monkeypatch.setattr(cli, "spectrum_oracle", doubled)
+    args = ("report", "--family", "ds2:1", "--family", "ds2:4", "--count", "2")
+    code, out, _ = run(capsys, *args)
+    broken, missed = json.loads(out)["families"]
+    assert broken["spectrum"] == {"error": "no convergence"} and broken["verify"]["divides"]
+    assert missed["spectrum"]["passed"] is False
+    assert " does not match oracle " in missed["spectrum"]["failure"]
+    assert code == 1
+    monkeypatch.setattr(cli, "spectrum_oracle", real_oracle)  # the breakdown alone
+    assert run(capsys, *args)[0] == 3
 
 
 def test_report_does_not_hide_program_errors(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from zmckit.isometry import apply_to_poly, linear_forms, rotation_exact
 from zmckit.parser import MAX_POLY_DEGREE, parse_poly
 from zmckit.poly import Poly, _layout, _mul_into, _pack, divide, grlex_key
 from zmckit.scalars import ZERO, QuadExtScalar, shared_surd
-from zmckit.zmc import _residual_parts
+from zmckit.zmc import AmbientSig, _residual_parts, conjecture_check, zmc_residual
 
 
 def P(text, nvars=4):
@@ -498,12 +498,60 @@ def _content_division_cases(draw):
 @example((P("(2 + sqrt(3)) x1 + 1/5", 3), P("7/9 x1^3 + x2", 3)))
 @settings(max_examples=60, deadline=None)
 def test_divide_of_scaled_operands_matches_the_tuple_loop(case):
-    """`divide` runs on the primitive integer parts of g and f and rescales
-    once at the end; it returns what the tuple-keyed loop over Q(sqrt(d))
-    returns, term for term in the same order."""
+    """`divide` runs on g's integer pairs and f's primitive part and
+    rescales once at the end; it returns what the tuple-keyed loop over
+    Q(sqrt(d)) returns, term for term in the same order."""
     f, g = case
     assume(not f.is_zero())
     got, want = divide(g, f), divide_reference(g, f)
+    assert got == want
+    assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+
+
+@st.composite
+def _switch_cases(draw):
+    """f homogeneous in 3 variables over Q or Q(sqrt(2)) whose primitive part
+    has lc(F0) = +-(2..9), times a random content, g = h f + r with r zero or
+    not, and a signature: a division that stays integral, or one that turns
+    to denominators at its first step that is not integral."""
+    d = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(1, 3))
+    monos = [(a, b, k - a - b) for a in range(k) for b in range(k - a + 1)]
+    rest = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    nonzero = st.integers(-9, 9).filter(bool)
+    # One coefficient 1 keeps the content of f's integer pairs at 1 before it is scaled.
+    terms = {(k, 0, 0): draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1))), rest[0]: 1}
+    for mono in rest[1:]:
+        terms[mono] = QuadExtScalar(draw(nonzero), draw(st.integers(-3, 3)) if d > 1 else 0, d)
+    content = Fraction(draw(st.integers(1, 10**6)) * draw(st.sampled_from((1, -1))),
+                       draw(st.integers(1, 10**3)))
+    f = Poly(3, terms).scale(content)
+    m = draw(st.integers(0, 2))
+    h = draw(_homogeneous_polys(d=draw(st.sampled_from((1, d))), degree=m)) if m else P("7/3", 3)
+    r = draw(st.sampled_from((Poly(3), draw(_homogeneous_polys(d=d, degree=k + m)))))
+    return f, h * f + r, AmbientSig(draw(st.integers(0, 2)), 1, 3)
+
+
+@given(_switch_cases())
+# lc(f) = 3: the third step of the residual's division is the first that is
+# not integral, and the first of x1^3 x2's; over Q(sqrt(2)), with lc(f) = -4,
+# both divisions run on triples from the start.
+@example((P("3 x1^3 + x1^2 x2 + 2 x3^3", 3), P("x1^3 x2", 3), AmbientSig(1, 1, 3)))
+@example((P("-4 x1^2 + x2 x3 + sqrt(2) x3^2", 3), P("x1^2 + x3^2", 3), AmbientSig(2, 1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_the_integer_loop_hands_over_to_triples_at_the_first_inexact_step(case):
+    """`divide(g, f)` and `conjecture_check(f)`, which divides the packed
+    residual of f's primitive part, return what the tuple-keyed loop returns
+    on the reference residual, term for term in the same order; over Q the
+    loop keeps integer numerators until a step is not integral."""
+    f, g, sig = case
+    want = divide_reference(g, f)
+    got = divide(g, f)
+    assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+    w, lap, residual = residual_parts_reference(f, sig)
+    report, want = conjecture_check(f, sig), divide_reference(residual, f)
+    assert (report.w, report.laplacian) == (w, lap)
+    got = (report.quotient, report.remainder)
     assert got == want
     assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
 
@@ -521,23 +569,24 @@ def _kernel_case(label):
 @pytest.mark.parametrize("label", ["rational", "surd", "integer"])
 def test_packed_kernels_match_the_tuple_loops_on_every_branch(label):
     """The residual's products (`poly._mul_into`) give the `Poly` product
-    reference's w, lap f and g, and `divide` returns what the tuple-keyed
-    loop returns, term for term in the same order, down each branch.  On
-    the rational image the products take the d == 1 loop; the division
-    divides g's primitive part by f's, so all 607 of its work updates are
-    over denominator 1 although f has a 9-digit den (the tuple loop takes
-    190 of them over the step's own den and 417 over another); the surd
-    multiple runs the same updates and products in Q(sqrt(2)); on
-    lawson:8,9 + x1^17 every denominator is 1 on both sides."""
+    reference's w, lap f and g, and `divide` and `conjecture_check`'s packed
+    hand-off return what the tuple-keyed loop returns, term for term in the
+    same order, down each branch.  On the rational image the products take
+    the d == 1 loop; the divisions run on f's primitive part, so every step
+    is integral and all 609 work updates keep integer numerators although f
+    has a 9-digit den; the surd multiple runs the same 609 updates on triples
+    over den 1 and its products in Q(sqrt(2)); on lawson:8,9 + x1^17 every
+    denominator is 1 on both sides."""
     f, sig = _kernel_case(label)
     assert f.d == (2 if label == "surd" else 1)
-    w, lap, g = _residual_parts(f, sig, None)
+    w, lap, g = *_residual_parts(f, sig, None)[:2], zmc_residual(f, sig)
     assert (w, lap, g) == residual_parts_reference(f, sig)
     if label == "integer":
         assert (f.den, g.den, f.ints[f.leading_monomial()]) == (1, 1, (1, 0))
-    got, want = divide(g, f), divide_reference(g, f)
-    assert got == want
-    assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
+    report, want = conjecture_check(f, sig), divide_reference(g, f)
+    for got in (divide(g, f), (report.quotient, report.remainder)):
+        assert got == want
+        assert [list(p.ints.items()) for p in got] == [list(p.ints.items()) for p in want]
 
 
 @st.composite

@@ -348,7 +348,7 @@ _MULTIPLIERS = {"1": 1, "-3": -3, "2^4000-1": 2**4000 - 1, "1+sqrt(2)": QuadExtS
 @pytest.mark.parametrize("c", list(_MULTIPLIERS.values()), ids=list(_MULTIPLIERS))
 def test_conjecture_check_of_a_multiple_matches_the_references(c, monkeypatch):
     """conjecture_check(c f) builds w, lap and g on f's primitive part and
-    divides g's primitive part by f's: its w, lap, quotient and remainder
+    divides that g, packed, by f's: its w, lap, quotient and remainder
     equal the `Poly` product references and the tuple-keyed division over
     Q(sqrt(d)), for a unit, a negative content, a 4000-bit content and a
     surd, on lawson:2,3 rotated in x1,x2 by t = 2/7 (22 terms over a 9-digit
