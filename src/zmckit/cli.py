@@ -377,56 +377,55 @@ def cmd_classify(args) -> int:
     return EXIT_PASS if result.verdict == "matches" else EXIT_FAIL
 
 
-def _report_one(spec: FamilySpec, index: int, args) -> dict:
+def _report_one(spec: FamilySpec, index: int, args) -> tuple[dict, int]:
+    """One family's report entry and exit code: 1 for a failed certificate,
+    spectrum gate or classification, 3 for a numerical breakdown alone."""
     f = make_poly(spec)
-    sig = spec.sig
-    entry: dict = {"family": spec.label, "params": list(spec.params)}
     report = _certify(spec)
-    entry["verify"] = report.to_dict(
-        family=spec.kind, params=spec.params, sig=sig, degree=spec.degree
-    )
-    entry["passed"] = report.divides
+    code = EXIT_PASS if report.divides else EXIT_FAIL
     try:
         rows, failure = _spectrum_rows(f, spec, args.seed + index, args.count)
-        entry["spectrum"] = {
+        spectrum = {
             "count": args.count,
             "passed": failure is None,
             "failure": failure,
             "mean_curvature_max": max(abs(row["mean_curvature"]) for row in rows),
         }
-        entry["passed"] = entry["passed"] and failure is None
+        if failure is not None:
+            code = EXIT_FAIL
     except NUMERICAL_BREAKDOWN as exc:
         # Fails this family only; other exceptions are bugs.
-        entry["spectrum"] = {"error": str(exc)}
-        entry["passed"] = False
-    if spec.kind == "ads":
-        result = classify_candidate(f, sig)
-        entry["classification"] = dataclasses.asdict(result)
-        entry["passed"] = entry["passed"] and result.verdict == "matches"
-    else:
-        entry["classification"] = None
-    return entry
+        spectrum = {"error": str(exc)}
+        code = code or EXIT_NUMERIC
+    result = classify_candidate(f, spec.sig) if spec.kind == "ads" else None
+    if result is not None and result.verdict != "matches":
+        code = EXIT_FAIL
+    entry = {
+        "family": spec.label,
+        "params": list(spec.params),
+        "verify": report.to_dict(family=spec.kind, params=spec.params, sig=spec.sig,
+                                 degree=spec.degree),
+        "passed": code == EXIT_PASS,
+        "spectrum": spectrum,
+        "classification": dataclasses.asdict(result) if result is not None else None,
+    }
+    return entry, code
 
 
 def cmd_report(args) -> int:
-    specs = _sampled_families(args, sorted(set(args.family or [])))
+    specs = _sampled_families(args, sorted(args.family or []))
     # One entry per member, in the order its first selector was parsed.
-    entries = [_report_one(spec, i, args) for i, spec in enumerate(dict.fromkeys(specs))]
+    entries, codes = zip(*(_report_one(spec, i, args)
+                           for i, spec in enumerate(dict.fromkeys(specs))))
     doc = {
         "seed": args.seed,
         "count": args.count,
-        "families": entries,
-        "passed": all(e["passed"] for e in entries),
+        "families": list(entries),
+        "passed": not any(codes),
     }
     _write_output(_render_json(doc), args.out)
-    if doc["passed"]:
-        return EXIT_PASS
-    # A certificate, spectrum gate or classification failure exits 1; a family
-    # that only broke down numerically fails too, but alone it exits 3.
-    mathematical = any(not e["verify"]["divides"] or e["spectrum"].get("passed") is False
-                       or (e["classification"] or {}).get("verdict", "matches") != "matches"
-                       for e in entries)
-    return EXIT_FAIL if mathematical else EXIT_NUMERIC
+    # A failed check exits 1; numerical breakdowns alone exit 3.
+    return EXIT_FAIL if EXIT_FAIL in codes else max(codes)
 
 
 @lru_cache(maxsize=1)

@@ -45,10 +45,11 @@ NEWTON_MAX_ITER = 50
 CLUSTER_REL = 1e-6
 CLUSTER_FLOOR = 1e-9
 DEGENERATE_METRIC_TOL = 1e-12
-DEFECTIVE_COND_LIMIT = 1e8
 # Relative size below which v^T G v (against |v|^2) counts as null, or a
 # vector's imaginary part (against its largest entry) as zero.
 CAUSAL_REL = 1e-8
+# Tied to CAUSAL_REL by `curvature_spectrum`'s definite-path argument.
+DEFECTIVE_COND_LIMIT = 1 / CAUSAL_REL
 # Margins of the closed-form certificates that spare LAPACK calls whose
 # answers are thresholds only: Newton's rank test (`_rank_certified`) and the
 # induced metric's signature (`_metric_signature`).

@@ -213,8 +213,6 @@ class Poly:
             raise ValueError(
                 f"need {self.nvars} replacement polynomials, got {len(replacements)}"
             )
-        if not replacements:
-            raise ValueError("cannot substitute into a polynomial with no variables")
         out_nvars = replacements[0].nvars
         if any(r.nvars != out_nvars for r in replacements):
             raise ValueError("replacement polynomials disagree on nvars")

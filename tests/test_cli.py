@@ -605,25 +605,40 @@ def test_residual_work_bounds_the_residual_and_quotient():
 
 
 def _poly_arguments(node) -> list[tuple[str, int]]:
-    """(text, nvars) of each --poly in a run of string constants or a command line."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str) and "--poly " in node.value:
-        words = shlex.split(node.value)
-    elif isinstance(node, (ast.Call, ast.Tuple, ast.List)):
-        items = node.args if isinstance(node, ast.Call) else node.elts
-        words = [i.value for i in items if isinstance(i, ast.Constant) and isinstance(i.value, str)]
-    else:
+    """(text, nvars) of each --poly in a run of string constants or a command
+    line; none for a piece that does not read as one, such as the head of an
+    f-string, a template or a tuple that ends at a flag."""
+    try:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "--poly " in node.value:
+            words = shlex.split(node.value)
+        elif isinstance(node, (ast.Call, ast.Tuple, ast.List)):
+            items = node.args if isinstance(node, ast.Call) else node.elts
+            words = [i.value for i in items if isinstance(i, ast.Constant) and isinstance(i.value, str)]
+        else:
+            return []
+        text = words[words.index("--poly") + 1]
+        nvars = int(words[words.index("--nvars") + 1])
+    except (ValueError, IndexError):
         return []
-    if "--poly" not in words or "--nvars" not in words:
-        return []
-    text = words[words.index("--poly") + 1]
-    return [] if text.startswith("--") else [(text, int(words[words.index("--nvars") + 1]))]
+    return [] if text.startswith("--") else [(text, nvars)]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("f'verify --poly \"{text}\" --nvars 4'", []),  # unbalanced quote in the head
+    ("'verify --poly x1^2 --nvars {n}'", []),
+    ("('verify', '--poly', 'x1^2', '--nvars')", []),
+    ("('verify', '--poly', 'x1^2', '--nvars', '2')", [("x1^2", 2)]),
+])
+def test_the_poly_scanner_skips_what_it_cannot_read(source, expected):
+    found = [pair for node in ast.walk(ast.parse(source)) for pair in _poly_arguments(node)]
+    assert found == expected
 
 
 # --poly inputs in tests/ that are rejected on purpose.
 REJECTED_POLY_INPUTS = {
     ("x1 +", 2), ("x1²", 2), ("x1^2", 101), ("(x1+x2+x3+x4)^17", 4),
     ("sqrt(1000000007) x1^2 - x2^2 + x3^2", 3), ("x١^٢ - x2^2", 2),
-    ("sqrt(2) x1 + sqrt(3) x2", 2),
+    ("sqrt(2) x1 + sqrt(3) x2", 2), ("sqrt(2", 2),
 }
 
 
@@ -1068,6 +1083,10 @@ def test_report_with_a_breakdown_and_a_gate_miss_exits_1(capsys, monkeypatch):
     assert code == 1
     monkeypatch.setattr(cli, "spectrum_oracle", real_oracle)  # the breakdown alone
     assert run(capsys, *args)[0] == 3
+    real_certify = cli._certify  # a failed certificate where the spectrum breaks down
+    monkeypatch.setattr(cli, "_certify",
+                        lambda spec: dataclasses.replace(real_certify(spec), divides=False))
+    assert run(capsys, "report", "--family", "ds2:1", "--count", "2")[0] == 1
 
 
 def test_report_does_not_hide_program_errors(capsys, monkeypatch):

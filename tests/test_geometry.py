@@ -516,6 +516,7 @@ def test_match_spectrum_allows_global_flip():
     expected = [(-math.sqrt(3 / 2), 2), (math.sqrt(2 / 3), 3)]
     assert geometry.match_spectrum(computed, expected)
     assert not geometry.match_spectrum(Fake([(1.0, 2), (-1.0, 3)]), expected)
+    assert not geometry.match_spectrum(computed, expected[:1])  # one cluster fewer
 
 
 def test_fd_shape_operator_agreement():

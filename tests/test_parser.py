@@ -10,7 +10,7 @@ from oracles import parse_poly_reference, scalar_terms, tokenize_reference
 from zmckit.families import ads, clifford, ds1, ds2, lawson, make_poly
 from zmckit.parser import ParseError, _tokenize, parse_poly
 from zmckit.poly import Poly
-from zmckit import scalars
+from zmckit import cli, scalars
 from zmckit.scalars import QuadExtScalar
 
 
@@ -58,6 +58,36 @@ def test_syntax_error_reports_position():
         parse_poly("x1 +", 2)
     with pytest.raises(ParseError):
         parse_poly("x1 x", 2)
+
+
+GRAMMAR_ERRORS = [
+    ("x1^0", "expected a positive integer exponent", 3),
+    ("x1^", "expected a positive integer exponent", 3),
+    ("x1^-1", "expected a positive integer exponent", 3),
+    ("x1^(2)", "expected a positive integer exponent", 3),
+    ("1/0", "expected a positive integer denominator", 2),
+    ("2/", "expected a positive integer denominator", 2),
+    ("sqrt(0)", "expected a positive integer under sqrt", 5),
+    ("sqrt 2", "expected '(', found 'num'", 5),
+    ("sqrt(2", "expected ')', found 'eof'", 6),
+    ("(x1 + x2", "expected ')', found 'eof'", 8),
+]
+
+
+@pytest.mark.parametrize("text, message, position", GRAMMAR_ERRORS)
+def test_grammar_errors_name_what_was_expected_and_where(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 2)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_a_grammar_error_in_verify_is_a_usage_error(capsys):
+    code = cli.main(["verify", "--poly", "sqrt(2", "--nvars", "2", "--sig", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: expected ')', found 'eof' (at position 6)"]
 
 
 def test_non_ascii_digits_are_a_syntax_error_with_a_position():
