@@ -415,7 +415,7 @@ class SpectrumOracle:
 
 def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
     if spec.kind in ("ads", "ds1"):
-        # Curvatures -sqrt(n/(m(1+t))) (x m) and sqrt(m/(n(1+t))) (x n), zero
+        # Curvatures sqrt(n/(m(1+t))) (x m) and -sqrt(m/(n(1+t))) (x n), zero
         # over the flat block (u for ads, x1 for ds1) of squared norm t.
         # ds1 squares x1 with ** 2: libm's pow and numpy's x @ x can differ
         # in the last bit, and the printed expected spectra carry it.
@@ -429,8 +429,8 @@ def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
 
         def spectrum(point: Sequence[float]) -> list[tuple[float, int]]:
             t = flat_norm2(point)
-            vals = [(-math.sqrt(n / (m * (1 + t))), m),
-                    (math.sqrt(m / (n * (1 + t))), n)]
+            vals = [(math.sqrt(n / (m * (1 + t))), m),
+                    (-math.sqrt(m / (n * (1 + t))), n)]
             if k > 0:
                 vals.append((0.0, k))
             return sorted(vals)
@@ -438,7 +438,7 @@ def spectrum_oracle(spec: FamilySpec) -> SpectrumOracle:
         return SpectrumOracle(spectrum, lambda p: w_sign * (1 + flat_norm2(p)))
     if spec.kind == "ds2":
         (m,) = spec.params
-        fixed = sorted([(math.sqrt(m), 1), (-1 / math.sqrt(m), m)])
+        fixed = sorted([(-math.sqrt(m), 1), (1 / math.sqrt(m), m)])
         return SpectrumOracle(lambda p: list(fixed), lambda p: 4.0)
     if spec.kind == "clifford":
         p_, q_ = spec.params

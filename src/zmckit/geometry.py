@@ -19,10 +19,6 @@ points reuse the tables.  The float w at a point comes from
 the float gradient there, w = <B g, g>, rather than from evaluating the
 expanded polynomial w, whose monomials cancel badly at high degree; the point
 carries g, so the frame does not evaluate the gradient again.
-
-The shape operator follows the Gauss map orientation given by the formula
-above.  Oracles that state curvature signs for the opposite orientation are
-matched up to a global sign flip (see `match_spectrum`).
 """
 
 from __future__ import annotations
@@ -532,18 +528,12 @@ def match_spectrum(
     rtol: float = SPECTRUM_RTOL,
 ) -> bool:
     """Compare computed clusters against an expected (value, multiplicity)
-    multiset, allowing a global orientation flip of the normal."""
+    multiset, both principal curvatures for the one normal
+    nu = B grad f / sqrt(|w|)."""
     got = computed.cluster_pairs()
     want = sorted(expected)
     scale = max([1.0] + [abs(v) for v, _ in want])
-
-    def close(a: list[tuple[float, int]], b: list[tuple[float, int]]) -> bool:
-        if len(a) != len(b):
-            return False
-        return all(
-            ma == mb and abs(va - vb) <= rtol * scale
-            for (va, ma), (vb, mb) in zip(a, b)
-        )
-
-    flipped = sorted((-v, m) for v, m in got)
-    return close(got, want) or close(flipped, want)
+    return len(got) == len(want) and all(
+        mg == mw and abs(vg - vw) <= rtol * scale
+        for (vg, mg), (vw, mw) in zip(got, want)
+    )

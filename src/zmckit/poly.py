@@ -93,11 +93,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.ints}) <= 1
 
-    def leading_monomial(self) -> Monomial:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.ints, key=grlex_key)
-
     def num_terms(self) -> int:
         return len(self.ints)
 
@@ -134,21 +129,19 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            try:
-                other = Poly.constant(self.nvars, other)
-            except TypeError:
-                return NotImplemented
+            return NotImplemented
         d = self._join(other)
         shifts, mask, _ = _layout(self.nvars, max(self.degree() + other.degree(), 1))
         p, q = ({_pack(m, shifts): ab for m, ab in f.ints.items()} for f in (self, other))
         out = {_unpack(m, shifts, mask): ab for m, ab in _product(p, q, d).items()}
         return _canonical(self.nvars, d, self.den * other.den, out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def scale(self, value) -> "Poly":
-        return self * Poly.constant(self.nvars, value)
+        s = as_scalar(value)
+        d = shared_surd((self.d, s.d))
+        return _canonical(self.nvars, d, self.den * s.den, {
+            m: (a * s.a + b * s.b * d, a * s.b + b * s.a) for m, (a, b) in self.ints.items()
+        })
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

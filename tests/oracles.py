@@ -485,7 +485,7 @@ def divide_reference(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     every exponent is at least its own, and the coefficients are the reduced
     integer triples that `poly.divide` keeps too."""
     d = g._join(f)
-    lm_f = f.leading_monomial()
+    lm_f = max(f.ints, key=grlex_key)
     den_f = f.den
     fa, fb = f.ints[lm_f]
     norm = fa * fa - fb * fb * d

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -993,7 +994,7 @@ EXACT_OUTPUT_SHA256 = [
     ("spectrum --family ads:3,3,2 --count 20 --seed 7", 0,
      "afff2d933b172467230ad7fd24de60555e2ec532ea0a27cbfeec823afea8e1ca"),
     ("spectrum --family ds2:4 --count 20 --seed 7", 0,
-     "855b04a57fba5eeade49313411a25c22db1bce986384a7439e2de48149a07740"),
+     "e363ff5e07673f51557487f34ba0a2b09a08e7c6fae5ed52af53955d244cd58f"),
     ("sample --family clifford:2,3 --count 20 --seed 7 --format csv", 0,
      "474cd8aecfc6239eccd670cfac607e6920c1ac9dc3d4b69a79661c8bd06f16b5"),
 ]
@@ -1037,6 +1038,43 @@ def test_a_spectrum_off_its_oracle_fails_at_the_first_point(capsys, monkeypatch)
     (entry,) = json.loads(out)["families"]
     assert code == 1 and entry["passed"] is False and entry["spectrum"]["passed"] is False
     assert " does not match oracle " in entry["spectrum"]["failure"]
+
+
+@pytest.mark.parametrize("family", ["ads:2,3,1", "ds1:1,2", "ds2:3", "clifford:2,3"])
+def test_a_negated_shape_operator_fails_the_oracle_gate_at_the_first_point(
+    capsys, monkeypatch, family
+):
+    """The oracles and the package orient by the one normal nu = B grad f / sqrt(|w|),
+    so -S keeps |H| in its gate but misses the oracle at once."""
+    real = geometry.shape_operator
+    monkeypatch.setattr(geometry, "shape_operator", lambda *args: -real(*args))
+    code, out, err = run(capsys, "spectrum", "--family", family, "--count", "20", "--seed", "0")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False
+    assert " does not match oracle " in doc["failure"]
+    assert doc["failure"].endswith(f" at {doc['points'][0]['point']['coords']}")
+    assert err.splitlines() == [f"error: {doc['failure']}"]
+
+
+@pytest.mark.parametrize("family,mean_curvature", [
+    ("ads:2,3,1", 6.083e-02), ("ds2:4", 7.095e-03), ("clifford:2,3", 5.748e-04),
+])
+def test_a_genuine_mean_curvature_miss_exits_1(capsys, monkeypatch, family, mean_curvature):
+    """f + x3^2 / 10 is not ZMC: its samples miss the |H| gate at the first point."""
+    real = cli.make_poly
+
+    def bumped(spec):
+        x3_squared = tuple(2 * (i == 2) for i in range(spec.nvars))
+        return real(spec) + Poly(spec.nvars, {x3_squared: Fraction(1, 10)})
+
+    monkeypatch.setattr(cli, "make_poly", bumped)
+    code, out, err = run(capsys, "spectrum", "--family", family, "--count", "5", "--seed", "0")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False
+    assert abs(doc["points"][0]["mean_curvature"]) == pytest.approx(mean_curvature, rel=1e-3)
+    assert doc["failure"].startswith("mean curvature ")
+    assert f" exceeds 1e-08 at {doc['points'][0]['point']['coords']}" in doc["failure"]
+    assert err.splitlines() == [f"error: {doc['failure']}"]
 
 
 def _raise_in_spectrum(monkeypatch, exc):
@@ -1087,6 +1125,26 @@ def test_report_with_a_breakdown_and_a_gate_miss_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_certify",
                         lambda spec: dataclasses.replace(real_certify(spec), divides=False))
     assert run(capsys, "report", "--family", "ds2:1", "--count", "2")[0] == 1
+
+
+def test_report_fails_a_member_that_does_not_classify(capsys, monkeypatch):
+    """An ads member that does not classify as itself fails its entry and
+    the report, with or without a spectrum breakdown beside it."""
+    real = cli.classify_candidate
+    monkeypatch.setattr(cli, "classify_candidate", lambda f, sig: dataclasses.replace(
+        real(f, sig), verdict="inconclusive"))
+    args = ("report", "--family", "ads:1,1,0", "--count", "5")
+    code, out, _ = run(capsys, *args)
+    doc = json.loads(out)
+    (entry,) = doc["families"]
+    assert code == 1 and entry["passed"] is False and doc["passed"] is False
+    assert entry["classification"]["verdict"] == "inconclusive"
+    assert entry["verify"]["divides"] and entry["spectrum"]["passed"]
+    _raise_in_spectrum(monkeypatch, geometry.ProjectionError("no convergence"))
+    code, out, _ = run(capsys, *args)
+    (entry,) = json.loads(out)["families"]
+    assert code == 1 and entry["spectrum"] == {"error": "no convergence"}
+    assert entry["classification"]["verdict"] == "inconclusive"
 
 
 def test_report_does_not_hide_program_errors(capsys, monkeypatch):

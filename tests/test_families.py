@@ -409,7 +409,7 @@ def test_oracle_hyperbolic_cylinder():
     point = np.array([2.0, 0.0, math.sqrt(1.2), 0.0, math.sqrt(1.8), 0.0, 0.0])
     variety_point(make_poly(ads(2, 3, 0)), ads(2, 3, 0).sig, point)
     assert oracle.spectrum(point) == sorted(
-        [(-math.sqrt(3 / 2), 2), (math.sqrt(2 / 3), 3)]
+        [(math.sqrt(3 / 2), 2), (-math.sqrt(2 / 3), 3)]
     )
 
 
@@ -424,7 +424,7 @@ def test_oracle_ads_with_flat_block():
 def test_oracle_ds2():
     oracle = spectrum_oracle(ds2(4))
     point = np.zeros(7)
-    assert oracle.spectrum(point) == [(-0.5, 4), (2.0, 1)]
+    assert oracle.spectrum(point) == [(-2.0, 1), (0.5, 4)]
     assert oracle.expected_w(point) == 4.0
 
 

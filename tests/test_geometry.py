@@ -504,7 +504,9 @@ def test_lorentzian_path_declines_a_direction_the_svd_path_calls_null(faint, wan
     assert fast == ((clusters, defective) if want == "space-like" else None)
 
 
-def test_match_spectrum_allows_global_flip():
+def test_match_spectrum_rejects_a_global_flip():
+    """Computed and expected curvatures share the normal nu = B grad f / sqrt(|w|):
+    the spectrum negated as a whole is a different spectrum."""
     class Fake:
         def __init__(self, pairs):
             self._pairs = pairs
@@ -512,9 +514,11 @@ def test_match_spectrum_allows_global_flip():
         def cluster_pairs(self):
             return sorted(self._pairs)
 
-    computed = Fake([(math.sqrt(3 / 2), 2), (-math.sqrt(2 / 3), 3)])
-    expected = [(-math.sqrt(3 / 2), 2), (math.sqrt(2 / 3), 3)]
+    expected = [(math.sqrt(3 / 2), 2), (-math.sqrt(2 / 3), 3)]
+    computed = Fake(expected)
+    flipped = Fake([(-v, m) for v, m in expected])
     assert geometry.match_spectrum(computed, expected)
+    assert not geometry.match_spectrum(flipped, expected)
     assert not geometry.match_spectrum(Fake([(1.0, 2), (-1.0, 3)]), expected)
     assert not geometry.match_spectrum(computed, expected[:1])  # one cluster fewer
 

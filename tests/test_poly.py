@@ -40,6 +40,10 @@ def test_difference_of_squares():
 def test_scale_by_minus_sixteen():
     f = P("2 x1 x2 + x3^2 - x4^2")
     assert f.scale(-16) == P("-32 x1 x2 - 16 x3^2 + 16 x4^2")
+    with pytest.raises(TypeError):  # `*` takes Polys only; numbers go through scale
+        f * -16
+    with pytest.raises(TypeError):
+        -16 * f
 
 
 def test_diff_examples():
@@ -72,9 +76,9 @@ def test_mixed_surds_raise():
 def test_grlex_leading_monomial():
     # x1 > x2 > ... within a degree; higher total degree first.
     f = P("x2^3 + x1 x2 + x1^2")
-    assert f.leading_monomial() == (0, 3, 0, 0)
+    assert max(f.ints, key=grlex_key) == (0, 3, 0, 0)
     g = P("x1 x2 + x1^2")
-    assert g.leading_monomial() == (2, 0, 0, 0)
+    assert max(g.ints, key=grlex_key) == (2, 0, 0, 0)
     assert grlex_key((1, 1, 0, 0)) < grlex_key((2, 0, 0, 0))
 
 
@@ -186,7 +190,7 @@ def _reference_mul(p: Poly, q: Poly) -> Poly:
 
 def _reference_divide(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Division with a max() scan on QuadExtScalar, the loop divide replaced."""
-    lm_f = f.leading_monomial()
+    lm_f = max(f.ints, key=grlex_key)
     lc_f = scalar_terms(f)[lm_f]
     rest = [(m, c) for m, c in scalar_terms(f).items() if m != lm_f]
     work = dict(scalar_terms(g))
@@ -246,7 +250,7 @@ def test_divide_recovers_quotient_and_remainder(polys):
     q0, f, r0 = polys
     if f.is_zero():
         return
-    lm = f.leading_monomial()
+    lm = max(f.ints, key=grlex_key)
     # Keep only remainder monomials not divisible by the leading monomial.
     r0 = Poly(
         r0.nvars,
@@ -582,7 +586,7 @@ def test_packed_kernels_match_the_tuple_loops_on_every_branch(label):
     w, lap, g = *_residual_parts(f, sig, None)[:2], zmc_residual(f, sig)
     assert (w, lap, g) == residual_parts_reference(f, sig)
     if label == "integer":
-        assert (f.den, g.den, f.ints[f.leading_monomial()]) == (1, 1, (1, 0))
+        assert (f.den, g.den, f.ints[max(f.ints, key=grlex_key)]) == (1, 1, (1, 0))
     report, want = conjecture_check(f, sig), divide_reference(g, f)
     for got in (divide(g, f), (report.quotient, report.remainder)):
         assert got == want
